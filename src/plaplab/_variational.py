@@ -10,9 +10,12 @@ lower triangle (i,j)-(i+1,j)-(i+1,j+1), upper triangle (i,j)-(i+1,j+1)-
 
 so the regularized p-Dirichlet energy and its gradient are a handful of
 shifted-array operations.  For p = 2 this energy reduces exactly to the
-classical 5-point scheme, whose sparse factorization doubles as the descent
-preconditioner for all p.  Masses are lumped (one third of each incident
-triangle's area), which keeps boundary quadrature first-order consistent.
+classical 5-point scheme, whose sparse factorization is the first descent
+metric for all p.  :meth:`VariationalCore.weighted_factor` refactors the same
+stiffness pattern with Picard (lagged-diffusivity) element weights; the
+solvers rebuild that metric at most every ``METRIC_REFRESH`` accepted steps.
+Masses are lumped (one third of each incident triangle's area), which keeps
+boundary quadrature first-order consistent.
 
 A triangle enters the energy only when all its vertices carry values
 (non-exterior); degrees of freedom are the interior nodes for Dirichlet
@@ -22,6 +25,8 @@ conditions.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -30,14 +35,20 @@ from .fields import Grid
 
 __all__ = ["VariationalCore", "make_core"]
 
+#: accepted descent steps a Picard metric serves at least before it is rebuilt
+METRIC_REFRESH = 12
+
 
 class VariationalCore:
-    """Energy/gradient evaluations and a factorized p=2 preconditioner."""
+    """Energy/gradient evaluations, a factorized p=2 preconditioner and
+    Picard refactorizations on the same stiffness pattern."""
 
     def __init__(self, grid: Grid, bc: str):
         if bc not in ("dirichlet", "neumann"):
             raise ValueError(f"unknown boundary condition {bc!r}")
-        self.grid = grid
+        # the grid owns its cores (make_core); a strong reference back would
+        # make a cycle that only the cyclic collector frees
+        self._grid = weakref.ref(grid)
         self.bc = bc
         self.h = grid.h
         if grid.dim == 2:
@@ -45,7 +56,12 @@ class VariationalCore:
         else:
             self._setup_1d()
         self.dof_index = np.flatnonzero(self.dof_mask.ravel())
-        self._factor = None
+        self._pattern = None
+        self._factor_p2 = None
+
+    @property
+    def grid(self) -> Grid:
+        return self._grid()
 
     # -- setup ------------------------------------------------------------
 
@@ -145,65 +161,88 @@ class VariationalCore:
         """Gradient of ``-sum mass f v`` (linear load term)."""
         return np.where(self.dof_mask, -self.mass * f_vals, 0.0)
 
-    # -- stiffness assembly and preconditioners ---------------------------
+    # -- stiffness pattern and preconditioners ----------------------------
 
-    def _assemble_stiffness(self, w_low=None, w_up=None) -> sp.csr_matrix:
-        """Per-element-weighted P1 stiffness (weights default to 1)."""
+    def _stiffness_pattern(self):
+        """CSC pattern of the dof-restricted P1 stiffness and where each
+        element stamp lands in its data vector; computed once per core.
+
+        Returns ``(elem, coef, slot, diag, indices, indptr)``: stamp entry k
+        adds ``coef[k] * w[elem[k]]`` to ``data[slot[k]]`` for weights ``w``
+        of the admissible elements (segments in 1-D, lower then upper
+        triangles in 2-D); ``diag`` holds the slots of the diagonal.
+        """
+        if self._pattern is not None:
+            return self._pattern
         shape = self.grid.shape
-        nn = int(np.prod(shape))
-        rows, cols, vals = [], [], []
-
-        def flat(ii, jj):
-            return (ii * shape[1] + jj).ravel()
-
         if self.grid.dim == 1:
             idx = np.flatnonzero(self.seg)
-            wseg = np.ones(len(idx)) if w_low is None else w_low[self.seg]
-            stamps = [(idx, idx, 1.0), (idx + 1, idx + 1, 1.0),
-                      (idx, idx + 1, -1.0), (idx + 1, idx, -1.0)]
-            for r, c, w in stamps:
-                rows.append(r)
-                cols.append(c)
-                vals.append(w * wseg / self.h)
+            k = 1.0 / self.h
+            families = [([idx, idx + 1], {(0, 0): k, (1, 1): k, (0, 1): -k, (1, 0): -k})]
         else:
             ii, jj = np.meshgrid(np.arange(shape[0] - 1), np.arange(shape[1] - 1),
                                  indexing="ij")
-            for tri, wtri, corners in (
-                    (self.tri_low, w_low, ((0, 0), (1, 0), (1, 1))),
-                    (self.tri_up, w_up, ((0, 0), (0, 1), (1, 1)))):
+            # element stiffness of a right isoceles P1 triangle with legs h:
+            # E = 1/4[(v_b - v_a)^2 + (v_c - v_b)^2] for corner order a, b, c
+            stamp = {(0, 0): 0.5, (1, 1): 1.0, (2, 2): 0.5,
+                     (0, 1): -0.5, (1, 0): -0.5, (1, 2): -0.5, (2, 1): -0.5}
+            families = []
+            for tri, corners in ((self.tri_low, ((0, 0), (1, 0), (1, 1))),
+                                 (self.tri_up, ((0, 0), (0, 1), (1, 1)))):
                 sel = tri.ravel()
-                nodes = [flat(ii + di, jj + dj)[sel] for (di, dj) in corners]
-                wt = np.ones(len(nodes[0])) if wtri is None else wtri.ravel()[sel]
-                # element stiffness of a right isoceles P1 triangle with legs h:
-                # E = 1/4[(v_b - v_a)^2 + (v_c - v_b)^2] for corner order a, b, c
-                stamp = {(0, 0): 0.5, (1, 1): 1.0, (2, 2): 0.5,
-                         (0, 1): -0.5, (1, 0): -0.5, (1, 2): -0.5, (2, 1): -0.5}
-                for (a, b), w in stamp.items():
-                    rows.append(nodes[a])
-                    cols.append(nodes[b])
-                    vals.append(w * wt)
-        A = sp.coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(nn, nn)).tocsr()
-        return A
+                families.append(([((ii + di) * shape[1] + jj + dj).ravel()[sel]
+                                  for (di, dj) in corners], stamp))
+        elem, rows, cols, coef = [], [], [], []
+        offset = 0
+        for nodes, stamp in families:
+            e = offset + np.arange(len(nodes[0]))
+            offset += len(e)
+            for (a, b), w in stamp.items():
+                elem.append(e)
+                rows.append(nodes[a])
+                cols.append(nodes[b])
+                coef.append(np.full(len(e), w))
+        m = len(self.dof_index)
+        pos = np.full(int(np.prod(shape)), -1)
+        pos[self.dof_index] = np.arange(m)
+        r, c = pos[np.concatenate(rows)], pos[np.concatenate(cols)]
+        keep = (r >= 0) & (c >= 0)
+        # column-major keys; the diagonal is always in the pattern (Neumann
+        # adds its mass shift there)
+        keys = np.concatenate([c[keep] * m + r[keep], np.arange(m) * (m + 1)])
+        uniq, slots = np.unique(keys, return_inverse=True)
+        n_stamp = int(keep.sum())
+        indptr = np.searchsorted(uniq // m, np.arange(m + 1))
+        self._pattern = (np.concatenate(elem)[keep], np.concatenate(coef)[keep],
+                         slots[:n_stamp], slots[n_stamp:],
+                         (uniq % m).astype(np.int32), indptr.astype(np.int32))
+        return self._pattern
 
-    def _restrict_and_factor(self, A: sp.csr_matrix, mass_shift: float):
-        idx = self.dof_index
-        Add = A[idx][:, idx].tocsc()
+    def _factor(self, weights: np.ndarray | None, mass_shift: float):
+        """LU of the element-weighted stiffness on the dofs (unit weights for
+        ``None``), plus ``mass_shift`` times the lumped mass for Neumann.
+
+        The matrix is a symmetric M-matrix, so a minimum-degree ordering of
+        ``A^T + A`` keeps SuperLU's pivots on the diagonal and needs about
+        half the fill of the default COLAMD ordering.
+        """
+        elem, coef, slot, diag, indices, indptr = self._stiffness_pattern()
+        vals = coef if weights is None else coef * weights[elem]
+        data = np.bincount(slot, weights=vals, minlength=len(indices))
         if self.bc == "neumann":
-            Mdd = sp.diags(self.mass.ravel()[idx])
-            Add = (Add + mass_shift * Mdd).tocsc()
-        return spla.splu(Add)
+            data[diag] += mass_shift * self.mass.ravel()[self.dof_index]
+        m = len(self.dof_index)
+        return spla.splu(sp.csc_matrix((data, indices, indptr), shape=(m, m)),
+                         permc_spec="MMD_AT_PLUS_A")
 
     def _neumann_sigma(self) -> float:
         return 1.0 / max(self.grid.domain.bounding_box[2]
                          - self.grid.domain.bounding_box[0], 1.0) ** 2
 
     def _preconditioner(self):
-        if self._factor is None:
-            self._factor = self._restrict_and_factor(self._assemble_stiffness(),
-                                                     self._neumann_sigma())
-        return self._factor
+        if self._factor_p2 is None:
+            self._factor_p2 = self._factor(None, self._neumann_sigma())
+        return self._factor_p2
 
     def weighted_factor(self, v: np.ndarray, p: float, delta: float):
         """Factorized lagged-diffusivity metric ``sum_T w_T E_T`` with
@@ -214,26 +253,16 @@ class VariationalCore:
         positive definite where the gradient vanishes.  Returns an object
         with ``.solve`` usable via :meth:`precond_solve`.
         """
-        d2 = delta * delta
         if self.grid.dim == 1:
-            g2 = ((v[1:] - v[:-1]) / self.h) ** 2 + d2
-            wl = np.where(self.seg, g2 ** (p / 2.0 - 1.0), 0.0)
-            wl = np.maximum(wl, 1e-12 * max(wl.max(), 1e-300))
-            wu = None
-            scale = float(np.mean(wl[self.seg])) if self.seg.any() else 1.0
+            g2 = (((v[1:] - v[:-1]) / self.h) ** 2)[self.seg]
         else:
             dxl, dyl, dxu, dyu = self._tri_grads(v)
-            g2l = dxl**2 + dyl**2 + d2
-            g2u = dxu**2 + dyu**2 + d2
-            wl = np.where(self.tri_low, g2l ** (p / 2.0 - 1.0), 0.0)
-            wu = np.where(self.tri_up, g2u ** (p / 2.0 - 1.0), 0.0)
-            floor = 1e-12 * max(wl.max(), wu.max(), 1e-300)
-            wl = np.maximum(wl, floor)
-            wu = np.maximum(wu, floor)
-            both = np.concatenate([wl[self.tri_low], wu[self.tri_up]])
-            scale = float(np.mean(both)) if len(both) else 1.0
-        return self._restrict_and_factor(self._assemble_stiffness(wl, wu),
-                                         self._neumann_sigma() * scale)
+            g2 = np.concatenate([(dxl**2 + dyl**2)[self.tri_low],
+                                 (dxu**2 + dyu**2)[self.tri_up]])
+        w = (g2 + delta * delta) ** (p / 2.0 - 1.0)
+        w = np.maximum(w, 1e-12 * max(w.max(initial=0.0), 1e-300))
+        scale = float(np.mean(w)) if len(w) else 1.0
+        return self._factor(w, self._neumann_sigma() * scale)
 
     def precond_solve(self, grad: np.ndarray, factor=None) -> np.ndarray:
         """Apply an inverse metric (default: the p=2 stiffness, shifted for
@@ -247,20 +276,13 @@ class VariationalCore:
         out[self.dof_index] = d
         return out.reshape(self.grid.shape)
 
-    def stiffness_apply(self, v: np.ndarray) -> np.ndarray:
-        """A v with the full (5-point) stiffness; used by the p=2 direct solve."""
-        _, g = self.energy_grad(v, 2.0, 0.0)
-        return g
-
-
-_CORE_CACHE: dict[tuple[int, str], VariationalCore] = {}
-
 
 def make_core(grid: Grid, bc: str) -> VariationalCore:
-    """Cached core per (grid identity, bc); grids are immutable."""
-    key = (id(grid), bc)
-    core = _CORE_CACHE.get(key)
-    if core is None or core.grid is not grid:
-        core = VariationalCore(grid, bc)
-        _CORE_CACHE[key] = core
+    """The core of ``(grid, bc)``, built on first use and kept on the grid
+    (grids are immutable), so that it and its factorization are freed with
+    the grid."""
+    cores = grid.__dict__.setdefault("_variational_cores", {})
+    core = cores.get(bc)
+    if core is None:
+        core = cores[bc] = VariationalCore(grid, bc)
     return core

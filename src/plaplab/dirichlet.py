@@ -6,11 +6,15 @@
 
 over interior values with pinned boundary data; ``solve_p_torsion`` adds the
 load ``- sum_i m_i v_i`` (right-hand side 1).  Minimization is preconditioned
-gradient descent: the search direction is the inverse 5-point stiffness
-applied to the energy gradient, with backtracking line search and
-p-continuation (a ladder of intermediate exponents warm-starting each
-stage).  At p = 2 the energy is quadratic and one preconditioned step is the
-exact minimizer.  A short final polish runs with the regularization removed.
+gradient descent with backtracking line search and p-continuation (a ladder
+of intermediate exponents warm-starting each stage).  The search direction
+is an inverse metric applied to the energy gradient.  Each stage starts on
+the p = 2 stiffness, which at p = 2 makes one step the exact minimizer.
+Once that metric has served ``METRIC_REFRESH`` accepted steps and a step
+needs a backtrack, it is replaced by the Picard (lagged-diffusivity) metric
+``sum_T (|grad v|_T^2 + delta^2)^((p-2)/2) E_T`` at the current iterate, and
+so on for each new metric.  A short final polish runs with the
+regularization removed.
 
 As p grows the torsion solution approaches the boundary distance function;
 ``torsion_infinity_gap`` measures that gap.  ``infinity_torsion_ball``
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import geometry
-from ._variational import VariationalCore, make_core
+from ._variational import METRIC_REFRESH, VariationalCore, make_core
 from .fields import Grid, ScalarField
 
 __all__ = [
@@ -87,6 +91,8 @@ class SolverConfig:
             raise SolverError("max_iterations must be positive")
         if self.ladder is not None:
             lad = tuple(self.ladder)
+            if not lad:
+                raise SolverError("ladder must not be empty")
             if any(b <= a for a, b in zip(lad, lad[1:])) and \
                any(b >= a for a, b in zip(lad, lad[1:])):
                 raise SolverError("ladder must be strictly monotone")
@@ -145,16 +151,23 @@ def _objective(core: VariationalCore, v, p, delta, load):
 
 def _descend(core: VariationalCore, v: np.ndarray, p: float, delta: float,
              cfg: SolverConfig, load, max_iterations: int) -> tuple[np.ndarray, int, float, list]:
-    """Preconditioned descent with backtracking; returns (v, its, residual, history)."""
+    """Preconditioned descent with backtracking; returns (v, its, residual, history).
+
+    The metric starts as the cached p = 2 stiffness.  Once it has served
+    ``METRIC_REFRESH`` accepted steps and the last one needed a backtrack, it
+    is replaced by the Picard metric of the p-energy at the current iterate.
+    """
     e, g = _objective(core, v, p, delta, load)
     history = [e]
     tau = 1.0
     stall = 0
     it = 0
+    factor = None  # None: the p = 2 stiffness
+    served = 0  # accepted steps on the current metric
     scale_ref = max(float(np.max(np.abs(v[core.dof_mask]), initial=0.0)), 1.0)
     while it < max_iterations:
         it += 1
-        d = core.precond_solve(g)
+        d = core.precond_solve(g, factor)
         # cap runaway steps for strongly nonlinear exponents
         dmax = float(np.max(np.abs(d)))
         if dmax > 10.0 * scale_ref:
@@ -178,6 +191,11 @@ def _descend(core: VariationalCore, v: np.ndarray, p: float, delta: float,
         stall = stall + 1 if rel_drop < cfg.tol else 0
         if stall >= cfg.stall_window:
             break
+        served += 1
+        if served >= METRIC_REFRESH and t < 1.0:
+            factor = None  # free the old LU before the new one is built
+            factor = core.weighted_factor(v, p, delta)
+            served = 0
     residual = _strong_residual(core, g)
     return v, it, residual, history
 

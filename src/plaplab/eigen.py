@@ -7,8 +7,9 @@ over affine elements and the denominator over lumped nodal masses:
     N(v) = sum_T |grad v|^p |T|          D(v) = sum_i m_i |v_i|^p
 
 Descent steps follow the preconditioned quotient gradient
-``K^{-1}(grad N - R_p grad D)`` (K = 5-point stiffness, mass-shifted for
-Neumann), with backtracking enforcing a strictly nonincreasing quotient and
+``K^{-1}(grad N - R_p grad D)`` (K = 5-point stiffness at p = 2, elsewhere
+the Picard metric of the p-energy refactored every ``METRIC_REFRESH``
+steps; mass-shifted for Neumann), with backtracking enforcing a strictly nonincreasing quotient and
 L^p renormalization after every step.  Dirichlet problems fix v = 0 on the
 boundary collar and keep the first eigenfunction nonnegative; Neumann
 problems constrain the p-mean to zero, re-projected each step by a bisection
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import geometry
-from ._variational import VariationalCore, make_core
+from ._variational import METRIC_REFRESH, VariationalCore, make_core
 from .dirichlet import SolverError, solve_p_torsion
 from .fields import FieldError, Grid, ScalarField, build_grid, sample_at
 
@@ -221,10 +222,10 @@ def _descend_quotient(core: VariationalCore, v0: np.ndarray, p: float,
     it = 0
     gnorm_rel = math.inf
     factor = None
-    refresh = 12
     while it < cfg.max_iterations:
         it += 1
-        if p != 2.0 and (it - 1) % refresh == 0:
+        if p != 2.0 and (it - 1) % METRIC_REFRESH == 0:
+            factor = None  # free the old LU before the new one is built
             factor = core.weighted_factor(v, p, cfg.delta)
         _, g_num = core.energy_grad(v, p, cfg.delta)
         g_num = g_num * p  # energy carries 1/p

@@ -53,6 +53,20 @@ def pi_p(p: float) -> float:
     return 2.0 * math.pi * (p - 1.0) ** (1.0 / p) / (p * math.sin(math.pi / p))
 
 
+def interval_torsion(x, p: float):
+    """Exact p-torsion function on (0, 1): the solution of
+    ``-(|u'|^(p-2) u')' = 1`` with u(0) = u(1) = 0.
+
+    Integrating once with the symmetry u'(1/2) = 0 gives
+    |u'|^(p-2) u' = 1/2 - x, so u' = sign(1/2 - x) |x - 1/2|^(q-1) with the
+    conjugate exponent q = p/(p-1); integrating again,
+    u = (1/q) ((1/2)^q - |x - 1/2|^q).  As p -> oo, q -> 1 and u tends to
+    the distance to the boundary.
+    """
+    q = p / (p - 1.0)
+    return (0.5 ** q - np.abs(np.asarray(x, dtype=float) - 0.5) ** q) / q
+
+
 def square_dirichlet_lower(p: float) -> float:
     """Slab (Hersch-type) lower bound on the unit square's Dirichlet root.
 

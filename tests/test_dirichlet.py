@@ -8,12 +8,15 @@ infinity-torsion profile satisfies its ODE to round-off.
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import oracles
+from plaplab._variational import make_core
 from plaplab.dirichlet import (
     SolverConfig,
     SolverError,
@@ -43,6 +46,8 @@ def test_config_validation():
         SolverConfig(p=4.0, ladder=(2.0, 8.0, 4.0))
     with pytest.raises(SolverError):
         SolverConfig(p=4.0, ladder=(2.0, 3.0))
+    with pytest.raises(SolverError):
+        SolverConfig(p=4.0, ladder=())
 
 
 def test_continuation_ladder_shapes():
@@ -88,6 +93,32 @@ def test_torsion_distance_gap_shrinks_with_p():
     assert g16.sup_gap < g4.sup_gap
     assert g16.sup_gap < 0.08
     assert g16.gap.sup_norm() == g16.sup_gap
+
+
+@pytest.mark.parametrize("p", [4.0, 32.0])
+def test_interval_torsion_matches_closed_form(p):
+    grid = build_grid(Domain.interval(0.0, 1.0), 128)
+    res = solve_p_torsion(grid, p=p)
+    exact = oracles.interval_torsion(grid.xs, p)
+    assert np.max(np.abs(res.field.values - exact)) < 2e-4
+
+
+def test_interval_p32_torsion_converges_on_a_fine_grid():
+    # on the fixed p = 2 metric this stalled at a residual of 2.7e-2
+    grid = build_grid(Domain.interval(0.0, 1.0), 512)
+    res = solve_p_torsion(grid, p=32.0)
+    assert res.optimality_residual <= 1e-3
+    assert np.max(np.abs(res.field.values - oracles.interval_torsion(grid.xs, 32.0))) < 2e-4
+
+
+def test_core_is_freed_with_its_grid():
+    grid = build_grid(Domain.unit_square(), 16)
+    solve_p_torsion(grid, p=4.0)
+    core = weakref.ref(make_core(grid, "dirichlet"))
+    assert core() is make_core(grid, "dirichlet")  # one core per (grid, bc)
+    del grid
+    gc.collect()
+    assert core() is None
 
 
 # ---------------------------------------------------------------------------
