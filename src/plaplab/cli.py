@@ -547,8 +547,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the symmetry-breaking perturbation (default 0)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="advisory parallelism degree; outputs do not depend on it")
     parser.add_argument("--manifest", default=None,
                         help="manifest path (default: derived from the first artifact)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -653,7 +651,6 @@ def main(argv=None) -> int:
         return 1
     duration = time.perf_counter() - start
     config["seed"] = args.seed
-    config["threads"] = args.threads
     manifest = {
         "subcommand": args.command,
         "config": config,

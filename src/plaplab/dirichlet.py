@@ -90,14 +90,20 @@ class SolverConfig:
         if self.max_iterations < 1:
             raise SolverError("max_iterations must be positive")
         if self.ladder is not None:
-            lad = tuple(self.ladder)
-            if not lad:
-                raise SolverError("ladder must not be empty")
-            if any(b <= a for a, b in zip(lad, lad[1:])) and \
-               any(b >= a for a, b in zip(lad, lad[1:])):
-                raise SolverError("ladder must be strictly monotone")
-            if lad[-1] != self.p:
-                raise SolverError("ladder must end at the target p")
+            check_ladder(self.ladder, self.p, SolverError)
+
+
+def check_ladder(ladder, p: float, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``ladder`` is nonempty, strictly monotone and
+    ends at the target ``p``."""
+    lad = tuple(ladder)
+    if not lad:
+        raise error("ladder must not be empty")
+    if any(b <= a for a, b in zip(lad, lad[1:])) and \
+       any(b >= a for a, b in zip(lad, lad[1:])):
+        raise error("ladder must be strictly monotone")
+    if lad[-1] != p:
+        raise error("ladder must end at the target p")
 
 
 def continuation_ladder(p: float) -> tuple[float, ...]:

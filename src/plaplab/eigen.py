@@ -12,8 +12,8 @@ the Picard metric of the p-energy refactored every ``METRIC_REFRESH``
 steps; mass-shifted for Neumann), with backtracking enforcing a strictly nonincreasing quotient and
 L^p renormalization after every step.  Dirichlet problems fix v = 0 on the
 boundary collar and keep the first eigenfunction nonnegative; Neumann
-problems constrain the p-mean to zero, re-projected each step by a bisection
-solve of ``sum m_i |v_i - c|^(p-2) (v_i - c) = 0``.
+problems constrain the p-mean to zero, re-projected each step by a
+safeguarded Newton solve of ``sum m_i |v_i - c|^(p-2) (v_i - c) = 0``.
 
 Reported eigenvalues come in two scalings: ``raw`` is the quotient minimum
 (the eigenvalue of ``-lap_p u = raw |u|^(p-2) u``) and ``root = raw^(1/p)``,
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import geometry
 from ._variational import METRIC_REFRESH, VariationalCore, make_core
-from .dirichlet import SolverError, solve_p_torsion
+from .dirichlet import SolverError, check_ladder, solve_p_torsion
 from .fields import FieldError, Grid, ScalarField, build_grid, sample_at
 
 __all__ = [
@@ -82,6 +82,10 @@ class EigenConfig:
             raise EigenError("eigen exponent requires 1 < p < inf")
         if self.tol <= 0.0 or self.delta < 0.0:
             raise EigenError("tol must be > 0 and delta >= 0")
+        if self.max_iterations < 1:
+            raise EigenError("max_iterations must be positive")
+        if self.ladder is not None:
+            check_ladder(self.ladder, self.p, EigenError)
 
 
 @dataclass
@@ -126,7 +130,7 @@ def rayleigh_quotient(v: ScalarField, p: float, bc: str = "dirichlet",
             if np.any(np.abs(vals[bmask]) > 1e-9 * sup):
                 raise EigenError("Dirichlet quotient requires zero boundary values")
         else:
-            bal = _pmean_balance(vals, core.mass, p, 0.0)
+            bal = float(np.sum(_pmean_weights(vals, core.mass, p) * vals))
             if abs(bal) > 1e-6 * (core.pnorm_term(vals, p - 1.0) + 1e-300):
                 raise EigenError("Neumann quotient requires zero p-mean")
     den = core.pnorm_term(vals, p)
@@ -135,32 +139,60 @@ def rayleigh_quotient(v: ScalarField, p: float, bc: str = "dirichlet",
     return core.energy(vals, p, 0.0) * p / den
 
 
-def _pmean_balance(vals: np.ndarray, mass: np.ndarray, p: float, c: float) -> float:
-    w = vals - c
-    return float(np.sum(mass * np.abs(w) ** (p - 1.0) * np.sign(w)))
+def _pmean_weights(w: np.ndarray, mass: np.ndarray, p: float) -> np.ndarray:
+    """Weights ``a = m |w|^(p-2)`` of the p-mean balance ``sum a w``.
+
+    ``a`` is 0 where ``w`` is 0, so that p < 2 gives no ``inf * 0``.
+    """
+    aw = np.abs(w)
+    if p < 2.0:
+        return mass * np.power(aw, p - 2.0, out=np.zeros_like(aw), where=aw > 0.0)
+    return mass * aw ** (p - 2.0)
 
 
 def _pmean_shift(vals: np.ndarray, mass: np.ndarray, p: float) -> float:
-    """Shift c with ``sum m |v - c|^(p-2)(v - c) = 0``, by bisection to 1e-12
-    of the value span (closed form at p = 2)."""
+    """Shift c with ``f(c) = sum m |v - c|^(p-2)(v - c) = 0`` (closed form at
+    p = 2).
+
+    f decreases strictly in c, with ``f'(c) = -(p-1) sum m |v - c|^(p-2)``,
+    so the root is found by safeguarded Newton: every evaluation tightens
+    the bracket [min v, max v] by the sign of f, and a Newton step that
+    leaves the bracket, or is longer than half the previous move (Newton is
+    then converging only linearly), is replaced by the bracket midpoint.  It
+    starts at c = 0 when 0 lies in the bracket, because projected iterates
+    minus a step are nearly balanced, and stops once the step or the
+    bracket is within 1e-12 of the value span (or a few ulps of the values,
+    if that is more).
+    """
     sel = mass > 0.0
+    x, m = vals[sel], mass[sel]
     if p == 2.0:
-        return float(np.sum(mass[sel] * vals[sel]) / np.sum(mass[sel]))
-    lo = float(vals[sel].min())
-    hi = float(vals[sel].max())
-    if hi - lo <= 0.0:
+        return float(np.sum(m * x) / np.sum(m))
+    lo = float(x.min())
+    hi = float(x.max())
+    if hi <= lo:
         return lo
-    span = hi - lo
-    flo = _pmean_balance(vals, mass, p, lo)
-    if flo <= 0.0:
-        return lo
-    while hi - lo > 1e-12 * span:
-        mid = 0.5 * (lo + hi)
-        if _pmean_balance(vals, mass, p, mid) > 0.0:
-            lo = mid
+    # a few ulps at least, so that every step and midpoint still moves c
+    tol = max(1e-12 * (hi - lo), 4.0 * math.ulp(max(abs(lo), abs(hi))))
+    c = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
+    move = math.inf
+    while True:
+        w = x - c
+        a = _pmean_weights(w, m, p)
+        f = float(a @ w)
+        if f > 0.0:
+            lo = c
+        elif f < 0.0:
+            hi = c
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            return c
+        step = f / ((p - 1.0) * float(a.sum()))
+        if abs(step) <= tol or hi - lo <= tol:
+            return min(max(c + step, lo), hi)
+        nxt = c + step
+        if not lo < nxt < hi or abs(step) > 0.5 * abs(move):
+            nxt = 0.5 * (lo + hi)
+        move, c = nxt - c, nxt
 
 
 def project_zero_pmean(v: ScalarField, p: float) -> ScalarField:

@@ -131,6 +131,45 @@ def tail_limit(roots_by_p) -> float:
     return float(coeffs[0])
 
 
+def pmean_shift_two_point(x1: float, x2: float, m1: float, m2: float,
+                          p: float) -> float:
+    """Zero of ``sum m |x - c|^(p-2) (x - c)`` for two nodes x1 < x2.
+
+    Between the nodes the balance reads m1 (c - x1)^(p-1) = m2 (x2 - c)^(p-1),
+    so (c - x1)/(x2 - c) = 1/r with r = (m1/m2)^(1/(p-1)), and
+    c = (x2 + r x1)/(1 + r).
+    """
+    r = (m1 / m2) ** (1.0 / (p - 1.0))
+    return (x2 + r * x1) / (1.0 + r)
+
+
+def pmean_shift_bisection(vals, mass, p: float) -> float:
+    """Zero of ``sum m |v - c|^(p-1) sign(v - c)`` over the mass-carrying
+    nodes, by plain bisection on [min v, max v] down to 1e-12 of the span.
+
+    The balance is strictly decreasing in c, so 40 halvings always
+    converge; this is the slow reference for the package's Newton solve.
+    """
+    sel = np.asarray(mass) > 0.0
+    x, m = np.asarray(vals)[sel], np.asarray(mass)[sel]
+
+    def balance(c):
+        w = x - c
+        return float(np.sum(m * np.abs(w) ** (p - 1.0) * np.sign(w)))
+
+    lo, hi = float(x.min()), float(x.max())
+    span = hi - lo
+    if span <= 0.0 or balance(lo) <= 0.0:
+        return lo
+    while hi - lo > 1e-12 * span:
+        mid = 0.5 * (lo + hi)
+        if balance(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def cosine_line_deviation() -> float:
     """sup_t |sin(pi t / 2) - t| on [0, 1].
 

@@ -237,3 +237,9 @@ def test_argparse_rejects_bad_choice(square_json):
         run(["solve", "--problem", "poisson", "--p", "2",
              "--domain", square_json])
     assert exc.value.code == 2
+
+
+def test_threads_option_is_gone(square_json):
+    with pytest.raises(SystemExit) as exc:
+        run(["--threads", "2", "cheeger", "--domain", square_json])
+    assert exc.value.code == 2

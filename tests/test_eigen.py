@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
+from plaplab import eigen
 from plaplab.eigen import (
     EigenConfig,
     EigenError,
@@ -72,6 +73,96 @@ def test_config_validation():
         EigenConfig(p=1.0)
     with pytest.raises(EigenError):
         EigenConfig(tol=0.0)
+    with pytest.raises(EigenError):
+        EigenConfig(p=4.0, ladder=())
+    with pytest.raises(EigenError):
+        EigenConfig(p=4.0, ladder=(2.0, 3.0))
+    with pytest.raises(EigenError):
+        EigenConfig(p=4.0, ladder=(2.0, 8.0, 4.0))
+    with pytest.raises(EigenError):
+        EigenConfig(max_iterations=0)
+    # the ladders the solvers build themselves stay valid
+    assert EigenConfig(p=4.0, ladder=(4.0,)).ladder == (4.0,)
+    assert EigenConfig(p=1.5, ladder=(2.0, 1.5)).ladder == (2.0, 1.5)
+
+
+# ---------------------------------------------------------------------------
+# p-mean shift (safeguarded Newton) against closed forms and bisection
+
+SHIFT_EXPONENTS = (1.5, 3.0, 15.0, 32.0)
+
+
+def _shift_inputs():
+    """Seeded normal, skewed and one-outlier vectors; a few zero-mass
+    nodes carry values far outside, which the shift must ignore."""
+    rng = np.random.default_rng(11)
+    n = 400
+    mass = rng.uniform(0.5, 1.5, n)
+    mass[:5] = 0.0
+    vecs = {
+        "normal": rng.standard_normal(n),
+        "skewed": rng.exponential(size=n),
+        "outlier": np.r_[0.01 * rng.standard_normal(n - 1), 10.0],
+    }
+    for v in vecs.values():
+        v[:5] = 1e3
+    return mass, vecs
+
+
+@pytest.mark.parametrize("p", SHIFT_EXPONENTS)
+def test_pmean_shift_two_point_closed_form(p):
+    for x, m in (((-0.3, 1.7), (2.0, 0.5)), ((0.4, 2.5), (0.7, 3.0)),
+                 ((-5.0, -1.0), (1.0, 1.0))):
+        c = eigen._pmean_shift(np.array(x), np.array(m), p)
+        expected = oracles.pmean_shift_two_point(*x, *m, p)
+        assert abs(c - expected) <= 2e-12 * (x[1] - x[0])
+
+
+def test_pmean_shift_exact_zeros_below_p2():
+    # the first Newton evaluation sits at c = 0, where all but one node
+    # vanish: |0|^(p-2) = inf must not enter the balance as inf * 0
+    p = 1.5
+    mass = np.linspace(0.5, 1.5, 50)
+    vals = np.zeros(50)
+    vals[17] = 1.0
+    with np.errstate(divide="raise", invalid="raise"):
+        c = eigen._pmean_shift(vals, mass, p)
+    assert math.isfinite(c)
+    rest = float(mass.sum() - mass[17])
+    assert abs(c - oracles.pmean_shift_two_point(0.0, 1.0, rest, mass[17], p)) <= 2e-12
+    w = vals - c
+    bal = np.sum(mass * np.abs(w) ** (p - 1.0) * np.sign(w))
+    assert abs(bal) <= 1e-6 * np.sum(mass * np.abs(w) ** (p - 1.0))
+
+
+def test_pmean_shift_stops_at_float_resolution():
+    # a span of a few ulps: a 1e-12-of-span tolerance alone is below the
+    # spacing of the values, where midpoints and steps no longer move c
+    vals = 1.0 + 1e-14 * np.random.default_rng(5).standard_normal(100)
+    mass = np.ones(100)
+    for p in SHIFT_EXPONENTS:
+        c = eigen._pmean_shift(vals, mass, p)
+        assert vals.min() <= c <= vals.max()
+
+
+@pytest.mark.parametrize("p", SHIFT_EXPONENTS)
+def test_pmean_shift_matches_bisection(p, monkeypatch):
+    evaluations = []
+    weights = eigen._pmean_weights
+
+    def counted(*args):
+        evaluations.append(1)
+        return weights(*args)
+
+    monkeypatch.setattr(eigen, "_pmean_weights", counted)
+    mass, vecs = _shift_inputs()
+    for kind, vals in vecs.items():
+        evaluations.clear()
+        c = eigen._pmean_shift(vals, mass, p)
+        expected = oracles.pmean_shift_bisection(vals, mass, p)
+        assert abs(c - expected) <= 3e-12 * np.ptp(vals[mass > 0.0]), kind
+        # plain bisection needs 41 balance evaluations
+        assert len(evaluations) <= 60, kind
 
 
 # ---------------------------------------------------------------------------
