@@ -236,28 +236,97 @@ def default_grad_floor(f: ScalarField) -> float:
 # stencils
 
 
+def _difference_quotients(v: np.ndarray, h: float, out) -> None:
+    """Central differences on the inner block of ``v``, which carries a
+    one-node halo.  ``out`` receives ux, uxx in 1-D and ux, uy, uxx, uyy, uxy
+    in 2-D, each of the block's shape; no temporary is allocated."""
+    c = np.s_[1:-1]
+    if v.ndim == 1:
+        ux, uxx = out[:2]
+        np.subtract(v[2:], v[:-2], out=ux)
+        ux /= 2.0 * h
+        _second_difference(v[2:], v[c], v[:-2], h, uxx)
+        return
+    ux, uy, uxx, uyy, uxy = out[:5]
+    np.subtract(v[2:, c], v[:-2, c], out=ux)
+    ux /= 2.0 * h
+    np.subtract(v[c, 2:], v[c, :-2], out=uy)
+    uy /= 2.0 * h
+    _second_difference(v[2:, c], v[c, c], v[:-2, c], h, uxx)
+    _second_difference(v[c, 2:], v[c, c], v[c, :-2], h, uyy)
+    np.subtract(v[2:, 2:], v[2:, :-2], out=uxy)
+    uxy -= v[:-2, 2:]
+    uxy += v[:-2, :-2]
+    uxy /= 4.0 * h * h
+
+
+def _second_difference(ahead, mid, behind, h, out) -> None:
+    """``(ahead - 2 mid + behind) / h^2``, evaluated left to right."""
+    np.multiply(mid, 2.0, out=out)
+    np.subtract(ahead, out, out=out)
+    out += behind
+    out /= h * h
+
+
 def _derivs(f: ScalarField) -> dict[str, np.ndarray]:
     """Central derivatives as full arrays, valid on interior nodes only."""
-    v = f.values
-    h = f.grid.h
-    if f.grid.dim == 1:
-        ux = np.zeros_like(v)
-        uxx = np.zeros_like(v)
-        ux[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-        uxx[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
-        return {"ux": ux, "uxx": uxx}
-    ux = np.zeros_like(v)
-    uy = np.zeros_like(v)
-    uxx = np.zeros_like(v)
-    uyy = np.zeros_like(v)
-    uxy = np.zeros_like(v)
-    c = np.s_[1:-1]
-    ux[c, c] = (v[2:, c] - v[:-2, c]) / (2.0 * h)
-    uy[c, c] = (v[c, 2:] - v[c, :-2]) / (2.0 * h)
-    uxx[c, c] = (v[2:, c] - 2.0 * v[c, c] + v[:-2, c]) / (h * h)
-    uyy[c, c] = (v[c, 2:] - 2.0 * v[c, c] + v[c, :-2]) / (h * h)
-    uxy[c, c] = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4.0 * h * h)
-    return {"ux": ux, "uy": uy, "uxx": uxx, "uyy": uyy, "uxy": uxy}
+    names = ("ux", "uxx") if f.grid.dim == 1 else ("ux", "uy", "uxx", "uyy", "uxy")
+    d = {name: np.zeros_like(f.values) for name in names}
+    inner = (np.s_[1:-1],) * f.grid.dim
+    _difference_quotients(f.values, f.grid.h, [d[name][inner] for name in names])
+    return d
+
+
+def _stencil_work(shape: tuple) -> tuple[np.ndarray, ...]:
+    """Work buffers for ``_normalized_stencil`` on a block of ``shape``."""
+    return tuple(np.empty(shape) for _ in range(5)) + (np.empty(shape, dtype=bool),)
+
+
+def _normalized_stencil(v: np.ndarray, h: float, p: float, delta: float,
+                        out: np.ndarray, work: tuple[np.ndarray, ...]) -> None:
+    """Regularized normalized operator on the inner block of ``v`` (one-node
+    halo), written into ``out``; ``work`` comes from ``_stencil_work``.
+
+    Each operation is that of the expressions ``g2 = ux^2 + uy^2``,
+    ``u_nn = (ux^2 uxx + 2 ux uy uxy + uy^2 uyy) / (g2 + delta^2)`` (0 where
+    the denominator is 0) and ``(p-1)/p u_nn + 1/p (lap - u_nn)`` evaluated
+    left to right, so every caller gets the same bits.  ``out`` doubles as a
+    temporary.  On return ``work[0]`` holds ``g2``.
+    """
+    _difference_quotients(v, h, work)
+    positive = work[5]
+    if v.ndim == 1:
+        ux, lap, denom, unn, tri = work[:5]
+        np.multiply(ux, ux, out=tri)
+        tri *= lap
+        g2 = np.multiply(ux, ux, out=ux)
+    else:
+        ux, uy, uxx, uyy, uxy = work[:5]
+        np.multiply(ux, 2.0, out=out)
+        out *= uy
+        out *= uxy
+        tri = np.multiply(ux, ux, out=uxy)
+        tri *= uxx
+        tri += out
+        np.multiply(uy, uy, out=out)
+        out *= uyy
+        tri += out
+        lap = np.add(uxx, uyy, out=uxx)
+        g2 = np.multiply(ux, ux, out=ux)
+        np.multiply(uy, uy, out=uy)
+        g2 += uy
+        denom, unn = uyy, uy
+    np.add(g2, delta * delta, out=denom)
+    np.greater(denom, 0.0, out=positive)
+    unn.fill(0.0)
+    np.divide(tri, denom, out=unn, where=positive)
+    if math.isinf(p):
+        out[...] = unn
+        return
+    np.subtract(lap, unn, out=lap)
+    lap *= 1.0 / p
+    np.multiply(unn, (p - 1.0) / p, out=out)
+    out += lap
 
 
 def _interior_only(grid: Grid, arr: np.ndarray) -> np.ndarray:
@@ -372,18 +441,13 @@ def normalized_p_laplacian(f: ScalarField, p: float, grad_floor: float | None = 
         raise FieldError("normalized operator requires 1 <= p <= inf")
     if delta < 0.0:
         raise FieldError("delta must be nonnegative")
-    d = _derivs(f)
-    dim = f.grid.dim
-    g2 = _grad_sq(d, dim)
+    vals = np.zeros_like(f.values)
+    g2 = np.zeros_like(f.values)
+    inner = (np.s_[1:-1],) * f.grid.dim
+    work = _stencil_work(vals[inner].shape)
+    _normalized_stencil(f.values, f.grid.h, p, delta, vals[inner], work)
+    g2[inner] = work[0]
     flagged, _ = _flags(f, g2, grad_floor)
-    denom = g2 + delta * delta
-    unn = np.divide(_trilinear(d, dim), denom, out=np.zeros_like(denom),
-                    where=denom > 0.0)
-    lap = d["uxx"] if dim == 1 else d["uxx"] + d["uyy"]
-    if math.isinf(p):
-        vals = unn
-    else:
-        vals = ((p - 1.0) / p) * unn + (1.0 / p) * (lap - unn)
     return ScalarField(f.grid, _interior_only(f.grid, vals), flagged=flagged)
 
 

@@ -15,6 +15,12 @@ condition and is available for domains that fill their bounding lattice
 algebraically to half the Laplacian, so the trajectory coincides with the
 explicit heat scheme of diffusivity 1/2 to round-off.
 
+``run_flow`` steps in place: it allocates one raw state array (with the
+ghost halo for Neumann), the right-hand side, the stencil work buffers and
+the pinned-collar mask once per run, and builds a ``ScalarField`` only for
+snapshots and the final state.  ``step_flow`` takes one step with the same
+code on buffers of its own.
+
 Separation of variables links the flow to the eigenvalue problems: from
 eigenfunction initial data the sup-norm decays exponentially at the first
 eigenvalue of the normalized operator, which ``decay_rate`` recovers by a
@@ -28,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Grid, ScalarField, normalized_p_laplacian
+from .fields import Grid, ScalarField, _normalized_stencil, _stencil_work
 
 __all__ = [
     "FlowError",
@@ -116,31 +122,62 @@ class FlowRun:
     snapshots: list[tuple[float, ScalarField]] = field(default_factory=list)
 
 
-def _neumann_rhs(vals: np.ndarray, h: float, p: float, delta: float) -> np.ndarray:
-    """Normalized operator on a lattice-filling grid with mirror ghosts."""
-    v = np.pad(vals, 1, mode="reflect")
-    d2 = delta * delta
-    if vals.ndim == 1:
-        ux = (v[2:] - v[:-2]) / (2.0 * h)
-        uxx = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
-        g2 = ux * ux
-        tri = g2 * uxx
-        lap = uxx
-    else:
-        c = np.s_[1:-1]
-        ux = (v[2:, c] - v[:-2, c]) / (2.0 * h)
-        uy = (v[c, 2:] - v[c, :-2]) / (2.0 * h)
-        uxx = (v[2:, c] - 2.0 * v[c, c] + v[:-2, c]) / (h * h)
-        uyy = (v[c, 2:] - 2.0 * v[c, c] + v[c, :-2]) / (h * h)
-        uxy = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4.0 * h * h)
-        g2 = ux * ux + uy * uy
-        tri = ux * ux * uxx + 2.0 * ux * uy * uxy + uy * uy * uyy
-        lap = uxx + uyy
-    denom = g2 + d2
-    unn = np.divide(tri, denom, out=np.zeros_like(denom), where=denom > 0.0)
-    if math.isinf(p):
-        return unn
-    return ((p - 1.0) / p) * unn + (1.0 / p) * (lap - unn)
+class _Stepper:
+    """Forward-Euler steps taken in place on one raw state array.
+
+    Dirichlet: the state is the grid's value array; after each step the
+    pinned collar (every non-interior node) is set back to zero.  Neumann:
+    the state carries a one-node halo of mirror ghosts around the grid,
+    refreshed by slice copies after each step.  Exterior entries are zero
+    either way, so ``sup_norm`` reads the raw state.  Nothing is allocated
+    per step.
+    """
+
+    def __init__(self, u: ScalarField, p: float, dt: float, delta: float, bc: str):
+        grid = u.grid
+        limit = cfl_limit(grid, p)
+        if not 0.0 < dt <= limit * (1.0 + 1e-12):
+            raise FlowError(f"dt={dt:.3e} outside (0, {limit:.3e}]")
+        if bc == "dirichlet":
+            self.state = u.values.copy()
+            self.nodes = self.state
+            self.pinned = ~grid.interior
+        elif bc == "neumann":
+            if not bool(grid.nonexterior.all()):
+                raise FlowError("mirror-ghost reflection needs a lattice-filling domain "
+                                "(rectangle or interval)")
+            self.state = np.pad(u.values, 1)
+            self.nodes = self.state[(np.s_[1:-1],) * grid.dim]
+            self.pinned = None
+            self._reflect()
+        else:
+            raise FlowError(f"unknown boundary condition {bc!r}")
+        self.grid, self.p, self.dt, self.delta = grid, p, dt, delta
+        self.inner = self.state[(np.s_[1:-1],) * grid.dim]
+        self.rhs = np.empty(self.inner.shape)
+        self.work = _stencil_work(self.rhs.shape)
+
+    def _reflect(self) -> None:
+        for axis in range(self.state.ndim):
+            s = np.moveaxis(self.state, axis, 0)
+            s[0] = s[2]
+            s[-1] = s[-3]
+
+    def step(self) -> None:
+        _normalized_stencil(self.state, self.grid.h, self.p, self.delta,
+                            self.rhs, self.work)
+        self.rhs *= self.dt
+        self.inner += self.rhs
+        if self.pinned is None:
+            self._reflect()
+        else:
+            np.copyto(self.state, 0.0, where=self.pinned)
+
+    def sup_norm(self) -> float:
+        return max(float(self.state.max()), -float(self.state.min()))
+
+    def field(self) -> ScalarField:
+        return ScalarField(self.grid, self.nodes)
 
 
 def step_flow(u: ScalarField, p: float, dt: float, delta: float = 0.0,
@@ -151,50 +188,37 @@ def step_flow(u: ScalarField, p: float, dt: float, delta: float = 0.0,
     zero.  Neumann: every node evolves with mirror-ghost reflection, which
     requires the grid to fill its lattice (no exterior nodes).
     """
-    grid = u.grid
-    limit = cfl_limit(grid, p)
-    if not 0.0 < dt <= limit * (1.0 + 1e-12):
-        raise FlowError(f"dt={dt:.3e} outside (0, {limit:.3e}]")
-    if bc == "dirichlet":
-        op = normalized_p_laplacian(u, p, grad_floor=0.0, delta=delta)
-        out = np.where(grid.interior, u.values + dt * op.values, 0.0)
-        return ScalarField(grid, out)
-    if bc != "neumann":
-        raise FlowError(f"unknown boundary condition {bc!r}")
-    if not bool(grid.nonexterior.all()):
-        raise FlowError("mirror-ghost reflection needs a lattice-filling domain "
-                        "(rectangle or interval)")
-    rhs = _neumann_rhs(u.values, grid.h, p, delta)
-    return ScalarField(grid, u.values + dt * rhs)
+    stepper = _Stepper(u, p, dt, delta, bc)
+    stepper.step()
+    return stepper.field()
 
 
 def run_flow(u0: ScalarField, cfg: FlowConfig, snapshot_times=()) -> FlowRun:
     """Evolve ``u0`` to ``cfg.t_end``, tracing the sup-norm every step.
 
-    Requested ``snapshot_times`` are honored at the nearest step boundary.
-    The decay fit is attempted at the end and left as None if the trace
-    does not support it.
+    Requested ``snapshot_times`` are honored at the nearest step boundary,
+    t = 0 included.  The decay fit is attempted at the end and left as None
+    if the trace does not support it.  ``u0`` is not modified; snapshots and
+    ``final`` are fields of their own.
     """
     grid = u0.grid
     dt = cfg.resolve_dt(grid)
     delta = cfg.delta if cfg.delta is not None else 1e-6 * u0.sup_norm()
+    stepper = _Stepper(u0, cfg.p, dt, delta, cfg.bc)
     steps = max(int(math.ceil(cfg.t_end / dt - 1e-12)), 1)
     want = sorted(set(min(max(t, 0.0), cfg.t_end) for t in snapshot_times))
-    u = u0.copy()
-    times = np.empty(steps + 1)
+    times = dt * np.arange(steps + 1)
     trace = np.empty(steps + 1)
-    times[0], trace[0] = 0.0, u.sup_norm()
+    snapshots = []
+    for k in range(steps + 1):
+        if k > 0:
+            stepper.step()
+        t = k * dt
+        trace[k] = stepper.sup_norm()
+        while len(snapshots) < len(want) and want[len(snapshots)] <= t + 0.5 * dt:
+            snapshots.append((t, stepper.field()))
     run = FlowRun(p=cfg.p, bc=cfg.bc, dt=dt, delta=delta, times=times,
-                  sup_trace=trace, final=u)
-    next_want = 0
-    for k in range(steps):
-        u = step_flow(u, cfg.p, dt, delta, cfg.bc)
-        t = (k + 1) * dt
-        times[k + 1], trace[k + 1] = t, u.sup_norm()
-        while next_want < len(want) and want[next_want] <= t + 0.5 * dt:
-            run.snapshots.append((t, u.copy()))
-            next_want += 1
-    run.final = u
+                  sup_trace=trace, final=stepper.field(), snapshots=snapshots)
     try:
         run.fitted_rate, run.fit_r2 = _fit_decay(times, trace)
     except FlowError:

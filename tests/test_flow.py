@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from plaplab import flow
 from plaplab.fields import ScalarField, build_grid
 from plaplab.flow import (
     FlowConfig,
@@ -75,11 +76,18 @@ def test_step_rejects_unstable_dt(square32, sine_mode):
         step_flow(sine_mode, 2.0, 2.0 * cfl_limit(square32, 2.0))
 
 
-def test_neumann_needs_lattice_filling_domain():
+def test_neumann_needs_lattice_filling_domain(monkeypatch):
     grid = build_grid(Domain.disc((0.0, 0.0), 1.0), 32)
     u = ScalarField.from_function(grid, lambda x, y: np.ones_like(x))
     with pytest.raises(FlowError):
         step_flow(u, 2.0, cfl_limit(grid, 2.0), bc="neumann")
+
+    def no_step(*args):
+        raise AssertionError("a step was taken before the domain check")
+
+    monkeypatch.setattr(flow, "_normalized_stencil", no_step)
+    with pytest.raises(FlowError):
+        run_flow(u, FlowConfig(p=2.0, bc="neumann", t_end=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +144,93 @@ def test_p2_flow_is_half_speed_heat_equation(square32):
                            + w[1:-1, :-2] - 4.0 * w[1:-1, 1:-1]) / h2
         w = np.where(square32.interior, w + 0.5 * dt * lap, 0.0)
     assert float(np.max(np.abs(v.values - w))) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_p2_neumann_flow_is_mirror_ghost_heat_equation(dim):
+    # independent of the flow code: np.pad's reflection gives the ghosts
+    if dim == 1:
+        grid = build_grid(Domain.interval(0.0, 1.0), 64)
+        u0 = ScalarField.from_function(
+            grid, lambda x: np.cos(np.pi * x) + 0.4 * x * x)
+    else:
+        grid = build_grid(Domain.unit_square(), 32)
+        u0 = ScalarField.from_function(
+            grid, lambda x, y: np.cos(np.pi * x) + 0.3 * np.cos(2.0 * np.pi * y)
+            + 0.2 * x * y)
+    dt = cfl_limit(grid, 2.0)
+    steps = 200
+    run = run_flow(u0, FlowConfig(p=2.0, bc="neumann", delta=0.0,
+                                  t_end=steps * dt))
+    assert len(run.times) == steps + 1
+    h2 = grid.h ** 2
+    w = u0.values.copy()
+    for _ in range(steps):
+        g = np.pad(w, 1, mode="reflect")
+        if dim == 1:
+            lap = (g[2:] + g[:-2] - 2.0 * g[1:-1]) / h2
+        else:
+            lap = (g[2:, 1:-1] + g[:-2, 1:-1] + g[1:-1, 2:] + g[1:-1, :-2]
+                   - 4.0 * g[1:-1, 1:-1]) / h2
+        w = w + 0.5 * dt * lap
+    assert float(np.max(np.abs(run.final.values - w))) < 1e-12
+
+
+def _flow_case(domain: str):
+    if domain == "interval":
+        grid = build_grid(Domain.interval(0.0, 1.0), 40)
+        return ScalarField.from_function(
+            grid, lambda x: np.cos(np.pi * x) + 0.5 * x + 0.2)
+    if domain == "square":
+        grid = build_grid(Domain.unit_square(), 24)
+    else:
+        grid = build_grid(Domain.disc((0.0, 0.0), 1.0), 24)
+    # nonzero on the collar, so the first Dirichlet step must pin it
+    return ScalarField.from_function(
+        grid, lambda x, y: np.cos(np.pi * x) * (1.0 + 0.5 * y) + 0.3 * x * x)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0, math.inf])
+@pytest.mark.parametrize("domain, bc", [("interval", "dirichlet"),
+                                        ("interval", "neumann"),
+                                        ("square", "dirichlet"),
+                                        ("square", "neumann"),
+                                        ("disc", "dirichlet")])
+def test_run_flow_matches_repeated_step_flow(domain, bc, p):
+    u0 = _flow_case(domain)
+    before = u0.values.copy()
+    dt = cfl_limit(u0.grid, p)
+    steps = 30
+    run = run_flow(u0, FlowConfig(p=p, bc=bc, t_end=steps * dt),
+                   snapshot_times=(10 * dt, 20 * dt))
+    assert np.array_equal(u0.values, before)
+    assert len(run.times) == steps + 1
+    u = u0
+    by_step = {0: u0}
+    sups = [u0.sup_norm()]
+    for k in range(1, steps + 1):
+        u = step_flow(u, p, dt, run.delta, bc)
+        by_step[k] = u
+        sups.append(u.sup_norm())
+    tol = 1e-14 * max(sups)
+    assert float(np.max(np.abs(run.final.values - u.values))) <= tol
+    assert np.allclose(run.sup_trace, sups, rtol=0.0, atol=tol)
+    assert [t for t, _ in run.snapshots] == [10 * dt, 20 * dt]
+    for (_, snap), k in zip(run.snapshots, (10, 20)):
+        assert float(np.max(np.abs(snap.values - by_step[k].values))) <= tol
+    arrays = [u0.values, run.final.values] + [s.values for _, s in run.snapshots]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_snapshot_at_time_zero_is_initial_data(square32, sine_mode):
+    run = run_flow(sine_mode, FlowConfig(p=4.0, t_end=0.01),
+                   snapshot_times=(0.0, 0.4 * cfl_limit(square32, 4.0)))
+    assert [t for t, _ in run.snapshots] == [0.0, 0.0]
+    for _, snap in run.snapshots:
+        assert np.array_equal(snap.values, sine_mode.values)
+    assert run.sup_trace[0] == sine_mode.sup_norm()
 
 
 def test_flow_is_one_homogeneous(square32):
