@@ -10,12 +10,15 @@ lower triangle (i,j)-(i+1,j)-(i+1,j+1), upper triangle (i,j)-(i+1,j+1)-
 
 so the regularized p-Dirichlet energy and its gradient are a handful of
 shifted-array operations.  For p = 2 this energy reduces exactly to the
-classical 5-point scheme, whose sparse factorization is the first descent
-metric for all p.  :meth:`VariationalCore.weighted_factor` refactors the same
-stiffness pattern with Picard (lagged-diffusivity) element weights; the
-solvers rebuild that metric at most every ``METRIC_REFRESH`` accepted steps.
-Masses are lumped (one third of each incident triangle's area), which keeps
-boundary quadrature first-order consistent.
+classical 5-point scheme, whose sparse factorization is the eigen solver's
+first descent metric.  :meth:`VariationalCore.weighted_factor` refactors the
+same stiffness pattern with Picard (lagged-diffusivity) element weights, and
+:meth:`VariationalCore.hessian` assembles the exact Hessian of the
+regularized energy, whose element tensor ``w (I + (p-2) g g^T/(|g|^2 +
+delta^2))`` couples the two ends of each cell's diagonal (a 7-point
+pattern).  Both patterns, and the map from element stamps to CSC data slots,
+are computed once per core.  Masses are lumped (one third of each incident
+triangle's area), which keeps boundary quadrature first-order consistent.
 
 A triangle enters the energy only when all its vertices carry values
 (non-exterior); degrees of freedom are the interior nodes for Dirichlet
@@ -35,13 +38,24 @@ from .fields import Grid
 
 __all__ = ["VariationalCore", "make_core"]
 
-#: accepted descent steps a Picard metric serves at least before it is rebuilt
-METRIC_REFRESH = 12
+# Element families: corner offsets from the element's lowest node, and for
+# each gradient component the (plus, minus) corners of its difference
+# quotient, grad_k v = (v[plus] - v[minus]) / h.
+_SEGMENTS = (((0,), (1,)), ((1, 0),))
+_TRIANGLES = ((((0, 0), (1, 0), (1, 1)), ((1, 0), (2, 1))),  # lower
+              (((0, 0), (0, 1), (1, 1)), ((2, 1), (1, 0))))  # upper
+
+
+def _corner_pairs(nc: int) -> list[tuple[int, int]]:
+    """Local (row, column) corner pairs of an element stamp: the diagonal,
+    then each off-diagonal pair in both orders."""
+    return [(a, a) for a in range(nc)] + [q for a in range(nc) for b in range(a + 1, nc)
+                                          for q in ((a, b), (b, a))]
 
 
 class VariationalCore:
-    """Energy/gradient evaluations, a factorized p=2 preconditioner and
-    Picard refactorizations on the same stiffness pattern."""
+    """Energy/gradient evaluations, a factorized p=2 preconditioner, Picard
+    refactorizations on the same stiffness pattern and the energy Hessian."""
 
     def __init__(self, grid: Grid, bc: str):
         if bc not in ("dirichlet", "neumann"):
@@ -56,7 +70,8 @@ class VariationalCore:
         else:
             self._setup_1d()
         self.dof_index = np.flatnonzero(self.dof_mask.ravel())
-        self._pattern = None
+        self._families = None
+        self._patterns: dict[bool, tuple] = {}
         self._factor_p2 = None
 
     @property
@@ -161,79 +176,136 @@ class VariationalCore:
         """Gradient of ``-sum mass f v`` (linear load term)."""
         return np.where(self.dof_mask, -self.mass * f_vals, 0.0)
 
-    # -- stiffness pattern and preconditioners ----------------------------
+    # -- element families, assembly patterns and factorizations -----------
 
-    def _stiffness_pattern(self):
-        """CSC pattern of the dof-restricted P1 stiffness and where each
-        element stamp lands in its data vector; computed once per core.
+    def _element_families(self) -> list:
+        """Per admissible element family (segments in 1-D, lower then upper
+        triangles in 2-D): the flat node index of each corner, the
+        (plus, minus) corners of each gradient component and the unit
+        gradient matrix ``B`` (``grad v = B v_corners / h``); built once."""
+        if self._families is None:
+            grid = self.grid
+            if grid.dim == 1:
+                kinds = zip((self.seg,), (_SEGMENTS,))
+            else:
+                kinds = zip((self.tri_low, self.tri_up), _TRIANGLES)
+            self._families = []
+            for mask, (corners, grads) in kinds:
+                origin = np.nonzero(mask)
+                nodes = [np.ravel_multi_index(tuple(o + d for o, d in zip(origin, c)),
+                                              grid.shape) for c in corners]
+                B = np.zeros((len(grads), len(corners)))
+                for k, (plus, minus) in enumerate(grads):
+                    B[k, plus], B[k, minus] = 1.0, -1.0
+                self._families.append((nodes, grads, B))
+        return self._families
 
-        Returns ``(elem, coef, slot, diag, indices, indptr)``: stamp entry k
-        adds ``coef[k] * w[elem[k]]`` to ``data[slot[k]]`` for weights ``w``
-        of the admissible elements (segments in 1-D, lower then upper
-        triangles in 2-D); ``diag`` holds the slots of the diagonal.
+    def _element_grads(self, v: np.ndarray) -> list[np.ndarray]:
+        """Gradient components on every admissible element, in family order."""
+        flat = v.ravel()
+        return [np.concatenate([(flat[nodes[grads[k][0]]] - flat[nodes[grads[k][1]]]) / self.h
+                                for nodes, grads, _ in self._element_families()])
+                for k in range(self.grid.dim)]
+
+    def _element_weights(self, v: np.ndarray, p: float, delta: float):
+        """Element gradients ``g``, ``s = |g|^2 + delta^2`` and the weights
+        ``w = s^{(p-2)/2}``, floored at 1e-12 of their maximum so that a
+        matrix built from them stays positive definite where ``g``
+        vanishes."""
+        grads = self._element_grads(v)
+        s = sum(g * g for g in grads) + delta * delta
+        w = s ** (p / 2.0 - 1.0)
+        return grads, s, np.maximum(w, 1e-12 * max(w.max(initial=0.0), 1e-300))
+
+    def _measure(self) -> float:
+        """Element measure over h^2: an element with coefficient tensor A
+        adds ``measure * B^T A B`` to the stiffness."""
+        return 0.5 if self.grid.dim == 2 else 1.0 / self.h
+
+    def _pattern(self, hessian: bool):
+        """CSC pattern on the dofs of the P1 stiffness (the nonzero stamps of
+        ``B^T B``) or, for ``hessian``, of the energy Hessian (every corner
+        pair, which adds each cell's diagonal: 7 points), and the data slot
+        of each element stamp; computed once per core.
+
+        Stamps run over families, then corner pairs (``_corner_pairs``),
+        then elements.  Returns ``(slot, elem, coef, diag, indices,
+        indptr)``: stamp k adds to ``data[slot[k]]``, and slot
+        ``len(indices)`` collects the stamps that touch a non-dof.  For the
+        stiffness, ``elem`` and ``coef`` give each stamp's element and
+        coefficient (both None for the Hessian); ``diag`` holds the slots
+        of the diagonal.
         """
-        if self._pattern is not None:
-            return self._pattern
-        shape = self.grid.shape
-        if self.grid.dim == 1:
-            idx = np.flatnonzero(self.seg)
-            k = 1.0 / self.h
-            families = [([idx, idx + 1], {(0, 0): k, (1, 1): k, (0, 1): -k, (1, 0): -k})]
-        else:
-            ii, jj = np.meshgrid(np.arange(shape[0] - 1), np.arange(shape[1] - 1),
-                                 indexing="ij")
-            # element stiffness of a right isoceles P1 triangle with legs h:
-            # E = 1/4[(v_b - v_a)^2 + (v_c - v_b)^2] for corner order a, b, c
-            stamp = {(0, 0): 0.5, (1, 1): 1.0, (2, 2): 0.5,
-                     (0, 1): -0.5, (1, 0): -0.5, (1, 2): -0.5, (2, 1): -0.5}
-            families = []
-            for tri, corners in ((self.tri_low, ((0, 0), (1, 0), (1, 1))),
-                                 (self.tri_up, ((0, 0), (0, 1), (1, 1)))):
-                sel = tri.ravel()
-                families.append(([((ii + di) * shape[1] + jj + dj).ravel()[sel]
-                                  for (di, dj) in corners], stamp))
-        elem, rows, cols, coef = [], [], [], []
-        offset = 0
-        for nodes, stamp in families:
-            e = offset + np.arange(len(nodes[0]))
-            offset += len(e)
-            for (a, b), w in stamp.items():
-                elem.append(e)
-                rows.append(nodes[a])
-                cols.append(nodes[b])
-                coef.append(np.full(len(e), w))
+        if hessian in self._patterns:
+            return self._patterns[hessian]
+        # stamp groups (nodes, a, b, coefficient, first element): one stamp
+        # per element of a family, coupling corners a fixed flat-index
+        # offset apart, so the pattern is a (column, offset) table; dofs are
+        # numbered in node order, so offset order is row order in a column
+        groups, start = [], 0
+        for nodes, _, B in self._element_families():
+            stiff = self._measure() * (B.T @ B)
+            groups += [(nodes, a, b, stiff[a, b], start) for a, b in _corner_pairs(len(nodes))
+                       if hessian or stiff[a, b] != 0.0]
+            start += len(nodes[0])
+        shift = [int(nodes[a][0] - nodes[b][0]) if len(nodes[0]) else 0
+                 for nodes, a, b, _, _ in groups]
+        offsets = sorted(set(shift) | {0})
         m = len(self.dof_index)
-        pos = np.full(int(np.prod(shape)), -1)
+        pos = np.full(int(np.prod(self.grid.shape)), -1, dtype=np.int32)
         pos[self.dof_index] = np.arange(m)
-        r, c = pos[np.concatenate(rows)], pos[np.concatenate(cols)]
-        keep = (r >= 0) & (c >= 0)
-        # column-major keys; the diagonal is always in the pattern (Neumann
-        # adds its mass shift there)
-        keys = np.concatenate([c[keep] * m + r[keep], np.arange(m) * (m + 1)])
-        uniq, slots = np.unique(keys, return_inverse=True)
-        n_stamp = int(keep.sum())
-        indptr = np.searchsorted(uniq // m, np.arange(m + 1))
-        self._pattern = (np.concatenate(elem)[keep], np.concatenate(coef)[keep],
-                         slots[:n_stamp], slots[n_stamp:],
-                         (uniq % m).astype(np.int32), indptr.astype(np.int32))
-        return self._pattern
+        # the diagonal is always in the pattern (Neumann adds its mass shift there)
+        present = np.zeros((m, len(offsets)), dtype=bool)
+        present[:, offsets.index(0)] = True
+        cols = []
+        for (nodes, a, b, _, _), d in zip(groups, shift):
+            col = pos[nodes[b]]
+            col[pos[nodes[a]] < 0] = -1
+            present[col[col >= 0], offsets.index(d)] = True
+            cols.append(col)
+        nnz = int(present.sum())
+        table = np.full(present.shape, nnz)  # slot nnz collects stamps off the dofs
+        table[present] = np.arange(nnz)
+        slot = np.concatenate([np.where(col >= 0, table[col, offsets.index(d)], nnz)
+                               for col, d in zip(cols, shift)])
+        col_idx, k_idx = np.nonzero(present)
+        indices = pos[self.dof_index[col_idx] + np.asarray(offsets)[k_idx]]
+        indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
+        elem = coef = None
+        if not hessian:
+            elem = np.concatenate([e0 + np.arange(len(nodes[0])) for nodes, _, _, _, e0 in groups])
+            coef = np.concatenate([np.full(len(nodes[0]), c) for nodes, _, _, c, _ in groups])
+        pattern = (slot, elem, coef, table[:, offsets.index(0)], indices.astype(np.int32),
+                   indptr.astype(np.int32))
+        self._patterns[hessian] = pattern
+        return pattern
 
-    def _factor(self, weights: np.ndarray | None, mass_shift: float):
-        """LU of the element-weighted stiffness on the dofs (unit weights for
-        ``None``), plus ``mass_shift`` times the lumped mass for Neumann.
-
-        The matrix is a symmetric M-matrix, so a minimum-degree ordering of
-        ``A^T + A`` keeps SuperLU's pivots on the diagonal and needs about
-        half the fill of the default COLAMD ordering.
-        """
-        elem, coef, slot, diag, indices, indptr = self._stiffness_pattern()
-        vals = coef if weights is None else coef * weights[elem]
-        data = np.bincount(slot, weights=vals, minlength=len(indices))
+    def _assemble(self, hessian: bool, vals: np.ndarray, mass_shift: float = 0.0):
+        """Dof matrix of the pattern ``hessian`` from its stamp values, plus
+        ``mass_shift`` times the lumped mass for Neumann."""
+        slot, _, _, diag, indices, indptr = self._pattern(hessian)
+        data = np.bincount(slot, weights=vals, minlength=len(indices) + 1)[:-1]
         if self.bc == "neumann":
             data[diag] += mass_shift * self.mass.ravel()[self.dof_index]
         m = len(self.dof_index)
-        return spla.splu(sp.csc_matrix((data, indices, indptr), shape=(m, m)),
-                         permc_spec="MMD_AT_PLUS_A")
+        return sp.csc_matrix((data, indices, indptr), shape=(m, m))
+
+    def _stiffness(self, weights: np.ndarray | None, mass_shift: float):
+        """Element-weighted stiffness (unit weights for ``None``)."""
+        _, elem, coef, *_ = self._pattern(False)
+        return self._assemble(False, coef if weights is None else coef * weights[elem],
+                              mass_shift)
+
+    @staticmethod
+    def factor(matrix: sp.csc_matrix):
+        """Sparse LU of a symmetric positive definite dof matrix.
+
+        The stiffness and the Hessian have symmetric patterns and dominant
+        diagonals, so a minimum-degree ordering of ``A^T + A`` keeps
+        SuperLU's pivots on the diagonal and needs about half the fill of
+        the default COLAMD ordering.
+        """
+        return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
 
     def _neumann_sigma(self) -> float:
         return 1.0 / max(self.grid.domain.bounding_box[2]
@@ -241,7 +313,7 @@ class VariationalCore:
 
     def _preconditioner(self):
         if self._factor_p2 is None:
-            self._factor_p2 = self._factor(None, self._neumann_sigma())
+            self._factor_p2 = self.factor(self._stiffness(None, self._neumann_sigma()))
         return self._factor_p2
 
     def weighted_factor(self, v: np.ndarray, p: float, delta: float):
@@ -253,16 +325,42 @@ class VariationalCore:
         positive definite where the gradient vanishes.  Returns an object
         with ``.solve`` usable via :meth:`precond_solve`.
         """
-        if self.grid.dim == 1:
-            g2 = (((v[1:] - v[:-1]) / self.h) ** 2)[self.seg]
-        else:
-            dxl, dyl, dxu, dyu = self._tri_grads(v)
-            g2 = np.concatenate([(dxl**2 + dyl**2)[self.tri_low],
-                                 (dxu**2 + dyu**2)[self.tri_up]])
-        w = (g2 + delta * delta) ** (p / 2.0 - 1.0)
-        w = np.maximum(w, 1e-12 * max(w.max(initial=0.0), 1e-300))
+        _, _, w = self._element_weights(v, p, delta)
         scale = float(np.mean(w)) if len(w) else 1.0
-        return self._factor(w, self._neumann_sigma() * scale)
+        return self.factor(self._stiffness(w, self._neumann_sigma() * scale))
+
+    def hessian(self, v: np.ndarray, p: float, delta: float) -> sp.csc_matrix:
+        """Hessian of :meth:`energy` on the dofs (no Neumann mass shift).
+
+        Each element contributes ``measure * B^T A_T B`` with the tensor
+        ``A_T = w_T (I + (p-2) g g^T / (|g|^2 + delta^2))``, ``g`` its
+        gradient and ``w_T = (|g|^2 + delta^2)^{(p-2)/2}``; a flat element at
+        ``delta = 0`` keeps only ``w_T I``.  As in :meth:`weighted_factor`,
+        ``w_T`` is floored at 1e-12 of its maximum, so the matrix stays
+        positive definite (for p > 1) where the gradient vanishes.
+        """
+        grads, s, w = self._element_weights(v, p, delta)
+        r = np.divide(p - 2.0, s, out=np.zeros_like(s), where=s > 0.0) * w
+        vals = np.empty(len(self._pattern(True)[0]))
+        start = stop = 0
+        for nodes, _, B in self._element_families():
+            sl = slice(start, start + len(nodes[0]))
+            start = sl.stop
+            # B^T A B = w B^T B + r (B^T g)(B^T g)^T, in _pattern's stamp order
+            cw, cr = self._measure() * w[sl], self._measure() * r[sl]
+            bg = B.T @ np.stack([g[sl] for g in grads])
+            btb = B.T @ B
+            done = {}
+            for a, b in _corner_pairs(len(nodes)):
+                out = vals[stop:stop + len(nodes[0])]
+                stop += len(nodes[0])
+                if (b, a) in done:
+                    out[:] = done[b, a]
+                else:
+                    np.multiply(cw, btb[a, b], out=out)
+                    out += cr * bg[a] * bg[b]
+                    done[a, b] = out
+        return self._assemble(True, vals)
 
     def precond_solve(self, grad: np.ndarray, factor=None) -> np.ndarray:
         """Apply an inverse metric (default: the p=2 stiffness, shifted for

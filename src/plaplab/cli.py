@@ -185,6 +185,7 @@ def _cmd_solve(args):
         report["boundary"] = args.boundary
     report.update({
         "iterations": res.iterations,
+        "factorizations": res.factorizations,
         "finalEnergy": res.final_energy,
         "optimalityResidual": res.optimality_residual,
     })
@@ -199,6 +200,7 @@ def _cmd_solve(args):
               "grid": args.grid, "boundary": getattr(args, "boundary", None),
               "solver": dataclasses.asdict(cfg)}
     summary = (f"solve {args.problem} p={args.p:g}: iterations={res.iterations} "
+               f"factorizations={res.factorizations} "
                f"residual={res.optimality_residual:.3e}")
     return config, [args.domain], artifacts, summary
 

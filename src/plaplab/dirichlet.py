@@ -5,16 +5,18 @@
     E(v) = sum_T (1/p) (|grad v|^2 + delta^2)^(p/2) |T|
 
 over interior values with pinned boundary data; ``solve_p_torsion`` adds the
-load ``- sum_i m_i v_i`` (right-hand side 1).  Minimization is preconditioned
-gradient descent with backtracking line search and p-continuation (a ladder
-of intermediate exponents warm-starting each stage).  The search direction
-is an inverse metric applied to the energy gradient.  Each stage starts on
-the p = 2 stiffness, which at p = 2 makes one step the exact minimizer.
-Once that metric has served ``METRIC_REFRESH`` accepted steps and a step
-needs a backtrack, it is replaced by the Picard (lagged-diffusivity) metric
-``sum_T (|grad v|_T^2 + delta^2)^((p-2)/2) E_T`` at the current iterate, and
-so on for each new metric.  A short final polish runs with the
-regularization removed.
+load ``- sum_i m_i v_i`` (right-hand side 1).  Minimization is a damped
+inexact Newton method with p-continuation (a ladder of intermediate
+exponents warm-starting each stage, after an exact p = 2 step).  Each
+direction solves ``H d = grad E`` with the assembled Hessian ``H`` of the
+stage's energy by conjugate gradients, preconditioned with the last LU of a
+Hessian, to relative residual ``NEWTON_RTOL``; when that takes more than
+``PCG_MAX_ITERATIONS`` iterations, ``H`` itself is factored.  Steps are
+capped and backtracked to an energy decrease.  A stage stops once the
+strong residual (``SolveResult.optimality_residual``) falls to
+``RESIDUAL_RTOL`` of its start value; a final polish at the target exponent
+runs with the regularization removed.  A target stage or polish that ends
+above its tolerance raises ``SolverError``.
 
 As p grows the torsion solution approaches the boundary distance function;
 ``torsion_infinity_gap`` measures that gap.  ``infinity_torsion_ball``
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import geometry
-from ._variational import METRIC_REFRESH, VariationalCore, make_core
+from ._variational import VariationalCore, make_core
 from .fields import Grid, ScalarField
 
 __all__ = [
@@ -66,12 +68,14 @@ class SolverError(RuntimeError):
 class SolverConfig:
     """Descent parameters.
 
-    ``tol`` is the relative energy-decrease threshold: the solver stops once
-    ``stall_window`` consecutive accepted steps each decrease the energy by
-    less than ``tol`` relatively.  ``delta`` regularizes the gradient norm;
-    the final ``polish_iterations`` run with it removed (kept at 1e-12 for
-    p < 2 where the unregularized weight is singular).  ``ladder`` overrides
-    the automatic p-continuation sequence.
+    Each stage stops once the strong residual falls to ``RESIDUAL_RTOL``
+    (1e-8) of its start value.  ``tol`` and ``stall_window`` are a safeguard
+    only: a stage also ends once ``stall_window`` consecutive accepted steps
+    each decrease the energy by less than ``tol`` relatively.  Every stage
+    makes at most ``max_iterations`` Newton steps.  ``delta`` regularizes the
+    gradient norm; the final ``polish_iterations`` run with it removed (kept
+    at 1e-12 for p < 2 where the unregularized weight is singular).
+    ``ladder`` overrides the automatic p-continuation sequence.
     """
 
     p: float = 2.0
@@ -132,12 +136,14 @@ class SolveResult:
 
     ``optimality_residual`` is the sup over degrees of freedom of the energy
     gradient divided by the lumped mass — a nodal strong-form residual in
-    the units of the load.
+    the units of the load.  ``iterations`` counts Newton steps over all
+    stages and ``factorizations`` the sparse LUs they made.
     """
 
     field: ScalarField
     p: float
     iterations: int
+    factorizations: int
     final_energy: float
     optimality_residual: float
     energy_history: np.ndarray
@@ -146,64 +152,138 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 # descent engine
 
+#: a stage stops once the strong residual is this fraction of its start value
+RESIDUAL_RTOL = 1e-8
+#: residuals below this fraction of the initial guess's are rounding noise
+RESIDUAL_FLOOR = 1e-12
+#: relative residual to which PCG solves the Newton system
+NEWTON_RTOL = 0.1
+#: PCG iterations on the last LU before the Hessian is refactored instead
+PCG_MAX_ITERATIONS = 8
+#: relative energy change below which trial energies are rounding noise
+ENERGY_ROUNDING = 1e-13
 
-def _objective(core: VariationalCore, v, p, delta, load):
-    e, g = core.energy_grad(v, p, delta)
-    if load is not None:
-        e -= float(np.sum(core.mass * load * v))
-        g = g + core.load_grad(load)
-    return e, g
+
+def _pcg(H, b: np.ndarray, factor) -> np.ndarray | None:
+    """Solve ``H x = b`` to relative residual ``NEWTON_RTOL`` by conjugate
+    gradients preconditioned with ``factor``; None after
+    ``PCG_MAX_ITERATIONS`` iterations or on a nonpositive curvature."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = factor.solve(r)
+    d = z.copy()
+    rz = float(r @ z)
+    stop = NEWTON_RTOL * float(np.linalg.norm(b))
+    for _ in range(PCG_MAX_ITERATIONS):
+        hd = H @ d
+        curv = float(d @ hd)
+        if not curv > 0.0:
+            return None
+        alpha = rz / curv
+        x += alpha * d
+        r -= alpha * hd
+        if np.linalg.norm(r) <= stop:
+            return x
+        z = factor.solve(r)
+        rz, rz_old = float(r @ z), rz
+        d = z + (rz / rz_old) * d
+    return None
 
 
-def _descend(core: VariationalCore, v: np.ndarray, p: float, delta: float,
-             cfg: SolverConfig, load, max_iterations: int) -> tuple[np.ndarray, int, float, list]:
-    """Preconditioned descent with backtracking; returns (v, its, residual, history).
+class _Newton:
+    """Damped inexact Newton descent on the regularized p-energy.
 
-    The metric starts as the cached p = 2 stiffness.  Once it has served
-    ``METRIC_REFRESH`` accepted steps and the last one needed a backtrack, it
-    is replaced by the Picard metric of the p-energy at the current iterate.
+    The direction solves ``H d = grad E`` with the exact Hessian ``H`` of
+    the current stage: by PCG preconditioned with the last LU of a Hessian,
+    or, when that needs more than ``PCG_MAX_ITERATIONS`` iterations, by a
+    fresh LU of ``H``.  The LU carries over from stage to stage, and at most
+    one is alive.  Steps are capped and backtracked to a strict energy
+    decrease.
     """
-    e, g = _objective(core, v, p, delta, load)
-    history = [e]
-    tau = 1.0
-    stall = 0
-    it = 0
-    factor = None  # None: the p = 2 stiffness
-    served = 0  # accepted steps on the current metric
-    scale_ref = max(float(np.max(np.abs(v[core.dof_mask]), initial=0.0)), 1.0)
-    while it < max_iterations:
-        it += 1
-        d = core.precond_solve(g, factor)
-        # cap runaway steps for strongly nonlinear exponents
-        dmax = float(np.max(np.abs(d)))
-        if dmax > 10.0 * scale_ref:
-            d *= 10.0 * scale_ref / dmax
-        accepted = False
-        t = tau
-        for _ in range(60):
-            v_try = v - t * d
-            e_try, g_try = _objective(core, v_try, p, delta, load)
-            if e_try < e - 1e-15 * abs(e):
-                accepted = True
+
+    def __init__(self, core: VariationalCore, cfg: SolverConfig, load):
+        self.core = core
+        self.cfg = cfg
+        self.load = load
+        self.factor = None
+        self.iterations = 0
+        self.factorizations = 0
+        self.energy = math.nan
+        self.initial_residual = None
+        self.history: list[float] = []  # energy after each accepted step
+
+    def objective(self, v, p, delta):
+        e, g = self.core.energy_grad(v, p, delta)
+        if self.load is not None:
+            e -= float(np.sum(self.core.mass * self.load * v))
+            g = g + self.core.load_grad(self.load)
+        return e, g
+
+    def direction(self, v, g, p, delta) -> np.ndarray:
+        core = self.core
+        H = core.hessian(v, p, delta)
+        b = g.ravel()[core.dof_index]
+        x = None if self.factor is None else _pcg(H, b, self.factor)
+        if x is None:
+            self.factor = None  # free the old LU before the new one is built
+            self.factor = core.factor(H)
+            self.factorizations += 1
+            x = self.factor.solve(b)
+        d = np.zeros(v.size)
+        d[core.dof_index] = x
+        return d.reshape(v.shape)
+
+    def stage(self, v, p, delta, max_iterations, target=None):
+        """Descend at exponent ``p`` until the strong residual is at most
+        ``target`` (default: ``RESIDUAL_RTOL`` times its start value, but no
+        less than ``RESIDUAL_FLOOR`` times the residual of the solve's
+        initial guess, so that a stage starting at rounding level counts as
+        converged); returns ``(v, residual, target)``.  An energy stall over
+        ``stall_window`` steps, or a step that no backtrack makes decrease
+        the energy, ends the stage early."""
+        core, cfg = self.core, self.cfg
+        e, g = self.objective(v, p, delta)
+        residual = _strong_residual(core, g)
+        if self.initial_residual is None:
+            self.initial_residual = residual
+        if target is None:
+            target = max(RESIDUAL_RTOL * residual, RESIDUAL_FLOOR * self.initial_residual)
+        tau = 1.0
+        stall = 0
+        its = 0
+        while residual > target and its < max_iterations:
+            its += 1
+            d = self.direction(v, g, p, delta)
+            # cap runaway steps for strongly nonlinear exponents
+            scale_ref = max(float(np.max(np.abs(v[core.dof_mask]), initial=0.0)), 1.0)
+            dmax = float(np.max(np.abs(d)))
+            if dmax > 10.0 * scale_ref:
+                d *= 10.0 * scale_ref / dmax
+            t = tau
+            for _ in range(60):
+                v_try = v - t * d
+                e_try, g_try = self.objective(v_try, p, delta)
+                if e_try < e - 1e-15 * abs(e):
+                    break
+                # within the energy's rounding, a step that halves the
+                # residual is still progress
+                if (e_try <= e + ENERGY_ROUNDING * abs(e)
+                        and _strong_residual(core, g_try) <= 0.5 * residual):
+                    break
+                t *= 0.5
+            else:
                 break
-            t *= 0.5
-        if not accepted:
-            break
-        rel_drop = (e - e_try) / max(abs(e_try), 1e-300)
-        v, e, g = v_try, e_try, g_try
-        history.append(e)
-        tau = min(t * 2.0, 1.0)
-        scale_ref = max(float(np.max(np.abs(v[core.dof_mask]), initial=0.0)), 1.0)
-        stall = stall + 1 if rel_drop < cfg.tol else 0
-        if stall >= cfg.stall_window:
-            break
-        served += 1
-        if served >= METRIC_REFRESH and t < 1.0:
-            factor = None  # free the old LU before the new one is built
-            factor = core.weighted_factor(v, p, delta)
-            served = 0
-    residual = _strong_residual(core, g)
-    return v, it, residual, history
+            rel_drop = (e - e_try) / max(abs(e_try), 1e-300)
+            v, e, g = v_try, e_try, g_try
+            self.history.append(e)
+            residual = _strong_residual(core, g)
+            tau = min(t * 2.0, 1.0)
+            stall = stall + 1 if rel_drop < cfg.tol else 0
+            if stall >= cfg.stall_window:
+                break
+        self.iterations += its
+        self.energy = e
+        return v, residual, target
 
 
 def _strong_residual(core: VariationalCore, g: np.ndarray) -> float:
@@ -219,34 +299,29 @@ def _solve(core: VariationalCore, cfg: SolverConfig, boundary_values: np.ndarray
     ladder = cfg.ladder if cfg.ladder is not None else continuation_ladder(cfg.p)
     v = boundary_values.copy()
     v[core.dof_mask] = 0.0
-    total_its = 0
-    history: list[float] = []
-    # p = 2 stage: quadratic energy, one preconditioned step is exact
-    _, g = _objective(core, v, 2.0, 0.0, load)
-    v = v - core.precond_solve(g)
-    e2, g2 = _objective(core, v, 2.0, 0.0, load)
-    total_its += 1
-    history.append(e2)
-    residual = _strong_residual(core, g2)
-    for p_stage in ladder:
-        if p_stage == 2.0:
-            continue
-        v, its, residual, hist = _descend(core, v, p_stage, cfg.delta, cfg, load,
-                                          cfg.max_iterations)
-        total_its += its
-        history.extend(hist[1:])
+    newton = _Newton(core, cfg, load)
+    # p = 2 first: the energy is quadratic, so one Newton step is exact
+    for p_stage in (2.0,) + tuple(q for q in ladder if q != 2.0):
+        delta = 0.0 if p_stage == 2.0 else cfg.delta
+        v, residual, target = newton.stage(v, p_stage, delta, cfg.max_iterations)
+    _check_converged(newton, cfg.p, residual, target)
     if cfg.polish_iterations > 0 and cfg.p != 2.0:
         polish_delta = 0.0 if cfg.p >= 2.0 else 1e-12
-        v, its, residual, hist = _descend(core, v, cfg.p, polish_delta, cfg, load,
-                                          cfg.polish_iterations)
-        total_its += its
-        history.extend(hist[1:])
+        v, residual, _ = newton.stage(v, cfg.p, polish_delta, cfg.polish_iterations, target)
+        _check_converged(newton, cfg.p, residual, target)
     out = ScalarField(grid, np.where(grid.nonexterior, v, 0.0))
-    e_final = history[-1] if history else 0.0
-    return SolveResult(field=out, p=cfg.p, iterations=total_its,
-                       final_energy=float(e_final),
+    return SolveResult(field=out, p=cfg.p, iterations=newton.iterations,
+                       factorizations=newton.factorizations,
+                       final_energy=newton.energy,
                        optimality_residual=residual,
-                       energy_history=np.asarray(history))
+                       energy_history=np.asarray(newton.history))
+
+
+def _check_converged(newton: _Newton, p: float, residual: float, target: float) -> None:
+    if residual > target:
+        raise SolverError(f"p = {p:g} descent stopped at strong residual {residual:.3e} "
+                          f"above the tolerance {target:.3e}",
+                          iterations=newton.iterations, residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import geometry
-from ._variational import METRIC_REFRESH, VariationalCore, make_core
+from ._variational import VariationalCore, make_core
 from .dirichlet import SolverError, check_ladder, solve_p_torsion
 from .fields import FieldError, Grid, ScalarField, build_grid, sample_at
 
@@ -51,6 +51,9 @@ __all__ = [
     "nodal_distances",
     "second_dirichlet_eigen_experiment",
 ]
+
+#: iterations a Picard metric serves before it is rebuilt
+METRIC_REFRESH = 12
 
 
 class EigenError(RuntimeError):

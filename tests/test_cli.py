@@ -1,13 +1,16 @@
 """End-to-end tests of the command-line driver (in-process, via main())."""
 
 import filecmp
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
+import plaplab.cli
 from plaplab.cli import main
+from plaplab.dirichlet import SolverConfig
 from plaplab.fields import build_grid
 from plaplab.geometry import Domain, domain_to_json
 
@@ -118,6 +121,23 @@ def test_solve_torsion_gap(square_json, workdir):
     assert 0.2 < report["supGap"] < 0.3
     assert report["optimalityResidual"] < 1e-3
     assert open("u.csv").readline().rstrip() == "x,y,value"
+
+
+def test_solve_report_counts_factorizations(square_json, workdir, capsys):
+    assert run(["solve", "--problem", "torsion", "--p", "8",
+                "--domain", square_json, "--grid", "32", "--report", "s.json"]) == 0
+    report = read_json("s.json")
+    assert 1 <= report["factorizations"] <= report["iterations"]
+    assert (f"iterations={report['iterations']} "
+            f"factorizations={report['factorizations']}") in capsys.readouterr().out
+
+
+def test_solve_nonconvergence_exits_1(square_json, workdir, monkeypatch, capsys):
+    monkeypatch.setattr(plaplab.cli, "SolverConfig",
+                        functools.partial(SolverConfig, max_iterations=2))
+    assert run(["solve", "--problem", "torsion", "--p", "32",
+                "--domain", square_json, "--grid", "32"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "SolverError"
 
 
 def test_eigen_single_with_field_csv(square_json, workdir, capsys):

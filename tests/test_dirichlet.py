@@ -3,7 +3,9 @@
 Anchors: the p=2 torsion center value has a double-sine-series closed form;
 affine functions are p-harmonic for every p and must be reproduced to
 round-off; the torsion-vs-distance gap shrinks as p grows; the radial
-infinity-torsion profile satisfies its ODE to round-off.
+infinity-torsion profile satisfies its ODE to round-off; the assembled
+Hessian is the derivative of the energy gradient and, at p = 2, the
+stiffness.
 """
 
 from __future__ import annotations
@@ -111,6 +113,43 @@ def test_interval_p32_torsion_converges_on_a_fine_grid():
     assert np.max(np.abs(res.field.values - oracles.interval_torsion(grid.xs, 32.0))) < 2e-4
 
 
+def test_nonconvergence_raises_with_diagnostics():
+    grid = build_grid(Domain.unit_square(), 32)
+    with pytest.raises(SolverError) as exc:
+        solve_p_torsion(grid, SolverConfig(p=32.0, max_iterations=2))
+    # one exact p = 2 step, then two steps at each of p = 4, 8, 16, 32
+    assert exc.value.iterations == 9
+    assert math.isfinite(exc.value.residual) and exc.value.residual > 0.0
+
+
+def test_result_counts_factorizations():
+    grid = build_grid(Domain.unit_square(), 32)
+    res = solve_p_torsion(grid, p=8.0)
+    assert 1 <= res.factorizations <= res.iterations
+    assert solve_p_torsion(grid, p=2.0).factorizations == 1
+
+
+RESIDUAL_DOMAINS = {"square": Domain.unit_square(), "disc": Domain.disc((0.0, 0.0), 1.0)}
+
+
+@pytest.mark.parametrize("name", list(RESIDUAL_DOMAINS))
+@pytest.mark.parametrize("p", [1.5, 3.0, 8.0, 32.0])
+def test_torsion_final_residual_contract(name, p):
+    # measured at most 7e-9; every stage stops at 1e-8 of its start residual,
+    # which is below 6e-5 here (energy-stall stops read 6.5e-6 to 1.5e-3)
+    grid = build_grid(RESIDUAL_DOMAINS[name], 64)
+    assert solve_p_torsion(grid, p=p).optimality_residual <= 1e-6
+
+
+@pytest.mark.parametrize("name", list(RESIDUAL_DOMAINS))
+def test_harmonic_final_residual_contract(name):
+    # measured 3.6e-7 (square) and 5.6e-7 (disc); energy-stall stops read
+    # 3.4e-4 and 7.7e-5
+    grid = build_grid(RESIDUAL_DOMAINS[name], 64)
+    res = solve_p_harmonic(grid, lambda x, y: np.sin(3 * x) + y, p=4.0)
+    assert res.optimality_residual <= 2e-6
+
+
 def test_core_is_freed_with_its_grid():
     grid = build_grid(Domain.unit_square(), 16)
     solve_p_torsion(grid, p=4.0)
@@ -200,3 +239,52 @@ def test_infinity_torsion_profile_errors():
         infinity_torsion_ball(0.0)
     with pytest.raises(SolverError):
         infinity_torsion_ball(1.0, samples=1)
+
+
+# ---------------------------------------------------------------------------
+# energy Hessian
+
+
+HESSIAN_DOMAINS = {
+    "square": (Domain.unit_square(), 24),
+    "disc": (Domain.disc((0.0, 0.0), 1.0), 24),
+    "interval": (Domain.interval(0.0, 1.0), 64),
+}
+
+
+def _hessian_case(name, seed):
+    domain, n = HESSIAN_DOMAINS[name]
+    grid = build_grid(domain, n)
+    core = make_core(grid, "dirichlet")
+    rng = np.random.default_rng(seed)
+    coords = grid.coordinates()
+    # a tilt keeps every element gradient near (1, 2), so that the weight
+    # floor of the Hessian stays inactive even at p = 32
+    tilt = coords[0] + 2.0 * coords[-1] if grid.dim == 2 else coords[0]
+    v = np.where(grid.nonexterior, tilt + 0.1 * grid.h * rng.standard_normal(grid.shape), 0.0)
+    s = np.where(core.dof_mask, rng.standard_normal(grid.shape), 0.0)
+    return grid, core, v, s  # the core holds its grid only weakly
+
+
+@pytest.mark.parametrize("name", list(HESSIAN_DOMAINS))
+@pytest.mark.parametrize("p", [1.5, 4.0, 32.0])
+def test_hessian_is_derivative_of_energy_gradient(name, p):
+    grid, core, v, s = _hessian_case(name, seed=int(p * 10))
+    delta, eps = 1e-3, 1e-6
+    hess = core.hessian(v, p, delta)
+    hs = hess @ s.ravel()[core.dof_index]
+    fd = (core.energy_grad(v + eps * s, p, delta)[1]
+          - core.energy_grad(v - eps * s, p, delta)[1]).ravel()[core.dof_index] / (2.0 * eps)
+    assert np.linalg.norm(hs - fd) <= 1e-6 * np.linalg.norm(fd)
+    assert abs(hess - hess.T).max() <= 1e-14 * abs(hess).max()
+
+
+@pytest.mark.parametrize("name", list(HESSIAN_DOMAINS))
+def test_p2_hessian_is_the_stiffness(name):
+    grid, core, v, s = _hessian_case(name, seed=2)
+    hess = core.hessian(v, 2.0, 0.5)
+    stiffness = core._stiffness(None, 0.0)
+    assert abs(hess - stiffness).max() <= 1e-14 * abs(stiffness).max()
+    # the p = 2 gradient is linear: grad E(s) = K s on the dofs
+    grad = core.energy_grad(s, 2.0, 0.0)[1].ravel()[core.dof_index]
+    assert np.max(np.abs(hess @ s.ravel()[core.dof_index] - grad)) <= 1e-12 * np.max(np.abs(grad))
