@@ -14,9 +14,11 @@ Hessian, to relative residual ``NEWTON_RTOL``; when that takes more than
 ``PCG_MAX_ITERATIONS`` iterations, ``H`` itself is factored.  Steps are
 capped and backtracked to an energy decrease.  A stage stops once the
 strong residual (``SolveResult.optimality_residual``) falls to
-``RESIDUAL_RTOL`` of its start value; a final polish at the target exponent
-runs with the regularization removed.  A target stage or polish that ends
-above its tolerance raises ``SolverError``.
+``RESIDUAL_RTOL`` of its start value, or to the level that rounding the
+iterate leaves (``ROUNDING_EPSILONS`` machine epsilons of ``|H||v|`` per
+unit mass); a final polish at the target exponent removes the
+regularization.  A target stage or polish that ends above both raises
+``SolverError``.
 
 As p grows the torsion solution approaches the boundary distance function;
 ``torsion_infinity_gap`` measures that gap.  ``infinity_torsion_ball``
@@ -69,12 +71,14 @@ class SolverConfig:
     """Descent parameters.
 
     Each stage stops once the strong residual falls to ``RESIDUAL_RTOL``
-    (1e-8) of its start value.  ``tol`` and ``stall_window`` are a safeguard
-    only: a stage also ends once ``stall_window`` consecutive accepted steps
-    each decrease the energy by less than ``tol`` relatively.  Every stage
+    (1e-8) of its start value, or to its rounding level.  ``tol`` and
+    ``stall_window`` are a safeguard only: a stage also ends once
+    ``stall_window`` consecutive accepted steps each decrease the energy by
+    less than ``tol`` relatively without lowering the residual.  Every stage
     makes at most ``max_iterations`` Newton steps.  ``delta`` regularizes the
-    gradient norm; the final ``polish_iterations`` run with it removed (kept
-    at 1e-12 for p < 2 where the unregularized weight is singular).
+    gradient norm; a final polish of at most ``polish_iterations`` steps
+    removes it (for p < 2, where the unregularized weight is singular, it is
+    lowered by factors of 100 to 1e-12, each with its own polish).
     ``ladder`` overrides the automatic p-continuation sequence.
     """
 
@@ -154,8 +158,9 @@ class SolveResult:
 
 #: a stage stops once the strong residual is this fraction of its start value
 RESIDUAL_RTOL = 1e-8
-#: residuals below this fraction of the initial guess's are rounding noise
-RESIDUAL_FLOOR = 1e-12
+#: residuals below this many machine epsilons of ``|H||v|`` per unit mass are
+#: rounding noise: a rounding-level change of ``v`` moves the gradient by that
+ROUNDING_EPSILONS = 4.0
 #: relative residual to which PCG solves the Newton system
 NEWTON_RTOL = 0.1
 #: PCG iterations on the last LU before the Hessian is refactored instead
@@ -209,7 +214,6 @@ class _Newton:
         self.iterations = 0
         self.factorizations = 0
         self.energy = math.nan
-        self.initial_residual = None
         self.history: list[float] = []  # energy after each accepted step
 
     def objective(self, v, p, delta):
@@ -219,9 +223,8 @@ class _Newton:
             g = g + self.core.load_grad(self.load)
         return e, g
 
-    def direction(self, v, g, p, delta) -> np.ndarray:
+    def direction(self, v, g, H) -> np.ndarray:
         core = self.core
-        H = core.hessian(v, p, delta)
         b = g.ravel()[core.dof_index]
         x = None if self.factor is None else _pcg(H, b, self.factor)
         if x is None:
@@ -233,27 +236,26 @@ class _Newton:
         d[core.dof_index] = x
         return d.reshape(v.shape)
 
-    def stage(self, v, p, delta, max_iterations, target=None):
+    def stage(self, v, p, delta, max_iterations, target=None, strict=False):
         """Descend at exponent ``p`` until the strong residual is at most
-        ``target`` (default: ``RESIDUAL_RTOL`` times its start value, but no
-        less than ``RESIDUAL_FLOOR`` times the residual of the solve's
-        initial guess, so that a stage starting at rounding level counts as
-        converged); returns ``(v, residual, target)``.  An energy stall over
-        ``stall_window`` steps, or a step that no backtrack makes decrease
-        the energy, ends the stage early."""
+        ``target`` (default: ``RESIDUAL_RTOL`` times its start value) or at
+        the rounding level of the gradient; returns ``(v, residual,
+        target)``.  Ends early after ``stall_window`` steps that each lower
+        the energy by less than ``tol`` relatively and do not lower the
+        residual, or on a step that no backtrack makes decrease the energy;
+        ``strict`` raises ``SolverError`` if it then ends unconverged."""
         core, cfg = self.core, self.cfg
         e, g = self.objective(v, p, delta)
         residual = _strong_residual(core, g)
-        if self.initial_residual is None:
-            self.initial_residual = residual
         if target is None:
-            target = max(RESIDUAL_RTOL * residual, RESIDUAL_FLOOR * self.initial_residual)
+            target = RESIDUAL_RTOL * residual
+        H = core.hessian(v, p, delta)
         tau = 1.0
         stall = 0
         its = 0
-        while residual > target and its < max_iterations:
+        while residual > max(target, _rounding_residual(core, H, v)) and its < max_iterations:
             its += 1
-            d = self.direction(v, g, p, delta)
+            d = self.direction(v, g, H)
             # cap runaway steps for strongly nonlinear exponents
             scale_ref = max(float(np.max(np.abs(v[core.dof_mask]), initial=0.0)), 1.0)
             dmax = float(np.max(np.abs(d)))
@@ -265,10 +267,10 @@ class _Newton:
                 e_try, g_try = self.objective(v_try, p, delta)
                 if e_try < e - 1e-15 * abs(e):
                     break
-                # within the energy's rounding, a step that halves the
+                # within the energy's rounding, a step that lowers the
                 # residual is still progress
                 if (e_try <= e + ENERGY_ROUNDING * abs(e)
-                        and _strong_residual(core, g_try) <= 0.5 * residual):
+                        and _strong_residual(core, g_try) < residual):
                     break
                 t *= 0.5
             else:
@@ -276,14 +278,29 @@ class _Newton:
             rel_drop = (e - e_try) / max(abs(e_try), 1e-300)
             v, e, g = v_try, e_try, g_try
             self.history.append(e)
-            residual = _strong_residual(core, g)
+            r_old, residual = residual, _strong_residual(core, g)
+            H = core.hessian(v, p, delta)
             tau = min(t * 2.0, 1.0)
-            stall = stall + 1 if rel_drop < cfg.tol else 0
+            stall = stall + 1 if rel_drop < cfg.tol and residual >= r_old else 0
             if stall >= cfg.stall_window:
                 break
         self.iterations += its
         self.energy = e
+        floor = _rounding_residual(core, H, v)
+        if strict and residual > max(target, floor):
+            raise SolverError(f"p = {p:g} descent stopped at strong residual {residual:.3e} "
+                              f"above the tolerance {target:.3e} and the rounding level "
+                              f"{floor:.3e}", iterations=self.iterations, residual=residual)
         return v, residual, target
+
+
+def _rounding_residual(core: VariationalCore, H, v: np.ndarray) -> float:
+    """``ROUNDING_EPSILONS`` machine epsilons of ``max_i (|H| |v|)_i / m_i``,
+    the strong residual that rounding ``v`` alone can leave."""
+    vd = np.abs(v.ravel()[core.dof_index])
+    m = core.mass.ravel()[core.dof_index]
+    scale = (abs(H) @ vd) / np.where(m > 0.0, m, 1.0)
+    return ROUNDING_EPSILONS * np.finfo(float).eps * float(np.max(scale, initial=0.0))
 
 
 def _strong_residual(core: VariationalCore, g: np.ndarray) -> float:
@@ -291,6 +308,18 @@ def _strong_residual(core: VariationalCore, g: np.ndarray) -> float:
     gd = np.abs(g[core.dof_mask])
     safe = np.where(m > 0.0, m, 1.0)
     return float(np.max(gd / safe, initial=0.0))
+
+
+def _polish_deltas(p: float, delta: float) -> tuple[float, ...]:
+    """Regularizations of the final polish: none for p >= 2; for p < 2, where
+    the unregularized weight is singular, factors of 100 below ``delta``
+    down to 1e-12, so that each Newton solve starts near its solution."""
+    if p >= 2.0:
+        return (0.0,)
+    steps = [1e-12]
+    while steps[-1] * 100.0 < delta:
+        steps.append(steps[-1] * 100.0)
+    return tuple(reversed(steps))
 
 
 def _solve(core: VariationalCore, cfg: SolverConfig, boundary_values: np.ndarray,
@@ -301,27 +330,22 @@ def _solve(core: VariationalCore, cfg: SolverConfig, boundary_values: np.ndarray
     v[core.dof_mask] = 0.0
     newton = _Newton(core, cfg, load)
     # p = 2 first: the energy is quadratic, so one Newton step is exact
-    for p_stage in (2.0,) + tuple(q for q in ladder if q != 2.0):
+    stages = (2.0,) + tuple(q for q in ladder if q != 2.0)
+    for p_stage in stages:
         delta = 0.0 if p_stage == 2.0 else cfg.delta
-        v, residual, target = newton.stage(v, p_stage, delta, cfg.max_iterations)
-    _check_converged(newton, cfg.p, residual, target)
+        v, residual, target = newton.stage(v, p_stage, delta, cfg.max_iterations,
+                                           strict=p_stage == stages[-1])
     if cfg.polish_iterations > 0 and cfg.p != 2.0:
-        polish_delta = 0.0 if cfg.p >= 2.0 else 1e-12
-        v, residual, _ = newton.stage(v, cfg.p, polish_delta, cfg.polish_iterations, target)
-        _check_converged(newton, cfg.p, residual, target)
+        deltas = _polish_deltas(cfg.p, cfg.delta)
+        for delta in deltas:
+            v, residual, _ = newton.stage(v, cfg.p, delta, cfg.polish_iterations, target,
+                                          strict=delta == deltas[-1])
     out = ScalarField(grid, np.where(grid.nonexterior, v, 0.0))
     return SolveResult(field=out, p=cfg.p, iterations=newton.iterations,
                        factorizations=newton.factorizations,
                        final_energy=newton.energy,
                        optimality_residual=residual,
                        energy_history=np.asarray(newton.history))
-
-
-def _check_converged(newton: _Newton, p: float, residual: float, target: float) -> None:
-    if residual > target:
-        raise SolverError(f"p = {p:g} descent stopped at strong residual {residual:.3e} "
-                          f"above the tolerance {target:.3e}",
-                          iterations=newton.iterations, residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ RESIDUAL_DOMAINS = {"square": Domain.unit_square(), "disc": Domain.disc((0.0, 0.
 @pytest.mark.parametrize("p", [1.5, 3.0, 8.0, 32.0])
 def test_torsion_final_residual_contract(name, p):
     # measured at most 7e-9; every stage stops at 1e-8 of its start residual,
-    # which is below 6e-5 here (energy-stall stops read 6.5e-6 to 1.5e-3)
+    # at most 6e-7 here (energy-stall stops read 6.5e-6 to 1.5e-3)
     grid = build_grid(RESIDUAL_DOMAINS[name], 64)
     assert solve_p_torsion(grid, p=p).optimality_residual <= 1e-6
 
