@@ -10,15 +10,15 @@ lower triangle (i,j)-(i+1,j)-(i+1,j+1), upper triangle (i,j)-(i+1,j+1)-
 
 so the regularized p-Dirichlet energy and its gradient are a handful of
 shifted-array operations.  For p = 2 this energy reduces exactly to the
-classical 5-point scheme, whose sparse factorization is the eigen solver's
-first descent metric.  :meth:`VariationalCore.weighted_factor` refactors the
-same stiffness pattern with Picard (lagged-diffusivity) element weights, and
-:meth:`VariationalCore.hessian` assembles the exact Hessian of the
-regularized energy, whose element tensor ``w (I + (p-2) g g^T/(|g|^2 +
-delta^2))`` couples the two ends of each cell's diagonal (a 7-point
-pattern).  Both patterns, and the map from element stamps to CSC data slots,
-are computed once per core.  Masses are lumped (one third of each incident
-triangle's area), which keeps boundary quadrature first-order consistent.
+classical 5-point scheme.  The one descent metric is the exact Hessian of
+the regularized energy (:meth:`VariationalCore.hessian`), whose element
+tensor ``w (I + (p-2) g g^T/(|g|^2 + delta^2))`` couples the two ends of
+each cell's diagonal (a 7-point pattern); at p = 2 it is the 5-point
+stiffness.  :meth:`VariationalCore.weighted_factor` factors it with a mass
+shift for Neumann problems.  The pattern, and the map from element stamps to
+CSC data slots, are computed once per core.  Masses are lumped (one third of
+each incident triangle's area), which keeps boundary quadrature first-order
+consistent.
 
 A triangle enters the energy only when all its vertices carry values
 (non-exterior); degrees of freedom are the interior nodes for Dirichlet
@@ -54,8 +54,8 @@ def _corner_pairs(nc: int) -> list[tuple[int, int]]:
 
 
 class VariationalCore:
-    """Energy/gradient evaluations, a factorized p=2 preconditioner, Picard
-    refactorizations on the same stiffness pattern and the energy Hessian."""
+    """Energy/gradient evaluations, the energy Hessian and its (mass-shifted)
+    factorizations."""
 
     def __init__(self, grid: Grid, bc: str):
         if bc not in ("dirichlet", "neumann"):
@@ -71,8 +71,7 @@ class VariationalCore:
             self._setup_1d()
         self.dof_index = np.flatnonzero(self.dof_mask.ravel())
         self._families = None
-        self._patterns: dict[bool, tuple] = {}
-        self._factor_p2 = None
+        self._csc_pattern = None
 
     @property
     def grid(self) -> Grid:
@@ -219,37 +218,30 @@ class VariationalCore:
 
     def _measure(self) -> float:
         """Element measure over h^2: an element with coefficient tensor A
-        adds ``measure * B^T A B`` to the stiffness."""
+        adds ``measure * B^T A B`` to the matrix."""
         return 0.5 if self.grid.dim == 2 else 1.0 / self.h
 
-    def _pattern(self, hessian: bool):
-        """CSC pattern on the dofs of the P1 stiffness (the nonzero stamps of
-        ``B^T B``) or, for ``hessian``, of the energy Hessian (every corner
-        pair, which adds each cell's diagonal: 7 points), and the data slot
-        of each element stamp; computed once per core.
+    def _pattern(self):
+        """CSC pattern on the dofs of the energy Hessian (every corner pair
+        of every element, which adds each cell's diagonal to the 5-point
+        stencil: 7 points) and the data slot of each element stamp; computed
+        once per core.
 
         Stamps run over families, then corner pairs (``_corner_pairs``),
-        then elements.  Returns ``(slot, elem, coef, diag, indices,
-        indptr)``: stamp k adds to ``data[slot[k]]``, and slot
-        ``len(indices)`` collects the stamps that touch a non-dof.  For the
-        stiffness, ``elem`` and ``coef`` give each stamp's element and
-        coefficient (both None for the Hessian); ``diag`` holds the slots
-        of the diagonal.
+        then elements.  Returns ``(slot, diag, indices, indptr)``: stamp k
+        adds to ``data[slot[k]]``, slot ``len(indices)`` collects the stamps
+        that touch a non-dof, and ``diag`` holds the slots of the diagonal.
         """
-        if hessian in self._patterns:
-            return self._patterns[hessian]
-        # stamp groups (nodes, a, b, coefficient, first element): one stamp
-        # per element of a family, coupling corners a fixed flat-index
-        # offset apart, so the pattern is a (column, offset) table; dofs are
-        # numbered in node order, so offset order is row order in a column
-        groups, start = [], 0
-        for nodes, _, B in self._element_families():
-            stiff = self._measure() * (B.T @ B)
-            groups += [(nodes, a, b, stiff[a, b], start) for a, b in _corner_pairs(len(nodes))
-                       if hessian or stiff[a, b] != 0.0]
-            start += len(nodes[0])
+        if self._csc_pattern is not None:
+            return self._csc_pattern
+        # stamp groups (nodes, a, b): one stamp per element of a family,
+        # coupling corners a fixed flat-index offset apart, so the pattern is
+        # a (column, offset) table; dofs are numbered in node order, so
+        # offset order is row order in a column
+        groups = [(nodes, a, b) for nodes, _, _ in self._element_families()
+                  for a, b in _corner_pairs(len(nodes))]
         shift = [int(nodes[a][0] - nodes[b][0]) if len(nodes[0]) else 0
-                 for nodes, a, b, _, _ in groups]
+                 for nodes, a, b in groups]
         offsets = sorted(set(shift) | {0})
         m = len(self.dof_index)
         pos = np.full(int(np.prod(self.grid.shape)), -1, dtype=np.int32)
@@ -258,7 +250,7 @@ class VariationalCore:
         present = np.zeros((m, len(offsets)), dtype=bool)
         present[:, offsets.index(0)] = True
         cols = []
-        for (nodes, a, b, _, _), d in zip(groups, shift):
+        for (nodes, a, b), d in zip(groups, shift):
             col = pos[nodes[b]]
             col[pos[nodes[a]] < 0] = -1
             present[col[col >= 0], offsets.index(d)] = True
@@ -271,77 +263,36 @@ class VariationalCore:
         col_idx, k_idx = np.nonzero(present)
         indices = pos[self.dof_index[col_idx] + np.asarray(offsets)[k_idx]]
         indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
-        elem = coef = None
-        if not hessian:
-            elem = np.concatenate([e0 + np.arange(len(nodes[0])) for nodes, _, _, _, e0 in groups])
-            coef = np.concatenate([np.full(len(nodes[0]), c) for nodes, _, _, c, _ in groups])
-        pattern = (slot, elem, coef, table[:, offsets.index(0)], indices.astype(np.int32),
-                   indptr.astype(np.int32))
-        self._patterns[hessian] = pattern
-        return pattern
-
-    def _assemble(self, hessian: bool, vals: np.ndarray, mass_shift: float = 0.0):
-        """Dof matrix of the pattern ``hessian`` from its stamp values, plus
-        ``mass_shift`` times the lumped mass for Neumann."""
-        slot, _, _, diag, indices, indptr = self._pattern(hessian)
-        data = np.bincount(slot, weights=vals, minlength=len(indices) + 1)[:-1]
-        if self.bc == "neumann":
-            data[diag] += mass_shift * self.mass.ravel()[self.dof_index]
-        m = len(self.dof_index)
-        return sp.csc_matrix((data, indices, indptr), shape=(m, m))
-
-    def _stiffness(self, weights: np.ndarray | None, mass_shift: float):
-        """Element-weighted stiffness (unit weights for ``None``)."""
-        _, elem, coef, *_ = self._pattern(False)
-        return self._assemble(False, coef if weights is None else coef * weights[elem],
-                              mass_shift)
+        self._csc_pattern = (slot, table[:, offsets.index(0)], indices.astype(np.int32),
+                             indptr.astype(np.int32))
+        return self._csc_pattern
 
     @staticmethod
     def factor(matrix: sp.csc_matrix):
         """Sparse LU of a symmetric positive definite dof matrix.
 
-        The stiffness and the Hessian have symmetric patterns and dominant
-        diagonals, so a minimum-degree ordering of ``A^T + A`` keeps
-        SuperLU's pivots on the diagonal and needs about half the fill of
-        the default COLAMD ordering.
+        The Hessian has a symmetric pattern and a dominant diagonal, so a
+        minimum-degree ordering of ``A^T + A`` keeps SuperLU's pivots on the
+        diagonal and needs about half the fill of the default COLAMD
+        ordering.  Stored zeros (at p = 2, the couplings along each cell's
+        diagonal) are dropped first, on a copy that leaves the shared
+        pattern intact, so that they cost no fill.
         """
+        matrix = matrix.copy()
+        matrix.eliminate_zeros()
         return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
 
     def _neumann_sigma(self) -> float:
         return 1.0 / max(self.grid.domain.bounding_box[2]
                          - self.grid.domain.bounding_box[0], 1.0) ** 2
 
-    def _preconditioner(self):
-        if self._factor_p2 is None:
-            self._factor_p2 = self.factor(self._stiffness(None, self._neumann_sigma()))
-        return self._factor_p2
-
-    def weighted_factor(self, v: np.ndarray, p: float, delta: float):
-        """Factorized lagged-diffusivity metric ``sum_T w_T E_T`` with
-        ``w_T = (|grad v|_T^2 + delta^2)^{(p-2)/2}``.
-
-        This is the Picard linearization of the p-energy around ``v``;
-        weights are floored at 1e-12 of their maximum to keep the matrix
-        positive definite where the gradient vanishes.  Returns an object
-        with ``.solve`` usable via :meth:`precond_solve`.
-        """
-        _, _, w = self._element_weights(v, p, delta)
-        scale = float(np.mean(w)) if len(w) else 1.0
-        return self.factor(self._stiffness(w, self._neumann_sigma() * scale))
-
-    def hessian(self, v: np.ndarray, p: float, delta: float) -> sp.csc_matrix:
-        """Hessian of :meth:`energy` on the dofs (no Neumann mass shift).
-
-        Each element contributes ``measure * B^T A_T B`` with the tensor
-        ``A_T = w_T (I + (p-2) g g^T / (|g|^2 + delta^2))``, ``g`` its
-        gradient and ``w_T = (|g|^2 + delta^2)^{(p-2)/2}``; a flat element at
-        ``delta = 0`` keeps only ``w_T I``.  As in :meth:`weighted_factor`,
-        ``w_T`` is floored at 1e-12 of its maximum, so the matrix stays
-        positive definite (for p > 1) where the gradient vanishes.
-        """
+    def _metric(self, v: np.ndarray, p: float, delta: float, shifted: bool) -> sp.csc_matrix:
+        """The energy Hessian at ``v`` on the dofs; with ``shifted``, plus
+        ``_neumann_sigma() * mean(w) * M`` for Neumann."""
         grads, s, w = self._element_weights(v, p, delta)
         r = np.divide(p - 2.0, s, out=np.zeros_like(s), where=s > 0.0) * w
-        vals = np.empty(len(self._pattern(True)[0]))
+        slot, diag, indices, indptr = self._pattern()
+        vals = np.empty(len(slot))
         start = stop = 0
         for nodes, _, B in self._element_families():
             sl = slice(start, start + len(nodes[0]))
@@ -360,14 +311,38 @@ class VariationalCore:
                     np.multiply(cw, btb[a, b], out=out)
                     out += cr * bg[a] * bg[b]
                     done[a, b] = out
-        return self._assemble(True, vals)
+        data = np.bincount(slot, weights=vals, minlength=len(indices) + 1)[:-1]
+        if shifted and self.bc == "neumann":
+            scale = float(np.mean(w)) if len(w) else 1.0
+            data[diag] += self._neumann_sigma() * scale * self.mass.ravel()[self.dof_index]
+        m = len(self.dof_index)
+        return sp.csc_matrix((data, indices, indptr), shape=(m, m))
 
-    def precond_solve(self, grad: np.ndarray, factor=None) -> np.ndarray:
-        """Apply an inverse metric (default: the p=2 stiffness, shifted for
-        Neumann) to a gradient array; returns a full-shape array supported
-        on the dofs."""
-        if factor is None:
-            factor = self._preconditioner()
+    def hessian(self, v: np.ndarray, p: float, delta: float) -> sp.csc_matrix:
+        """Hessian of :meth:`energy` on the dofs (no Neumann mass shift).
+
+        Each element contributes ``measure * B^T A_T B`` with the tensor
+        ``A_T = w_T (I + (p-2) g g^T / (|g|^2 + delta^2))``, ``g`` its
+        gradient and ``w_T = (|g|^2 + delta^2)^{(p-2)/2}``; a flat element at
+        ``delta = 0`` keeps only ``w_T I``.  ``w_T`` is floored at 1e-12 of
+        its maximum, so the matrix stays positive definite (for p > 1) where
+        the gradient vanishes.  At p = 2 (``w_T = 1``) it is the P1
+        stiffness.
+        """
+        return self._metric(v, p, delta, shifted=False)
+
+    def weighted_factor(self, v: np.ndarray, p: float, delta: float):
+        """Factorized descent metric at ``v``: :meth:`hessian` plus, for
+        Neumann, ``_neumann_sigma() * mean(w_T) * M`` with ``M`` the lumped
+        mass, which makes it positive definite on the constants.  Returns an
+        object with ``.solve`` usable via :meth:`precond_solve`.
+        """
+        return self.factor(self._metric(v, p, delta, shifted=True))
+
+    def precond_solve(self, grad: np.ndarray, factor) -> np.ndarray:
+        """Apply the inverse metric ``factor`` (from :meth:`weighted_factor`)
+        to a gradient array; returns a full-shape array supported on the
+        dofs."""
         g = grad.ravel()[self.dof_index]
         d = factor.solve(g)
         out = np.zeros(int(np.prod(self.grid.shape)))
@@ -377,8 +352,8 @@ class VariationalCore:
 
 def make_core(grid: Grid, bc: str) -> VariationalCore:
     """The core of ``(grid, bc)``, built on first use and kept on the grid
-    (grids are immutable), so that it and its factorization are freed with
-    the grid."""
+    (grids are immutable), so that it and its assembly pattern are freed
+    with the grid."""
     cores = grid.__dict__.setdefault("_variational_cores", {})
     core = cores.get(bc)
     if core is None:

@@ -3,8 +3,8 @@
 Subcommands
 -----------
 solve      p-harmonic / p-torsion boundary-value solves
-eigen      first eigenpairs, single exponent or p-sweep
-sweep      dedicated eigenvalue p-sweep with JSON report
+eigen      first eigenpair at one exponent
+sweep      eigenvalue p-sweep with JSON report
 radial     radial closed forms, shooting and limits on balls
 flow       explicit normalized p-Laplacian evolution traces
 cheeger    Cheeger constant and rounded Cheeger set
@@ -207,10 +207,6 @@ def _cmd_solve(args):
 
 def _cmd_eigen(args):
     dom = _load_domain_arg(args.domain)
-    if args.p_sweep is not None:
-        if args.out:
-            raise CliConfigError("--out requires a single --p, not --p-sweep")
-        return _run_sweep(args, dom, args.type, args.p_sweep)
     grid = build_grid(dom, args.grid)
     try:
         cfg = EigenConfig(p=args.p, seed=args.seed)
@@ -244,30 +240,26 @@ def _cmd_eigen(args):
     return config, [args.domain], artifacts, summary
 
 
-def _run_sweep(args, dom: Domain, problem: str, p_list):
+def _cmd_sweep(args):
+    dom = _load_domain_arg(args.domain)
     try:
-        cfg = EigenConfig(p=max(p_list), seed=args.seed)
+        cfg = EigenConfig(p=max(args.p_list), seed=args.seed)
     except EigenError as exc:
         raise CliConfigError(str(exc)) from exc
-    rep = p_sweep(problem, dom, p_list, args.grid, cfg=cfg)
+    rep = p_sweep(args.problem, dom, args.p_list, args.grid, cfg=cfg)
     payload = rep.to_dict()
     payload["domain"] = domain_to_json(dom)
     artifacts = []
     if args.report:
         _write_json(args.report, payload)
         artifacts.append(args.report)
-    config = {"type": problem, "pList": list(p_list),
+    config = {"type": args.problem, "pList": list(args.p_list),
               "domain": domain_to_json(dom), "grid": args.grid,
               "eigen": dataclasses.asdict(cfg)}
     last = rep.entries[-1]
-    summary = (f"sweep {problem} p={last.p:g}: root={last.root:.6f} "
+    summary = (f"sweep {args.problem} p={last.p:g}: root={last.root:.6f} "
                f"relativeGap={last.relative_gap:.4f} ({len(rep.entries)} entries)")
     return config, [args.domain], artifacts, summary
-
-
-def _cmd_sweep(args):
-    dom = _load_domain_arg(args.domain)
-    return _run_sweep(args, dom, args.problem, args.p_list)
 
 
 def _cmd_radial(args):
@@ -564,16 +556,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--report", default=None, help="report JSON path")
     ps.set_defaults(handler=_cmd_solve)
 
-    pe = sub.add_parser("eigen", help="first eigenpair or p-sweep")
+    pe = sub.add_parser("eigen", help="first eigenpair at one exponent")
     pe.add_argument("--type", choices=("dirichlet", "neumann"), required=True)
-    group = pe.add_mutually_exclusive_group(required=True)
-    group.add_argument("--p", type=float)
-    group.add_argument("--p-sweep", type=_float_list, dest="p_sweep")
+    pe.add_argument("--p", type=float, required=True)
     pe.add_argument("--domain", required=True)
     pe.add_argument("--grid", type=int, default=96)
     pe.add_argument("--out", default=None, help="eigenfunction CSV path")
     pe.add_argument("--report", default=None, help="report JSON path")
-    pe.set_defaults(handler=_cmd_eigen, p_sweep=None)
+    pe.set_defaults(handler=_cmd_eigen)
 
     pw = sub.add_parser("sweep", help="eigenvalue p-sweep against the geometric limit")
     pw.add_argument("--problem", choices=("dirichlet", "neumann"), required=True)

@@ -7,13 +7,16 @@ over affine elements and the denominator over lumped nodal masses:
     N(v) = sum_T |grad v|^p |T|          D(v) = sum_i m_i |v_i|^p
 
 Descent steps follow the preconditioned quotient gradient
-``K^{-1}(grad N - R_p grad D)`` (K = 5-point stiffness at p = 2, elsewhere
-the Picard metric of the p-energy refactored every ``METRIC_REFRESH``
-steps; mass-shifted for Neumann), with backtracking enforcing a strictly nonincreasing quotient and
-L^p renormalization after every step.  Dirichlet problems fix v = 0 on the
-boundary collar and keep the first eigenfunction nonnegative; Neumann
-problems constrain the p-mean to zero, re-projected each step by a
-safeguarded Newton solve of ``sum m_i |v_i - c|^(p-2) (v_i - c) = 0``.
+``H^{-1}(grad N - R_p grad D)``, where ``H`` is the Hessian of the
+regularized p-energy (the 5-point stiffness at p = 2; mass-shifted for
+Neumann), factored at the start of every continuation stage and, away from
+p = 2, again every ``METRIC_REFRESH`` steps.  Backtracking enforces a
+strictly nonincreasing quotient, and iterates are renormalized in L^p after
+every step.  A stage that reaches ``max_iterations`` raises ``EigenError``.
+Dirichlet problems fix v = 0 on the boundary collar and keep the first
+eigenfunction nonnegative; Neumann problems constrain the p-mean to zero,
+re-projected each step by a safeguarded Newton solve of
+``sum m_i |v_i - c|^(p-2) (v_i - c) = 0``.
 
 Reported eigenvalues come in two scalings: ``raw`` is the quotient minimum
 (the eigenvalue of ``-lap_p u = raw |u|^(p-2) u``) and ``root = raw^(1/p)``,
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import geometry
 from ._variational import VariationalCore, make_core
-from .dirichlet import SolverError, check_ladder, solve_p_torsion
+from .dirichlet import check_ladder
 from .fields import FieldError, Grid, ScalarField, build_grid, sample_at
 
 __all__ = [
@@ -52,21 +55,33 @@ __all__ = [
     "second_dirichlet_eigen_experiment",
 ]
 
-#: iterations a Picard metric serves before it is rebuilt
+#: iterations a factored energy Hessian serves before it is rebuilt (p != 2)
 METRIC_REFRESH = 12
 
 
 class EigenError(RuntimeError):
-    """Nonconvergence or invalid eigen-solver input."""
+    """Nonconvergence or invalid eigen-solver input.
+
+    A descent stage that makes ``max_iterations`` steps without stopping
+    raises it with the stage's ``iterations`` and final ``residual``
+    attached.
+    """
+
+    def __init__(self, message: str, *, iterations: int | None = None,
+                 residual: float | None = None):
+        super().__init__(message)
+        self.iterations = iterations
+        self.residual = residual
 
 
 @dataclass(frozen=True)
 class EigenConfig:
     """Descent parameters for the Rayleigh-quotient minimization.
 
-    The solver stops once ``stall_window`` consecutive accepted steps each
+    Each stage stops once ``stall_window`` consecutive accepted steps each
     lower the quotient by less than ``tol`` relatively (or no decreasing
-    step exists).  ``perturbation`` is the relative amplitude of the seeded
+    step exists); a stage that makes ``max_iterations`` steps first raises
+    ``EigenError``.  ``perturbation`` is the relative amplitude of the seeded
     random kick added once to Neumann starts to break the constant trap and
     orientation symmetries.
     """
@@ -97,9 +112,10 @@ class EigenResult:
 
     ``field`` has sup-norm 1 with positive maximum (Dirichlet fields are
     nonnegative, Neumann fields have zero p-mean).  ``history`` is the
-    nonincreasing sequence of accepted Rayleigh-quotient values;
-    ``residual`` is the final preconditioned-gradient norm relative to the
-    quotient scale.
+    nonincreasing sequence of accepted Rayleigh-quotient values of the last
+    stage.  ``residual`` is the relative quotient-gradient norm
+    ``||grad N - R grad D|| / ||grad N||`` over the degrees of freedom, at
+    the start of the last iteration (not preconditioned).
     """
 
     p: float
@@ -244,9 +260,12 @@ def _descend_quotient(core: VariationalCore, v0: np.ndarray, p: float,
                       cfg: EigenConfig, neumann: bool, deflate=None):
     """Monotone preconditioned descent on R_p; returns (v, history, its, residual).
 
-    Away from p = 2 the metric is refreshed periodically to the Picard
-    linearization of the p-energy at the current iterate, which keeps the
-    preconditioned steps Newton-like for strongly degenerate exponents.
+    The metric is the energy Hessian at the stage's start iterate (mass-
+    shifted for Neumann), a local LU that dies with the stage.  Away from
+    p = 2 it is refactored at the current iterate every ``METRIC_REFRESH``
+    iterations, which keeps the steps Newton-like for strongly degenerate
+    exponents.  Raises ``EigenError`` when ``cfg.max_iterations`` steps end
+    without a stop.
     """
     v = _project(core, v0.copy(), p, neumann, deflate)
     v = _normalize(core, v, p)
@@ -259,7 +278,7 @@ def _descend_quotient(core: VariationalCore, v0: np.ndarray, p: float,
     factor = None
     while it < cfg.max_iterations:
         it += 1
-        if p != 2.0 and (it - 1) % METRIC_REFRESH == 0:
+        if factor is None or (p != 2.0 and (it - 1) % METRIC_REFRESH == 0):
             factor = None  # free the old LU before the new one is built
             factor = core.weighted_factor(v, p, cfg.delta)
         _, g_num = core.energy_grad(v, p, cfg.delta)
@@ -302,6 +321,9 @@ def _descend_quotient(core: VariationalCore, v0: np.ndarray, p: float,
         stall = stall + 1 if rel_drop < cfg.tol else 0
         if stall >= cfg.stall_window:
             break
+    else:
+        raise EigenError(f"p = {p:g} quotient descent made {it} steps without a stop "
+                         f"(residual {gnorm_rel:.3e})", iterations=it, residual=gnorm_rel)
     return v, history, it, gnorm_rel
 
 
@@ -339,11 +361,12 @@ def _finalize(core: VariationalCore, vals: np.ndarray, p: float, bc: str,
 def dirichlet_eigen_first(grid: Grid, p: float | None = None,
                           cfg: EigenConfig | None = None,
                           v0: np.ndarray | None = None) -> EigenResult:
-    """First Dirichlet eigenpair by continuation in p from a torsion start."""
+    """First Dirichlet eigenpair by continuation in p from a torsion start
+    (one solve of ``K v = M 1`` with the p = 2 stiffness ``K``)."""
     cfg = _resolve_cfg(cfg, p)
     core = make_core(grid, "dirichlet")
     if v0 is None:
-        v = solve_p_torsion(grid, p=2.0).field.values.copy()
+        v = core.precond_solve(core.mass, core.weighted_factor(np.zeros(grid.shape), 2.0, 0.0))
     else:
         v = np.where(grid.interior, np.asarray(v0, dtype=float), 0.0)
     hist: list[float] = []

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.sparse import coo_matrix
 from scipy.special import jn_zeros
 
 #: value at the center of the p=2 unit-square torsion function (Fourier
@@ -236,3 +237,52 @@ def raster_perimeter_area(vertices: np.ndarray, radius: float,
             (x1, y1), (x2, y2) = crossings
             perimeter += math.hypot((x2 - x1) * hx, (y2 - y1) * hy)
     return perimeter, area
+
+
+def p1_elements(grid):
+    """Admissible elements of the lattice triangulation, one by one: the flat
+    node indices of each, the gradients of its hat functions (one row per
+    corner) and its measure.
+
+    A plain loop over cells with barycentric coordinates: each cell splits
+    along its (i, j)-(i+1, j+1) diagonal, and an element counts when all its
+    nodes are non-exterior.  Node positions are index times h, so edge
+    vectors are exact multiples of h.
+    """
+    shape, h = grid.shape, grid.h
+    ok = grid.nonexterior.ravel()
+    if grid.dim == 1:
+        cells = [((i,), (i + 1,)) for i in range(shape[0] - 1)]
+    else:
+        cells = []
+        for i in range(shape[0] - 1):
+            for j in range(shape[1] - 1):
+                cells.append(((i, j), (i + 1, j), (i + 1, j + 1)))
+                cells.append(((i, j), (i + 1, j + 1), (i, j + 1)))
+    for corners in cells:
+        nodes = [int(np.ravel_multi_index(c, shape)) for c in corners]
+        if not all(ok[k] for k in nodes):
+            continue
+        x = np.asarray(corners, dtype=float) * h
+        edges_inv = np.linalg.inv((x[1:] - x[0]).T)  # row a: gradient of lambda_{a+1}
+        grads = np.vstack([-edges_inv.sum(axis=0), edges_inv])
+        measure = abs(np.linalg.det((x[1:] - x[0]).T)) / math.factorial(grid.dim)
+        yield nodes, grads, measure
+
+
+def p1_stiffness(grid, dofs):
+    """P1 stiffness ``int grad phi_a . grad phi_b`` of the lattice
+    triangulation on the flat node indices ``dofs`` (in that order),
+    assembled element by element into a ``coo_matrix``."""
+    pos = {int(k): i for i, k in enumerate(dofs)}
+    rows, cols, vals = [], [], []
+    for nodes, grads, measure in p1_elements(grid):
+        local = measure * grads @ grads.T
+        for a, na in enumerate(nodes):
+            for b, nb in enumerate(nodes):
+                if na in pos and nb in pos:
+                    rows.append(pos[na])
+                    cols.append(pos[nb])
+                    vals.append(local[a, b])
+    m = len(dofs)
+    return coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()

@@ -11,6 +11,7 @@ import pytest
 import plaplab.cli
 from plaplab.cli import main
 from plaplab.dirichlet import SolverConfig
+from plaplab.eigen import EigenConfig
 from plaplab.fields import build_grid
 from plaplab.geometry import Domain, domain_to_json
 
@@ -140,6 +141,14 @@ def test_solve_nonconvergence_exits_1(square_json, workdir, monkeypatch, capsys)
     assert json.loads(capsys.readouterr().err)["error"] == "SolverError"
 
 
+def test_eigen_nonconvergence_exits_1(square_json, workdir, monkeypatch, capsys):
+    monkeypatch.setattr(plaplab.cli, "EigenConfig",
+                        functools.partial(EigenConfig, max_iterations=3))
+    assert run(["eigen", "--type", "dirichlet", "--p", "8",
+                "--domain", square_json, "--grid", "16"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "EigenError"
+
+
 def test_eigen_single_with_field_csv(square_json, workdir, capsys):
     assert run(["eigen", "--type", "dirichlet", "--p", "2",
                 "--domain", square_json, "--grid", "32",
@@ -155,8 +164,8 @@ def test_eigen_single_with_field_csv(square_json, workdir, capsys):
     assert len(rows) == 1 + int(np.count_nonzero(grid.nonexterior))
 
 
-def test_eigen_p_sweep(square_json, workdir):
-    assert run(["eigen", "--type", "dirichlet", "--p-sweep", "2,4",
+def test_sweep_command_dirichlet(square_json, workdir):
+    assert run(["sweep", "--problem", "dirichlet", "--p-list", "2,4",
                 "--domain", square_json, "--grid", "24",
                 "--report", "sw.json"]) == 0
     report = read_json("sw.json")
@@ -228,9 +237,12 @@ def test_unknown_figure_exits_2(workdir, capsys):
     assert "unknown figure" in capsys.readouterr().err
 
 
-def test_out_with_p_sweep_exits_2(square_json, workdir):
-    assert run(["eigen", "--type", "dirichlet", "--p-sweep", "2,4",
-                "--domain", square_json, "--out", "x.csv"]) == 2
+def test_eigen_p_sweep_option_is_gone(square_json, workdir):
+    # sweeps run through the sweep subcommand only
+    with pytest.raises(SystemExit) as exc:
+        run(["eigen", "--type", "dirichlet", "--p-sweep", "2,4",
+             "--domain", square_json])
+    assert exc.value.code == 2
 
 
 def test_invalid_exponent_exits_2(square_json, workdir):

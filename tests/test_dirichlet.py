@@ -5,7 +5,8 @@ affine functions are p-harmonic for every p and must be reproduced to
 round-off; the torsion-vs-distance gap shrinks as p grows; the radial
 infinity-torsion profile satisfies its ODE to round-off; the assembled
 Hessian is the derivative of the energy gradient and, at p = 2, the
-stiffness.
+stiffness of an element-by-element P1 assembly; the factored descent metric
+is that Hessian plus the Neumann mass shift.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import oracles
 from plaplab._variational import make_core
@@ -252,10 +255,10 @@ HESSIAN_DOMAINS = {
 }
 
 
-def _hessian_case(name, seed):
+def _hessian_case(name, seed, bc="dirichlet"):
     domain, n = HESSIAN_DOMAINS[name]
     grid = build_grid(domain, n)
-    core = make_core(grid, "dirichlet")
+    core = make_core(grid, bc)
     rng = np.random.default_rng(seed)
     coords = grid.coordinates()
     # a tilt keeps every element gradient near (1, 2), so that the weight
@@ -283,8 +286,27 @@ def test_hessian_is_derivative_of_energy_gradient(name, p):
 def test_p2_hessian_is_the_stiffness(name):
     grid, core, v, s = _hessian_case(name, seed=2)
     hess = core.hessian(v, 2.0, 0.5)
-    stiffness = core._stiffness(None, 0.0)
+    stiffness = oracles.p1_stiffness(grid, core.dof_index)
     assert abs(hess - stiffness).max() <= 1e-14 * abs(stiffness).max()
     # the p = 2 gradient is linear: grad E(s) = K s on the dofs
     grad = core.energy_grad(s, 2.0, 0.0)[1].ravel()[core.dof_index]
     assert np.max(np.abs(hess @ s.ravel()[core.dof_index] - grad)) <= 1e-12 * np.max(np.abs(grad))
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("name", list(HESSIAN_DOMAINS))
+@pytest.mark.parametrize("p", [2.0, 4.0, 15.0])
+def test_weighted_factor_is_the_shifted_hessian(name, bc, p):
+    grid, core, v, s = _hessian_case(name, seed=int(p) + 7, bc=bc)
+    delta = 1e-3
+    matrix = core.hessian(v, p, delta)
+    if bc == "neumann":
+        # mean element weight (|grad v|^2 + delta^2)^((p-2)/2), element by element
+        flat = v.ravel()
+        w = [(float(np.sum((grads.T @ flat[nodes]) ** 2)) + delta**2) ** (p / 2.0 - 1.0)
+             for nodes, grads, _ in oracles.p1_elements(grid)]
+        mass = core.mass.ravel()[core.dof_index]
+        matrix = matrix + core._neumann_sigma() * float(np.mean(w)) * sp.diags(mass)
+    expected = spla.spsolve(matrix.tocsc(), s.ravel()[core.dof_index])
+    got = core.precond_solve(s, core.weighted_factor(v, p, delta)).ravel()[core.dof_index]
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)

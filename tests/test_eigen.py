@@ -86,6 +86,16 @@ def test_config_validation():
     assert EigenConfig(p=1.5, ladder=(2.0, 1.5)).ladder == (2.0, 1.5)
 
 
+@pytest.mark.parametrize("solver", [dirichlet_eigen_first, neumann_eigen_first])
+def test_iteration_cap_raises_with_diagnostics(solver):
+    # no stage of a p = 8 solve stalls within 3 steps
+    grid = build_grid(Domain.unit_square(), 16)
+    with pytest.raises(EigenError) as exc:
+        solver(grid, cfg=EigenConfig(p=8.0, max_iterations=3))
+    assert exc.value.iterations == 3
+    assert math.isfinite(exc.value.residual) and exc.value.residual > 0.0
+
+
 # ---------------------------------------------------------------------------
 # p-mean shift (safeguarded Newton) against closed forms and bisection
 
