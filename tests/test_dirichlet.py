@@ -3,7 +3,9 @@
 Anchors: the p=2 torsion center value has a double-sine-series closed form;
 affine functions are p-harmonic for every p and must be reproduced to
 round-off; the torsion-vs-distance gap shrinks as p grows; the radial
-infinity-torsion profile satisfies its ODE to round-off; the assembled
+infinity-torsion profile satisfies its ODE to round-off; the energy, its
+gradient and the lumped masses equal an element-by-element P1 loop, and the
+gradient is the derivative of the energy; the assembled
 Hessian is the derivative of the energy gradient and, at p = 2, the
 stiffness of an element-by-element P1 assembly; the factored descent metric
 is that Hessian plus the Neumann mass shift.
@@ -267,6 +269,32 @@ def _hessian_case(name, seed, bc="dirichlet"):
     v = np.where(grid.nonexterior, tilt + 0.1 * grid.h * rng.standard_normal(grid.shape), 0.0)
     s = np.where(core.dof_mask, rng.standard_normal(grid.shape), 0.0)
     return grid, core, v, s  # the core holds its grid only weakly
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("name", list(HESSIAN_DOMAINS))
+@pytest.mark.parametrize("p", [1.5, 4.0, 32.0])
+def test_energy_gradient_and_mass_match_an_element_loop(name, bc, p):
+    grid, core, v, s = _hessian_case(name, seed=int(p * 10) + 1, bc=bc)
+    delta = 1e-3
+    flat = v.ravel()
+    energy, grad, mass = 0.0, np.zeros(flat.size), np.zeros(flat.size)
+    for nodes, grads, measure in oracles.p1_elements(grid):
+        g = grads.T @ flat[nodes]
+        t = float(g @ g) + delta**2
+        energy += measure * t ** (p / 2.0) / p
+        grad[nodes] += measure * t ** (p / 2.0 - 1.0) * (grads @ g)
+        mass[nodes] += measure / len(nodes)
+    grad = np.where(core.dof_mask.ravel(), grad, 0.0)
+    e, got = core.energy_grad(v, p, delta)
+    assert abs(core.energy(v, p, delta) - energy) <= 1e-12 * energy
+    assert abs(e - energy) <= 1e-12 * energy
+    assert np.max(np.abs(got.ravel() - grad)) <= 1e-12 * np.max(np.abs(grad))
+    assert np.max(np.abs(core.mass.ravel() - mass)) <= 1e-12 * np.max(mass)
+    # the gradient is the derivative of the energy along s
+    eps = 1e-7
+    fd = (core.energy(v + eps * s, p, delta) - core.energy(v - eps * s, p, delta)) / (2.0 * eps)
+    assert abs(fd - float(np.sum(got * s))) <= 1e-6 * abs(fd)
 
 
 @pytest.mark.parametrize("name", list(HESSIAN_DOMAINS))
