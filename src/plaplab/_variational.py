@@ -1,33 +1,39 @@
 """Shared discrete variational machinery for the Dirichlet and eigenvalue
 solvers.
 
-The lattice is triangulated by splitting each cell along the same diagonal:
-lower triangle (i,j)-(i+1,j)-(i+1,j+1), upper triangle (i,j)-(i+1,j+1)-
-(i,j+1).  Affine elements give per-triangle gradients
+The lattice carries P1 elements: segments in 1-D and, in 2-D, the two
+triangles of each cell split along the same diagonal, lower
+(i,j)-(i+1,j)-(i+1,j+1) and upper (i,j)-(i,j+1)-(i+1,j+1).  The element
+families (``_FAMILIES``) are the only description of the elements: corner
+offsets, and for each gradient component the two corners of its difference
+quotient,
 
     lower: ( (v10-v00)/h , (v11-v10)/h )
     upper: ( (v11-v01)/h , (v01-v00)/h )
 
-so the regularized p-Dirichlet energy and its gradient are a handful of
-shifted-array operations.  For p = 2 this energy reduces exactly to the
-classical 5-point scheme.  The one descent metric is the exact Hessian of
-the regularized energy (:meth:`VariationalCore.hessian`), whose element
-tensor ``w (I + (p-2) g g^T/(|g|^2 + delta^2))`` couples the two ends of
-each cell's diagonal (a 7-point pattern); at p = 2 it is the 5-point
-stiffness.  :meth:`VariationalCore.weighted_factor` factors it with a mass
-shift for Neumann problems.  The pattern, and the map from element stamps to
-CSC data slots, are computed once per core.  Masses are lumped (one third of
-each incident triangle's area), which keeps boundary quadrature first-order
-consistent.
+An element is admissible when all its corners carry values (non-exterior).
+Once per core the families give the admissible elements, the lumped masses
+(each element gives its measure over its corner count to each corner, which
+keeps boundary quadrature first-order consistent) and one sparse difference
+operator ``D``: ``D v / h`` stacks the gradient components of every
+admissible element and ``D^T`` scatters element fluxes back to the nodes.
+The regularized p-Dirichlet energy is one product with ``D`` and its
+gradient two; for p = 2 the energy reduces exactly to the classical 5-point
+scheme.  The one descent metric is the exact Hessian of the regularized
+energy (:meth:`VariationalCore.hessian`), whose element tensor
+``w (I + (p-2) g g^T/(|g|^2 + delta^2))`` couples the two ends of each
+cell's diagonal (a 7-point pattern); at p = 2 it is the 5-point stiffness.
+:meth:`VariationalCore.weighted_factor` factors it with a mass shift for
+Neumann problems.  The pattern, and the map from element stamps to CSC data
+slots, are computed once per core.
 
-A triangle enters the energy only when all its vertices carry values
-(non-exterior); degrees of freedom are the interior nodes for Dirichlet
-boundary conditions and every mass-carrying node for natural (Neumann)
-conditions.
+Degrees of freedom are the interior nodes for Dirichlet boundary conditions
+and every mass-carrying node for natural (Neumann) conditions.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 
 import numpy as np
@@ -38,12 +44,15 @@ from .fields import Grid
 
 __all__ = ["VariationalCore", "make_core"]
 
-# Element families: corner offsets from the element's lowest node, and for
-# each gradient component the (plus, minus) corners of its difference
-# quotient, grad_k v = (v[plus] - v[minus]) / h.
-_SEGMENTS = (((0,), (1,)), ((1, 0),))
-_TRIANGLES = ((((0, 0), (1, 0), (1, 1)), ((1, 0), (2, 1))),  # lower
-              (((0, 0), (0, 1), (1, 1)), ((2, 1), (1, 0))))  # upper
+# Element families per dimension: corner offsets from the element's lowest
+# node (every element fits in one lattice cell), and for each gradient
+# component the (plus, minus) corners of its difference quotient,
+# grad_k v = (v[plus] - v[minus]) / h.
+_FAMILIES = {
+    1: ((((0,), (1,)), ((1, 0),)),),  # segments
+    2: ((((0, 0), (1, 0), (1, 1)), ((1, 0), (2, 1))),  # lower triangles
+        (((0, 0), (0, 1), (1, 1)), ((2, 1), (1, 0)))),  # upper triangles
+}
 
 
 def _corner_pairs(nc: int) -> list[tuple[int, int]]:
@@ -55,7 +64,7 @@ def _corner_pairs(nc: int) -> list[tuple[int, int]]:
 
 class VariationalCore:
     """Energy/gradient evaluations, the energy Hessian and its (mass-shifted)
-    factorizations."""
+    factorizations, all on the admissible elements of ``_FAMILIES``."""
 
     def __init__(self, grid: Grid, bc: str):
         if bc not in ("dirichlet", "neumann"):
@@ -65,101 +74,66 @@ class VariationalCore:
         self._grid = weakref.ref(grid)
         self.bc = bc
         self.h = grid.h
-        if grid.dim == 2:
-            self._setup_2d()
+        ok = grid.nonexterior
+        # per family: the flat node index of each corner of every admissible
+        # element, the (plus, minus) corners of each gradient component and
+        # the unit gradient matrix B (grad v = B v_corners / h)
+        self._families = []
+        for corners, grads in _FAMILIES[grid.dim]:
+            mask = np.logical_and.reduce([ok[tuple(slice(o, s - 1 + o) for o, s in
+                                                   zip(c, ok.shape))] for c in corners])
+            origin = np.nonzero(mask)
+            nodes = [np.ravel_multi_index(tuple(o + d for o, d in zip(origin, c)), ok.shape)
+                     for c in corners]
+            B = np.zeros((len(grads), len(corners)))
+            for k, (plus, minus) in enumerate(grads):
+                B[k, plus], B[k, minus] = 1.0, -1.0
+            self._families.append((nodes, grads, B))
+        self._volume = self.h ** grid.dim / math.factorial(grid.dim)  # element measure
+        incident = np.concatenate([n for nodes, _, _ in self._families for n in nodes])
+        self.mass = (np.bincount(incident, minlength=ok.size)
+                     * (self._volume / (grid.dim + 1))).reshape(ok.shape)
+        # D: row k m + e holds v[plus] - v[minus] of gradient component k on
+        # element e (m admissible elements, in family order)
+        ends = np.stack([np.concatenate([nodes[grads[k][j]] for k in range(grid.dim)
+                                         for nodes, grads, _ in self._families])
+                         for j in (0, 1)], axis=1).astype(np.int32)
+        self._D = sp.csr_matrix((np.tile([1.0, -1.0], len(ends)), ends.ravel(),
+                                 np.arange(0, ends.size + 1, 2, dtype=np.int32)),
+                                shape=(len(ends), ok.size))
+        if bc == "dirichlet":
+            self.dof_mask = grid.interior.copy()
         else:
-            self._setup_1d()
+            self.dof_mask = ok & (self.mass > 0.0)
         self.dof_index = np.flatnonzero(self.dof_mask.ravel())
-        self._families = None
         self._csc_pattern = None
 
     @property
     def grid(self) -> Grid:
         return self._grid()
 
-    # -- setup ------------------------------------------------------------
-
-    def _setup_2d(self) -> None:
-        ok = self.grid.nonexterior
-        self.tri_low = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:]
-        self.tri_up = ok[:-1, :-1] & ok[1:, 1:] & ok[:-1, 1:]
-        h = self.h
-        mass = np.zeros(self.grid.shape)
-        wl = self.tri_low.astype(float) * (h * h / 6.0)
-        wu = self.tri_up.astype(float) * (h * h / 6.0)
-        mass[:-1, :-1] += wl + wu
-        mass[1:, :-1] += wl
-        mass[1:, 1:] += wl + wu
-        mass[:-1, 1:] += wu
-        self.mass = mass
-        if self.bc == "dirichlet":
-            self.dof_mask = self.grid.interior.copy()
-        else:
-            self.dof_mask = ok & (mass > 0.0)
-
-    def _setup_1d(self) -> None:
-        ok = self.grid.nonexterior
-        self.seg = ok[:-1] & ok[1:]
-        mass = np.zeros(self.grid.shape)
-        w = self.seg.astype(float) * (self.h / 2.0)
-        mass[:-1] += w
-        mass[1:] += w
-        self.mass = mass
-        if self.bc == "dirichlet":
-            self.dof_mask = self.grid.interior.copy()
-        else:
-            self.dof_mask = ok & (mass > 0.0)
-
     # -- energies ---------------------------------------------------------
 
-    def _tri_grads(self, v: np.ndarray):
-        h = self.h
-        dxl = (v[1:, :-1] - v[:-1, :-1]) / h
-        dyl = (v[1:, 1:] - v[1:, :-1]) / h
-        dxu = (v[1:, 1:] - v[:-1, 1:]) / h
-        dyu = (v[:-1, 1:] - v[:-1, :-1]) / h
-        return dxl, dyl, dxu, dyu
+    def _slopes(self, v: np.ndarray, delta: float):
+        """Gradient components ``g = D v / h`` on every admissible element
+        (one row per component, elements in family order) and
+        ``s = |g|^2 + delta^2``."""
+        g = (self._D @ v.ravel()).reshape(self.grid.dim, -1) / self.h
+        return g, (g * g).sum(axis=0) + delta * delta
 
     def energy(self, v: np.ndarray, p: float, delta: float) -> float:
         """``sum (1/p)(|grad v|^2 + delta^2)^(p/2)`` over admissible elements."""
-        d2 = delta * delta
-        if self.grid.dim == 1:
-            g2 = ((v[1:] - v[:-1]) / self.h) ** 2
-            return float(np.sum(((g2 + d2) ** (p / 2.0))[self.seg]) * self.h / p)
-        dxl, dyl, dxu, dyu = self._tri_grads(v)
-        el = ((dxl**2 + dyl**2 + d2) ** (p / 2.0))[self.tri_low].sum()
-        eu = ((dxu**2 + dyu**2 + d2) ** (p / 2.0))[self.tri_up].sum()
-        return float((el + eu) * self.h * self.h / (2.0 * p))
+        _, s = self._slopes(v, delta)
+        return float(np.sum(s ** (p / 2.0))) * self._volume / p
 
     def energy_grad(self, v: np.ndarray, p: float, delta: float):
         """(energy, gradient); the gradient is zeroed off the dof mask."""
-        d2 = delta * delta
-        if self.grid.dim == 1:
-            g = (v[1:] - v[:-1]) / self.h
-            g2 = g * g + d2
-            e = float(np.sum((g2 ** (p / 2.0))[self.seg]) * self.h / p)
-            # d/dv of (h/p)(g^2+d^2)^(p/2): the h and the 1/h from dg/dv cancel
-            flux = np.where(self.seg, g2 ** (p / 2.0 - 1.0), 0.0) * g
-            grad = np.zeros_like(v)
-            grad[:-1] -= flux
-            grad[1:] += flux
-            grad = np.where(self.dof_mask, grad, 0.0)
-            return e, grad
-        dxl, dyl, dxu, dyu = self._tri_grads(v)
-        g2l = dxl**2 + dyl**2 + d2
-        g2u = dxu**2 + dyu**2 + d2
-        e = float((np.where(self.tri_low, g2l ** (p / 2.0), 0.0).sum()
-                   + np.where(self.tri_up, g2u ** (p / 2.0), 0.0).sum())
-                  * self.h * self.h / (2.0 * p))
-        wl = np.where(self.tri_low, g2l ** (p / 2.0 - 1.0), 0.0) * (self.h / 2.0)
-        wu = np.where(self.tri_up, g2u ** (p / 2.0 - 1.0), 0.0) * (self.h / 2.0)
-        grad = np.zeros_like(v)
-        grad[:-1, :-1] += wl * (-dxl) + wu * (-dyu)
-        grad[1:, :-1] += wl * (dxl - dyl)
-        grad[1:, 1:] += wl * dyl + wu * dxu
-        grad[:-1, 1:] += wu * (dyu - dxu)
-        grad = np.where(self.dof_mask, grad, 0.0)
-        return e, grad
+        g, s = self._slopes(v, delta)
+        e = float(np.sum(s ** (p / 2.0))) * self._volume / p
+        # d/dv of volume (1/p) s^(p/2) is volume s^((p-2)/2) g . dg/dv, dg/dv = D / h
+        flux = s ** (p / 2.0 - 1.0) * (self._volume / self.h) * g
+        grad = (self._D.T @ flux.ravel()).reshape(v.shape)
+        return e, np.where(self.dof_mask, grad, 0.0)
 
     # -- masses and p-norms ----------------------------------------------
 
@@ -177,49 +151,14 @@ class VariationalCore:
 
     # -- element families, assembly patterns and factorizations -----------
 
-    def _element_families(self) -> list:
-        """Per admissible element family (segments in 1-D, lower then upper
-        triangles in 2-D): the flat node index of each corner, the
-        (plus, minus) corners of each gradient component and the unit
-        gradient matrix ``B`` (``grad v = B v_corners / h``); built once."""
-        if self._families is None:
-            grid = self.grid
-            if grid.dim == 1:
-                kinds = zip((self.seg,), (_SEGMENTS,))
-            else:
-                kinds = zip((self.tri_low, self.tri_up), _TRIANGLES)
-            self._families = []
-            for mask, (corners, grads) in kinds:
-                origin = np.nonzero(mask)
-                nodes = [np.ravel_multi_index(tuple(o + d for o, d in zip(origin, c)),
-                                              grid.shape) for c in corners]
-                B = np.zeros((len(grads), len(corners)))
-                for k, (plus, minus) in enumerate(grads):
-                    B[k, plus], B[k, minus] = 1.0, -1.0
-                self._families.append((nodes, grads, B))
-        return self._families
-
-    def _element_grads(self, v: np.ndarray) -> list[np.ndarray]:
-        """Gradient components on every admissible element, in family order."""
-        flat = v.ravel()
-        return [np.concatenate([(flat[nodes[grads[k][0]]] - flat[nodes[grads[k][1]]]) / self.h
-                                for nodes, grads, _ in self._element_families()])
-                for k in range(self.grid.dim)]
-
     def _element_weights(self, v: np.ndarray, p: float, delta: float):
         """Element gradients ``g``, ``s = |g|^2 + delta^2`` and the weights
         ``w = s^{(p-2)/2}``, floored at 1e-12 of their maximum so that a
         matrix built from them stays positive definite where ``g``
         vanishes."""
-        grads = self._element_grads(v)
-        s = sum(g * g for g in grads) + delta * delta
+        g, s = self._slopes(v, delta)
         w = s ** (p / 2.0 - 1.0)
-        return grads, s, np.maximum(w, 1e-12 * max(w.max(initial=0.0), 1e-300))
-
-    def _measure(self) -> float:
-        """Element measure over h^2: an element with coefficient tensor A
-        adds ``measure * B^T A B`` to the matrix."""
-        return 0.5 if self.grid.dim == 2 else 1.0 / self.h
+        return g, s, np.maximum(w, 1e-12 * max(w.max(initial=0.0), 1e-300))
 
     def _pattern(self):
         """CSC pattern on the dofs of the energy Hessian (every corner pair
@@ -238,7 +177,7 @@ class VariationalCore:
         # coupling corners a fixed flat-index offset apart, so the pattern is
         # a (column, offset) table; dofs are numbered in node order, so
         # offset order is row order in a column
-        groups = [(nodes, a, b) for nodes, _, _ in self._element_families()
+        groups = [(nodes, a, b) for nodes, _, _ in self._families
                   for a, b in _corner_pairs(len(nodes))]
         shift = [int(nodes[a][0] - nodes[b][0]) if len(nodes[0]) else 0
                  for nodes, a, b in groups]
@@ -263,8 +202,11 @@ class VariationalCore:
         col_idx, k_idx = np.nonzero(present)
         indices = pos[self.dof_index[col_idx] + np.asarray(offsets)[k_idx]]
         indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
-        self._csc_pattern = (slot, table[:, offsets.index(0)], indices.astype(np.int32),
-                             indptr.astype(np.int32))
+        indices, indptr = indices.astype(np.int32), indptr.astype(np.int32)
+        # every Hessian shares them: an in-place edit of one (eliminate_zeros,
+        # prune) raises instead of rewriting the pattern of the next
+        indices.flags.writeable = indptr.flags.writeable = False
+        self._csc_pattern = (slot, table[:, offsets.index(0)], indices, indptr)
         return self._csc_pattern
 
     @staticmethod
@@ -289,17 +231,19 @@ class VariationalCore:
     def _metric(self, v: np.ndarray, p: float, delta: float, shifted: bool) -> sp.csc_matrix:
         """The energy Hessian at ``v`` on the dofs; with ``shifted``, plus
         ``_neumann_sigma() * mean(w) * M`` for Neumann."""
-        grads, s, w = self._element_weights(v, p, delta)
+        g, s, w = self._element_weights(v, p, delta)
         r = np.divide(p - 2.0, s, out=np.zeros_like(s), where=s > 0.0) * w
         slot, diag, indices, indptr = self._pattern()
         vals = np.empty(len(slot))
         start = stop = 0
-        for nodes, _, B in self._element_families():
+        # an element with coefficient tensor A adds volume/h^2 B^T A B
+        measure = self._volume / self.h ** 2
+        for nodes, _, B in self._families:
             sl = slice(start, start + len(nodes[0]))
             start = sl.stop
             # B^T A B = w B^T B + r (B^T g)(B^T g)^T, in _pattern's stamp order
-            cw, cr = self._measure() * w[sl], self._measure() * r[sl]
-            bg = B.T @ np.stack([g[sl] for g in grads])
+            cw, cr = measure * w[sl], measure * r[sl]
+            bg = B.T @ g[:, sl]
             btb = B.T @ B
             done = {}
             for a, b in _corner_pairs(len(nodes)):

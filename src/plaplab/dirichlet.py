@@ -114,6 +114,16 @@ def check_ladder(ladder, p: float, error: type[Exception]) -> None:
         raise error("ladder must end at the target p")
 
 
+def resolve_cfg(kind: type, cfg, p: float | None):
+    """``cfg`` (default ``kind(p=2)``) with the exponent ``p`` when one is
+    given; a changed exponent drops the ladder, which ends at the old one."""
+    if cfg is None:
+        cfg = kind(p=2.0 if p is None else float(p))
+    elif p is not None and p != cfg.p:
+        cfg = replace(cfg, p=float(p), ladder=None)
+    return cfg
+
+
 def continuation_ladder(p: float) -> tuple[float, ...]:
     """Exponent ladder from 2 to p: doubling upward, or geometric steps of
     ``p - 1`` downward for targets below 2."""
@@ -377,7 +387,7 @@ def solve_p_harmonic(grid: Grid, g, cfg: SolverConfig | None = None,
     it is sampled on the boundary collar.  Raises ``SolverError`` on
     nonconvergence (diagnostics attached).
     """
-    cfg = _resolve_cfg(cfg, p)
+    cfg = resolve_cfg(SolverConfig, cfg, p)
     core = make_core(grid, "dirichlet")
     return _solve(core, cfg, _boundary_array(grid, g), load=None)
 
@@ -385,18 +395,10 @@ def solve_p_harmonic(grid: Grid, g, cfg: SolverConfig | None = None,
 def solve_p_torsion(grid: Grid, cfg: SolverConfig | None = None,
                     p: float | None = None) -> SolveResult:
     """Solve the p-torsion problem (unit load, zero boundary values)."""
-    cfg = _resolve_cfg(cfg, p)
+    cfg = resolve_cfg(SolverConfig, cfg, p)
     core = make_core(grid, "dirichlet")
     load = np.ones(grid.shape)
     return _solve(core, cfg, np.zeros(grid.shape), load=load)
-
-
-def _resolve_cfg(cfg: SolverConfig | None, p: float | None) -> SolverConfig:
-    if cfg is None:
-        cfg = SolverConfig(p=2.0 if p is None else float(p))
-    elif p is not None and p != cfg.p:
-        cfg = replace(cfg, p=float(p), ladder=None)
-    return cfg
 
 
 # ---------------------------------------------------------------------------

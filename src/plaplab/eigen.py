@@ -34,7 +34,7 @@ import numpy as np
 
 from . import geometry
 from ._variational import VariationalCore, make_core
-from .dirichlet import check_ladder
+from .dirichlet import check_ladder, continuation_ladder, resolve_cfg
 from .fields import FieldError, Grid, ScalarField, build_grid, sample_at
 
 __all__ = [
@@ -152,10 +152,7 @@ def rayleigh_quotient(v: ScalarField, p: float, bc: str = "dirichlet",
             bal = float(np.sum(_pmean_weights(vals, core.mass, p) * vals))
             if abs(bal) > 1e-6 * (core.pnorm_term(vals, p - 1.0) + 1e-300):
                 raise EigenError("Neumann quotient requires zero p-mean")
-    den = core.pnorm_term(vals, p)
-    if den <= 0.0:
-        raise EigenError("Rayleigh quotient of the zero field is undefined")
-    return core.energy(vals, p, 0.0) * p / den
+    return _quotient(core, vals, p)
 
 
 def _pmean_weights(w: np.ndarray, mass: np.ndarray, p: float) -> np.ndarray:
@@ -252,7 +249,7 @@ def _project(core: VariationalCore, vals: np.ndarray, p: float, neumann: bool,
 def _quotient(core: VariationalCore, vals: np.ndarray, p: float) -> float:
     den = core.pnorm_term(vals, p)
     if den <= 0.0:
-        raise EigenError("eigen iterate collapsed to zero")
+        raise EigenError("Rayleigh quotient of the zero field is undefined")
     return core.energy(vals, p, 0.0) * p / den
 
 
@@ -327,22 +324,6 @@ def _descend_quotient(core: VariationalCore, v0: np.ndarray, p: float,
     return v, history, it, gnorm_rel
 
 
-def _ladder_for(cfg: EigenConfig) -> tuple[float, ...]:
-    if cfg.ladder is not None:
-        return cfg.ladder
-    from .dirichlet import continuation_ladder
-
-    return continuation_ladder(cfg.p)
-
-
-def _resolve_cfg(cfg: EigenConfig | None, p: float | None) -> EigenConfig:
-    if cfg is None:
-        cfg = EigenConfig(p=2.0 if p is None else float(p))
-    elif p is not None and p != cfg.p:
-        cfg = replace(cfg, p=float(p), ladder=None)
-    return cfg
-
-
 def _finalize(core: VariationalCore, vals: np.ndarray, p: float, bc: str,
               history: list, its: int, residual: float) -> EigenResult:
     grid = core.grid
@@ -358,26 +339,31 @@ def _finalize(core: VariationalCore, vals: np.ndarray, p: float, bc: str,
                        residual=float(residual))
 
 
+def _continue(core: VariationalCore, v: np.ndarray, cfg: EigenConfig) -> EigenResult:
+    """Descend on R_p from ``v`` through the continuation ladder up to
+    ``cfg.p``; the result keeps the last stage's history and the iterations
+    of all stages."""
+    total = 0
+    for p_stage in cfg.ladder if cfg.ladder is not None else continuation_ladder(cfg.p):
+        stage_cfg = cfg if p_stage == cfg.p else replace(cfg, p=p_stage, ladder=None)
+        v, hist, its, residual = _descend_quotient(core, v, p_stage, stage_cfg,
+                                                   neumann=core.bc == "neumann")
+        total += its
+    return _finalize(core, v, cfg.p, core.bc, hist, total, residual)
+
+
 def dirichlet_eigen_first(grid: Grid, p: float | None = None,
                           cfg: EigenConfig | None = None,
                           v0: np.ndarray | None = None) -> EigenResult:
     """First Dirichlet eigenpair by continuation in p from a torsion start
     (one solve of ``K v = M 1`` with the p = 2 stiffness ``K``)."""
-    cfg = _resolve_cfg(cfg, p)
+    cfg = resolve_cfg(EigenConfig, cfg, p)
     core = make_core(grid, "dirichlet")
     if v0 is None:
         v = core.precond_solve(core.mass, core.weighted_factor(np.zeros(grid.shape), 2.0, 0.0))
     else:
         v = np.where(grid.interior, np.asarray(v0, dtype=float), 0.0)
-    hist: list[float] = []
-    total = 0
-    residual = math.inf
-    for p_stage in _ladder_for(cfg):
-        stage_cfg = cfg if p_stage == cfg.p else replace(cfg, p=p_stage, ladder=None)
-        v, hist, its, residual = _descend_quotient(core, v, p_stage, stage_cfg,
-                                                  neumann=False)
-        total += its
-    return _finalize(core, v, cfg.p, "dirichlet", hist, total, residual)
+    return _continue(core, v, cfg)
 
 
 def _diameter_ramp(grid: Grid) -> np.ndarray:
@@ -400,7 +386,7 @@ def neumann_eigen_first(grid: Grid, p: float | None = None,
     perturbation (relative amplitude ``cfg.perturbation``), so the descent
     neither stalls on constants nor sits on an unstable symmetry axis.
     """
-    cfg = _resolve_cfg(cfg, p)
+    cfg = resolve_cfg(EigenConfig, cfg, p)
     core = make_core(grid, "neumann")
     if v0 is None:
         v = _diameter_ramp(grid)
@@ -409,16 +395,7 @@ def neumann_eigen_first(grid: Grid, p: float | None = None,
         v = v + cfg.perturbation * osc * rng.standard_normal(grid.shape)
     else:
         v = np.asarray(v0, dtype=float).copy()
-    v = np.where(grid.nonexterior, v, 0.0)
-    hist: list[float] = []
-    total = 0
-    residual = math.inf
-    for p_stage in _ladder_for(cfg):
-        stage_cfg = cfg if p_stage == cfg.p else replace(cfg, p=p_stage, ladder=None)
-        v, hist, its, residual = _descend_quotient(core, v, p_stage, stage_cfg,
-                                                   neumann=True)
-        total += its
-    return _finalize(core, v, cfg.p, "neumann", hist, total, residual)
+    return _continue(core, np.where(grid.nonexterior, v, 0.0), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +601,7 @@ def second_dirichlet_eigen_experiment(grid: Grid, p: float | None = None,
     deflation is one of several conceivable second-eigenvalue definitions,
     and for symmetric domains the minimizer may be degenerate.
     """
-    cfg = _resolve_cfg(cfg, p)
+    cfg = resolve_cfg(EigenConfig, cfg, p)
     core = make_core(grid, "dirichlet")
     if first is None:
         first = dirichlet_eigen_first(grid, cfg=cfg)

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
-from plaplab._variational import make_core
+from plaplab._variational import VariationalCore, make_core
 from plaplab.dirichlet import (
     SolverConfig,
     SolverError,
@@ -338,3 +338,20 @@ def test_weighted_factor_is_the_shifted_hessian(name, bc, p):
     expected = spla.spsolve(matrix.tocsc(), s.ravel()[core.dof_index])
     got = core.precond_solve(s, core.weighted_factor(v, p, delta)).ravel()[core.dof_index]
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_in_place_edit_of_a_hessian_leaves_the_shared_pattern_intact():
+    # at p = 2 and v = 0 the couplings along each cell's diagonal are stored
+    # zeros, which eliminate_zeros would drop from the pattern every later
+    # Hessian of the core is built on
+    grid = build_grid(Domain.unit_square(), 16)
+    core = make_core(grid, "dirichlet")
+    v = np.zeros(grid.shape)
+    with pytest.raises(ValueError):
+        core.hessian(v, 2.0, 0.0).eliminate_zeros()
+    after = core.hessian(v, 2.0, 0.0)
+    fresh = VariationalCore(grid, "dirichlet").hessian(v, 2.0, 0.0)
+    assert after.nnz == fresh.nnz
+    assert np.array_equal(after.indices, fresh.indices)
+    assert np.array_equal(after.indptr, fresh.indptr)
+    assert np.array_equal(after.data, fresh.data)
