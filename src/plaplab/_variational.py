@@ -76,10 +76,12 @@ class VariationalCore:
         self.h = grid.h
         ok = grid.nonexterior
         # per family: the flat node index of each corner of every admissible
-        # element, the (plus, minus) corners of each gradient component and
-        # the unit gradient matrix B (grad v = B v_corners / h)
+        # element and the unit gradient matrix B (grad v = B v_corners / h);
+        # per gradient component and family: the (plus, minus) node pairs
         self._families = []
+        pairs = [[] for _ in range(grid.dim)]
         for corners, grads in _FAMILIES[grid.dim]:
+            # element origins run over the cells: shape - 1 nodes per axis
             mask = np.logical_and.reduce([ok[tuple(slice(o, s - 1 + o) for o, s in
                                                    zip(c, ok.shape))] for c in corners])
             origin = np.nonzero(mask)
@@ -88,16 +90,15 @@ class VariationalCore:
             B = np.zeros((len(grads), len(corners)))
             for k, (plus, minus) in enumerate(grads):
                 B[k, plus], B[k, minus] = 1.0, -1.0
-            self._families.append((nodes, grads, B))
+                pairs[k].append(np.stack([nodes[plus], nodes[minus]], axis=1))
+            self._families.append((nodes, B))
         self._volume = self.h ** grid.dim / math.factorial(grid.dim)  # element measure
-        incident = np.concatenate([n for nodes, _, _ in self._families for n in nodes])
+        incident = np.concatenate([n for nodes, _ in self._families for n in nodes])
         self.mass = (np.bincount(incident, minlength=ok.size)
                      * (self._volume / (grid.dim + 1))).reshape(ok.shape)
         # D: row k m + e holds v[plus] - v[minus] of gradient component k on
         # element e (m admissible elements, in family order)
-        ends = np.stack([np.concatenate([nodes[grads[k][j]] for k in range(grid.dim)
-                                         for nodes, grads, _ in self._families])
-                         for j in (0, 1)], axis=1).astype(np.int32)
+        ends = np.concatenate([p for per_family in pairs for p in per_family]).astype(np.int32)
         self._D = sp.csr_matrix((np.tile([1.0, -1.0], len(ends)), ends.ravel(),
                                  np.arange(0, ends.size + 1, 2, dtype=np.int32)),
                                 shape=(len(ends), ok.size))
@@ -149,7 +150,7 @@ class VariationalCore:
         """Gradient of ``-sum mass f v`` (linear load term)."""
         return np.where(self.dof_mask, -self.mass * f_vals, 0.0)
 
-    # -- element families, assembly patterns and factorizations -----------
+    # -- assembly patterns and factorizations -----------------------------
 
     def _element_weights(self, v: np.ndarray, p: float, delta: float):
         """Element gradients ``g``, ``s = |g|^2 + delta^2`` and the weights
@@ -177,7 +178,7 @@ class VariationalCore:
         # coupling corners a fixed flat-index offset apart, so the pattern is
         # a (column, offset) table; dofs are numbered in node order, so
         # offset order is row order in a column
-        groups = [(nodes, a, b) for nodes, _, _ in self._families
+        groups = [(nodes, a, b) for nodes, _ in self._families
                   for a, b in _corner_pairs(len(nodes))]
         shift = [int(nodes[a][0] - nodes[b][0]) if len(nodes[0]) else 0
                  for nodes, a, b in groups]
@@ -238,7 +239,7 @@ class VariationalCore:
         start = stop = 0
         # an element with coefficient tensor A adds volume/h^2 B^T A B
         measure = self._volume / self.h ** 2
-        for nodes, _, B in self._families:
+        for nodes, B in self._families:
             sl = slice(start, start + len(nodes[0]))
             start = sl.stop
             # B^T A B = w B^T B + r (B^T g)(B^T g)^T, in _pattern's stamp order
