@@ -96,7 +96,7 @@ class VariationalCore:
         incident = np.concatenate([n for nodes, _ in self._families for n in nodes])
         self.mass = (np.bincount(incident, minlength=ok.size)
                      * (self._volume / (grid.dim + 1))).reshape(ok.shape)
-        # D: row k m + e holds v[plus] - v[minus] of gradient component k on
+        # D: row k*m + e holds v[plus] - v[minus] of gradient component k on
         # element e (m admissible elements, in family order)
         ends = np.concatenate([p for per_family in pairs for p in per_family]).astype(np.int32)
         self._D = sp.csr_matrix((np.tile([1.0, -1.0], len(ends)), ends.ravel(),
