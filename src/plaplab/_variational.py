@@ -17,10 +17,12 @@ Once per core the families give the admissible elements, the lumped masses
 keeps boundary quadrature first-order consistent) and one sparse difference
 operator ``D``: ``D v / h`` stacks the gradient components of every
 admissible element and ``D^T`` scatters element fluxes back to the nodes.
-The regularized p-Dirichlet energy is one product with ``D`` and its
-gradient two; for p = 2 the energy reduces exactly to the classical 5-point
-scheme.  The one descent metric is the exact Hessian of the regularized
-energy (:meth:`VariationalCore.hessian`), whose element tensor
+``D v`` itself is evaluated as differences of shifted windows at the corner
+offsets, bit for bit equal to the sparse product.  The regularized
+p-Dirichlet energy needs ``D v`` and its gradient also ``D^T``; for p = 2
+the energy reduces exactly to the classical 5-point scheme.  The one
+descent metric is the exact Hessian of the regularized energy
+(:meth:`VariationalCore.hessian`), whose element tensor
 ``w (I + (p-2) g g^T/(|g|^2 + delta^2))`` couples the two ends of each
 cell's diagonal (a 7-point pattern); at p = 2 it is the 5-point stiffness.
 :meth:`VariationalCore.weighted_factor` factors it with a mass shift for
@@ -77,14 +79,19 @@ class VariationalCore:
         ok = grid.nonexterior
         # per family: the flat node index of each corner of every admissible
         # element and the unit gradient matrix B (grad v = B v_corners / h);
-        # per gradient component and family: the (plus, minus) node pairs
-        self._families = []
+        # for _slopes, each corner's window over the cells, the (plus, minus)
+        # corners, the admissibility mask (None when every cell is
+        # admissible) and the element count; per gradient component and
+        # family: the (plus, minus) node pairs
+        self._families, self._windows = [], []
         pairs = [[] for _ in range(grid.dim)]
         for corners, grads in _FAMILIES[grid.dim]:
             # element origins run over the cells: shape - 1 nodes per axis
-            mask = np.logical_and.reduce([ok[tuple(slice(o, s - 1 + o) for o, s in
-                                                   zip(c, ok.shape))] for c in corners])
+            windows = [tuple(slice(o, s - 1 + o) for o, s in zip(c, ok.shape)) for c in corners]
+            mask = np.logical_and.reduce([ok[w] for w in windows])
             origin = np.nonzero(mask)
+            self._windows.append((windows, grads, None if mask.all() else mask,
+                                  len(origin[0])))
             nodes = [np.ravel_multi_index(tuple(o + d for o, d in zip(origin, c)), ok.shape)
                      for c in corners]
             B = np.zeros((len(grads), len(corners)))
@@ -118,8 +125,24 @@ class VariationalCore:
     def _slopes(self, v: np.ndarray, delta: float):
         """Gradient components ``g = D v / h`` on every admissible element
         (one row per component, elements in family order) and
-        ``s = |g|^2 + delta^2``."""
-        g = (self._D @ v.ravel()).reshape(self.grid.dim, -1) / self.h
+        ``s = |g|^2 + delta^2``.
+
+        ``D v`` is evaluated as differences of the corner windows, gathered
+        by each family's admissibility mask in ``np.nonzero`` order (the
+        order of ``D``'s rows), which gives the bits of ``D @ v`` without
+        its sparse gather."""
+        g = np.empty((self.grid.dim, self._D.shape[0] // self.grid.dim))
+        start = 0
+        for windows, grads, mask, count in self._windows:
+            for k, (plus, minus) in enumerate(grads):
+                ahead, behind = v[windows[plus]], v[windows[minus]]
+                cells = g[k, start:start + count]
+                if mask is None:
+                    np.subtract(ahead, behind, out=cells.reshape(ahead.shape))
+                else:
+                    cells[:] = np.subtract(ahead, behind)[mask]
+            start += count
+        g /= self.h
         return g, (g * g).sum(axis=0) + delta * delta
 
     def energy(self, v: np.ndarray, p: float, delta: float) -> float:

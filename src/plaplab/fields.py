@@ -245,27 +245,29 @@ def _difference_quotients(v: np.ndarray, h: float, out) -> None:
         ux, uxx = out[:2]
         np.subtract(v[2:], v[:-2], out=ux)
         ux /= 2.0 * h
-        _second_difference(v[2:], v[c], v[:-2], h, uxx)
+        _second_difference(v[2:], v[c], v[:-2], uxx)
+        uxx /= h * h
         return
     ux, uy, uxx, uyy, uxy = out[:5]
     np.subtract(v[2:, c], v[:-2, c], out=ux)
     ux /= 2.0 * h
     np.subtract(v[c, 2:], v[c, :-2], out=uy)
     uy /= 2.0 * h
-    _second_difference(v[2:, c], v[c, c], v[:-2, c], h, uxx)
-    _second_difference(v[c, 2:], v[c, c], v[c, :-2], h, uyy)
+    _second_difference(v[2:, c], v[c, c], v[:-2, c], uxx)
+    uxx /= h * h
+    _second_difference(v[c, 2:], v[c, c], v[c, :-2], uyy)
+    uyy /= h * h
     np.subtract(v[2:, 2:], v[2:, :-2], out=uxy)
     uxy -= v[:-2, 2:]
     uxy += v[:-2, :-2]
     uxy /= 4.0 * h * h
 
 
-def _second_difference(ahead, mid, behind, h, out) -> None:
-    """``(ahead - 2 mid + behind) / h^2``, evaluated left to right."""
+def _second_difference(ahead, mid, behind, out) -> None:
+    """``ahead - 2 mid + behind``, evaluated left to right."""
     np.multiply(mid, 2.0, out=out)
     np.subtract(ahead, out, out=out)
     out += behind
-    out /= h * h
 
 
 def _derivs(f: ScalarField) -> dict[str, np.ndarray]:
@@ -277,56 +279,80 @@ def _derivs(f: ScalarField) -> dict[str, np.ndarray]:
     return d
 
 
-def _stencil_work(shape: tuple) -> tuple[np.ndarray, ...]:
-    """Work buffers for ``_normalized_stencil`` on a block of ``shape``."""
-    return tuple(np.empty(shape) for _ in range(5)) + (np.empty(shape, dtype=bool),)
+def _span_start(v: np.ndarray) -> int:
+    """``S``, the sum of the element strides of ``v`` in C order: the flat
+    index of its first node with a full stencil (``N + 1`` in 2-D with rows
+    of ``N`` nodes, 1 in 1-D).  ``_normalized_stencil`` evaluates the flat
+    span ``[S, v.size - S)``."""
+    return sum(math.prod(v.shape[k + 1:]) for k in range(v.ndim))
 
 
-def _normalized_stencil(v: np.ndarray, h: float, p: float, delta: float,
+def _stencil_work(v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Work buffers for ``_normalized_stencil`` on arrays shaped like ``v``."""
+    return tuple(np.empty(v.size - 2 * _span_start(v)) for _ in range(6))
+
+
+def _normalized_stencil(v: np.ndarray, h: float, p: float, delta: float, scale: float,
                         out: np.ndarray, work: tuple[np.ndarray, ...]) -> None:
-    """Regularized normalized operator on the inner block of ``v`` (one-node
-    halo), written into ``out``; ``work`` comes from ``_stencil_work``.
+    """``scale`` times the regularized normalized operator on the flat span
+    ``[S, v.size - S)`` of ``v`` in C order (``S = _span_start(v)``),
+    written into ``out``; ``work`` comes from ``_stencil_work``.
 
-    Each operation is that of the expressions ``g2 = ux^2 + uy^2``,
-    ``u_nn = (ux^2 uxx + 2 ux uy uxy + uy^2 uyy) / (g2 + delta^2)`` (0 where
-    the denominator is 0) and ``(p-1)/p u_nn + 1/p (lap - u_nn)`` evaluated
-    left to right, so every caller gets the same bits.  ``out`` doubles as a
-    temporary.  On return ``work[0]`` holds ``g2``.
+    Neighbours are flat offsets (+-1, and +-N, +-N +- 1 in 2-D), so every
+    operation is one contiguous loop.  Halo nodes inside the span (the ends
+    of each row) get finite garbage, which callers discard.  With the
+    unscaled differences ``a = 2h ux``, ``b = 2h uy``, ``Sxx = h^2 uxx``,
+    ``Syy = h^2 uyy`` and ``Sxy = 4h^2 uxy``, the operator's degree-0
+    homogeneity in the gradient gives
+
+        h^2 u_nn = (a^2 Sxx + ab Sxy / 2 + b^2 Syy) / (a^2 + b^2 + 4h^2 delta^2)
+
+    (0 where ``a = b = 0`` and ``delta = 0``), and the result is
+    ``scale/(p h^2) (Sxx + Syy) + scale (1 - 2/p)/h^2 h^2 u_nn``, which is
+    ``(p-1)/p u_nn + 1/p (lap - u_nn)`` times ``scale``; p = inf keeps
+    ``u_nn`` alone.  One kernel, so both callers agree.  On return
+    ``work[0]`` holds ``a^2 + b^2 = 4 h^2 |grad u|^2``.
     """
-    _difference_quotients(v, h, work)
-    positive = work[5]
+    S = _span_start(v)
+    flat = v.reshape(-1)
+
+    def at(k):
+        return flat[S + k:flat.size - S + k]
+
+    g2, num, lap, t = work[:4]
     if v.ndim == 1:
-        ux, lap, denom, unn, tri = work[:5]
-        np.multiply(ux, ux, out=tri)
-        tri *= lap
-        g2 = np.multiply(ux, ux, out=ux)
+        a = np.subtract(at(1), at(-1), out=t)
+        _second_difference(at(1), at(0), at(-1), lap)
+        np.multiply(a, a, out=g2)
+        np.multiply(g2, lap, out=num)
     else:
-        ux, uy, uxx, uyy, uxy = work[:5]
-        np.multiply(ux, 2.0, out=out)
-        out *= uy
-        out *= uxy
-        tri = np.multiply(ux, ux, out=uxy)
-        tri *= uxx
-        tri += out
-        np.multiply(uy, uy, out=out)
-        out *= uyy
-        tri += out
-        lap = np.add(uxx, uyy, out=uxx)
-        g2 = np.multiply(ux, ux, out=ux)
-        np.multiply(uy, uy, out=uy)
-        g2 += uy
-        denom, unn = uyy, uy
-    np.add(g2, delta * delta, out=denom)
-    np.greater(denom, 0.0, out=positive)
-    unn.fill(0.0)
-    np.divide(tri, denom, out=unn, where=positive)
-    if math.isinf(p):
-        out[...] = unn
-        return
-    np.subtract(lap, unn, out=lap)
-    lap *= 1.0 / p
-    np.multiply(unn, (p - 1.0) / p, out=out)
-    out += lap
+        N = v.shape[1]
+        a, b = t, work[4]
+        sxy, syy = work[5], out
+        np.subtract(at(N), at(-N), out=a)
+        np.subtract(at(1), at(-1), out=b)
+        _second_difference(at(N), at(0), at(-N), lap)
+        _second_difference(at(1), at(0), at(-1), syy)
+        np.subtract(at(N + 1), at(N - 1), out=sxy)
+        sxy -= at(1 - N)
+        sxy += at(-N - 1)
+        sxy *= 0.5
+        sxy *= a
+        sxy *= b
+        np.multiply(a, a, out=a)
+        np.multiply(b, b, out=b)
+        np.add(a, b, out=g2)
+        np.multiply(a, lap, out=num)
+        num += sxy
+        np.multiply(b, syy, out=b)
+        num += b
+        lap += syy
+    # the floor keeps a flat node (numerator exactly 0) at 0 instead of 0/0
+    np.add(g2, max(4.0 * h * h * delta * delta, np.finfo(float).smallest_subnormal), out=t)
+    num /= t
+    np.multiply(lap, scale / (p * h * h), out=out)
+    num *= scale * (1.0 - 2.0 / p) / (h * h)
+    out += num
 
 
 def _interior_only(grid: Grid, arr: np.ndarray) -> np.ndarray:
@@ -441,14 +467,17 @@ def normalized_p_laplacian(f: ScalarField, p: float, grad_floor: float | None = 
         raise FieldError("normalized operator requires 1 <= p <= inf")
     if delta < 0.0:
         raise FieldError("delta must be nonnegative")
-    vals = np.zeros_like(f.values)
-    g2 = np.zeros_like(f.values)
-    inner = (np.s_[1:-1],) * f.grid.dim
-    work = _stencil_work(vals[inner].shape)
-    _normalized_stencil(f.values, f.grid.h, p, delta, vals[inner], work)
-    g2[inner] = work[0]
-    flagged, _ = _flags(f, g2, grad_floor)
-    return ScalarField(f.grid, _interior_only(f.grid, vals), flagged=flagged)
+    h = f.grid.h
+    S = _span_start(f.values)
+    span = np.s_[S:f.values.size - S]
+    vals = np.zeros(f.values.size)
+    g2 = np.zeros(f.values.size)
+    work = _stencil_work(f.values)
+    _normalized_stencil(f.values, h, p, delta, 1.0, vals[span], work)
+    np.divide(work[0], 4.0 * h * h, out=g2[span])
+    flagged, _ = _flags(f, g2.reshape(f.grid.shape), grad_floor)
+    return ScalarField(f.grid, _interior_only(f.grid, vals.reshape(f.grid.shape)),
+                       flagged=flagged)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,13 @@ algebraically to half the Laplacian, so the trajectory coincides with the
 explicit heat scheme of diffusivity 1/2 to round-off.
 
 ``run_flow`` steps in place: it allocates one raw state array (with the
-ghost halo for Neumann), the right-hand side, the stencil work buffers and
-the pinned-collar mask once per run, and builds a ``ScalarField`` only for
-snapshots and the final state.  ``step_flow`` takes one step with the same
-code on buffers of its own.
+ghost halo for Neumann), the right-hand side, the stencil work buffers, the
+pinned-collar mask and the ghost views once per run, and builds a
+``ScalarField`` only for snapshots and the final state.  A step evaluates
+``dt`` times the stencil on the contiguous flat span of the state and adds
+it there, then pins the collar or reflects the ghosts, which also
+overwrites what the span left on the halo.  ``step_flow`` takes one step
+with the same code on buffers of its own.
 
 Separation of variables links the flow to the eigenvalue problems: from
 eigenfunction initial data the sup-norm decays exponentially at the first
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Grid, ScalarField, _normalized_stencil, _stencil_work
+from .fields import Grid, ScalarField, _normalized_stencil, _span_start, _stencil_work
 
 __all__ = [
     "FlowError",
@@ -128,9 +131,13 @@ class _Stepper:
     Dirichlet: the state is the grid's value array; after each step the
     pinned collar (every non-interior node) is set back to zero.  Neumann:
     the state carries a one-node halo of mirror ghosts around the grid,
-    refreshed by slice copies after each step.  Exterior entries are zero
-    either way, so ``sup_norm`` reads the raw state.  Nothing is allocated
-    per step.
+    refreshed after each step by copies between (ghost, source) views built
+    once.  A step evaluates the stencil times ``dt`` on the state's flat span
+    (``fields._normalized_stencil``) and adds it there; the halo positions
+    inside the span that this leaves with garbage are exactly the pinned
+    collar or the ghosts, which the boundary update overwrites.  Exterior
+    entries are zero either way, so ``sup_norm`` reads the raw state.
+    Nothing is allocated per step.
     """
 
     def __init__(self, u: ScalarField, p: float, dt: float, delta: float, bc: str):
@@ -149,25 +156,29 @@ class _Stepper:
             self.state = np.pad(u.values, 1)
             self.nodes = self.state[(np.s_[1:-1],) * grid.dim]
             self.pinned = None
+            # axis by axis, so the corner ghosts mirror the corner nodes
+            self._mirrors = [(self.state[(np.s_[:],) * axis + (ghost,)],
+                              self.state[(np.s_[:],) * axis + (source,)])
+                             for axis in range(grid.dim)
+                             for ghost, source in ((np.s_[:1], np.s_[2:3]),
+                                                   (np.s_[-1:], np.s_[-3:-2]))]
             self._reflect()
         else:
             raise FlowError(f"unknown boundary condition {bc!r}")
         self.grid, self.p, self.dt, self.delta = grid, p, dt, delta
-        self.inner = self.state[(np.s_[1:-1],) * grid.dim]
-        self.rhs = np.empty(self.inner.shape)
-        self.work = _stencil_work(self.rhs.shape)
+        start = _span_start(self.state)
+        self.span = self.state.reshape(-1)[start:self.state.size - start]
+        self.rhs = np.empty(self.span.shape)
+        self.work = _stencil_work(self.state)
 
     def _reflect(self) -> None:
-        for axis in range(self.state.ndim):
-            s = np.moveaxis(self.state, axis, 0)
-            s[0] = s[2]
-            s[-1] = s[-3]
+        for ghost, source in self._mirrors:
+            np.copyto(ghost, source)
 
     def step(self) -> None:
-        _normalized_stencil(self.state, self.grid.h, self.p, self.delta,
+        _normalized_stencil(self.state, self.grid.h, self.p, self.delta, self.dt,
                             self.rhs, self.work)
-        self.rhs *= self.dt
-        self.inner += self.rhs
+        self.span += self.rhs
         if self.pinned is None:
             self._reflect()
         else:

@@ -297,6 +297,16 @@ def test_energy_gradient_and_mass_match_an_element_loop(name, bc, p):
     assert abs(fd - float(np.sum(got * s))) <= 1e-6 * abs(fd)
 
 
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("name", list(HESSIAN_DOMAINS))
+def test_slopes_are_the_element_difference_operator_bit_for_bit(name, bc):
+    grid, core, v, _ = _hessian_case(name, seed=5, bc=bc)
+    g, s = core._slopes(v, 1e-3)
+    expected = (core._D @ v.ravel()).reshape(grid.dim, -1) / core.h
+    assert np.array_equal(g, expected)
+    assert np.array_equal(s, (expected * expected).sum(axis=0) + 1e-3 * 1e-3)
+
+
 @pytest.mark.parametrize("name", list(HESSIAN_DOMAINS))
 @pytest.mark.parametrize("p", [1.5, 4.0, 32.0])
 def test_hessian_is_derivative_of_energy_gradient(name, p):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from plaplab.fields import (
+    _derivs,
     FieldError,
     Grid,
     GridError,
@@ -227,6 +228,52 @@ def test_normalized_is_one_homogeneous():
     a = normalized_p_laplacian(u, 4.0, grad_floor=0.0)
     b = normalized_p_laplacian(scaledu, 4.0, grad_floor=0.0)
     assert np.allclose(b.values[g.interior], 7.0 * a.values[g.interior], rtol=1e-12)
+
+
+def _normalized_case(name: str) -> ScalarField:
+    """A field with one node of exactly zero gradient (the symmetry centre),
+    so that ``flagged`` is not empty, and a term that breaks the symmetry."""
+    if name == "interval":
+        g = build_grid(Domain.interval(0.0, 1.0), 64)
+        return ScalarField.from_function(
+            g, lambda x: np.cos(np.pi * (x - 0.5)) + 0.4 * (x - 0.5) ** 2)
+    if name == "square":
+        g = build_grid(Domain.unit_square(), 32)
+        return ScalarField.from_function(
+            g, lambda x, y: np.cos(np.pi * (x - 0.5)) * np.cos(np.pi * (y - 0.5))
+            + 0.3 * (x - 0.5) ** 2 * (y - 0.5))
+    g = build_grid(Domain.disc((0.0, 0.0), 1.0), 32)
+    return ScalarField.from_function(
+        g, lambda x, y: np.cos(0.5 * np.pi * np.hypot(x, y)) * (1.0 + 0.3 * x * y))
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, np.inf])
+@pytest.mark.parametrize("name", ["square", "disc", "interval"])
+def test_normalized_matches_the_expression_in_central_derivatives(name, p, delta):
+    # the oracle evaluates the documented expression from the scaled central
+    # derivatives of _derivs, independently of the flat stencil kernel
+    u = _normalized_case(name)
+    g = u.grid
+    d = _derivs(u)
+    if g.dim == 1:
+        g2 = d["ux"] ** 2
+        tri = d["ux"] ** 2 * d["uxx"]
+        lap = d["uxx"]
+    else:
+        g2 = d["ux"] ** 2 + d["uy"] ** 2
+        tri = (d["ux"] ** 2 * d["uxx"] + 2.0 * d["ux"] * d["uy"] * d["uxy"]
+               + d["uy"] ** 2 * d["uyy"])
+        lap = d["uxx"] + d["uyy"]
+    denom = g2 + delta**2
+    unn = np.divide(tri, denom, out=np.zeros_like(tri), where=denom > 0.0)
+    expected = unn if np.isinf(p) else (p - 1.0) / p * unn + (lap - unn) / p
+    expected = np.where(g.interior, expected, 0.0)
+    floor = default_grad_floor(u)
+    got = normalized_p_laplacian(u, p, delta=delta)
+    assert np.array_equal(got.flagged, g.interior & (g2 < floor * floor))
+    assert np.count_nonzero(got.flagged) >= 1
+    assert np.max(np.abs(got.values - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_intrinsic_decomposition_identity():

@@ -176,6 +176,49 @@ def test_p2_neumann_flow_is_mirror_ghost_heat_equation(dim):
     assert float(np.max(np.abs(run.final.values - w))) < 1e-12
 
 
+def test_p4_neumann_flow_matches_a_mirror_ghost_oracle():
+    # every step rebuilt from np.pad's reflection and the normalized
+    # expression in scaled central derivatives, independently of the flat
+    # stencil kernel and of the stepper's ghost copies
+    grid = build_grid(Domain.unit_square(), 32)
+    u0 = ScalarField.from_function(
+        grid, lambda x, y: np.cos(np.pi * x) + 0.3 * np.cos(2.0 * np.pi * y)
+        + 0.2 * x * y)
+    p = 4.0
+    dt = cfl_limit(grid, p)
+    steps = 100
+    run = run_flow(u0, FlowConfig(p=p, bc="neumann", t_end=steps * dt))
+    h = grid.h
+    w = u0.values.copy()
+    for _ in range(steps):
+        g = np.pad(w, 1, mode="reflect")
+        c = np.s_[1:-1]
+        ux = (g[2:, c] - g[:-2, c]) / (2.0 * h)
+        uy = (g[c, 2:] - g[c, :-2]) / (2.0 * h)
+        uxx = (g[2:, c] - 2.0 * g[c, c] + g[:-2, c]) / h**2
+        uyy = (g[c, 2:] - 2.0 * g[c, c] + g[c, :-2]) / h**2
+        uxy = (g[2:, 2:] - g[2:, :-2] - g[:-2, 2:] + g[:-2, :-2]) / (4.0 * h**2)
+        denom = ux**2 + uy**2 + run.delta**2
+        unn = (ux**2 * uxx + 2.0 * ux * uy * uxy + uy**2 * uyy) / denom
+        w = w + dt * ((p - 1.0) / p * unn + (uxx + uyy - unn) / p)
+    assert float(np.max(np.abs(run.final.values - w))) <= 1e-12 * float(np.max(np.abs(w)))
+
+
+def test_dirichlet_disc_collar_and_exterior_stay_zero_at_every_snapshot():
+    grid = build_grid(Domain.disc((0.0, 0.0), 1.0), 32)
+    # nonzero on the collar, so the first step must pin it
+    u0 = ScalarField.from_function(
+        grid, lambda x, y: np.cos(0.4 * np.pi * np.hypot(x, y)) * (1.0 + 0.3 * x))
+    assert np.any(u0.values[grid.boundary] != 0.0)
+    dt = cfl_limit(grid, 4.0)
+    run = run_flow(u0, FlowConfig(p=4.0, t_end=40 * dt),
+                   snapshot_times=dt * np.arange(1, 41))
+    assert len(run.snapshots) == 40
+    for _, snap in run.snapshots + [(run.times[-1], run.final)]:
+        assert np.all(snap.values[~grid.interior] == 0.0)
+        assert np.all(snap.values[grid.interior] > 0.0)
+
+
 def _flow_case(domain: str):
     if domain == "interval":
         grid = build_grid(Domain.interval(0.0, 1.0), 40)
