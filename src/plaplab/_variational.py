@@ -30,7 +30,14 @@ Neumann problems.  The pattern, and the map from element stamps to CSC data
 slots, are computed once per core.
 
 Degrees of freedom are the interior nodes for Dirichlet boundary conditions
-and every mass-carrying node for natural (Neumann) conditions.
+and every mass-carrying node for natural (Neumann) conditions.  They are
+numbered once per core (``dof_index``) in a nested-dissection order of the
+lattice (``_dissection_order``; natural order in 1-D, where a line has no
+fill), the fill-reducing order for these lattice matrices.  Every matrix
+that is factored, the Hessian, the Neumann mass-shifted Hessian and the
+p = 2 stiffness, is symmetric positive definite, so :meth:`VariationalCore.factor`
+eliminates on the diagonal in that order with no per-call ordering and no
+row pivoting.
 """
 
 from __future__ import annotations
@@ -55,6 +62,48 @@ _FAMILIES = {
     2: ((((0, 0), (1, 0), (1, 1)), ((1, 0), (2, 1))),  # lower triangles
         (((0, 0), (0, 1), (1, 1)), ((2, 1), (1, 0)))),  # upper triangles
 }
+
+
+#: lattice boxes of at most this many nodes are leaves of the nested
+#: dissection, numbered in natural order
+_DISSECTION_LEAF = 16
+
+
+def _dissection_order(shape: tuple[int, int]) -> np.ndarray:
+    """Flat node indices of a 2-D lattice of ``shape`` in nested-dissection
+    order.
+
+    A box of more than ``_DISSECTION_LEAF`` nodes is split at the middle
+    lattice line of its longer extent: its two halves come first, each in
+    its own such order, then the line.  Every element couples nodes at most
+    one apart along each axis, so the line separates the halves within any
+    subset of the nodes.  All boxes of one level split at once: each node's
+    sort key gains one base-3 digit per level (0 first half, 1 second half,
+    2 separator, 0 once its box is a leaf or a line), and the nodes of one
+    leaf or one line tie and keep their natural order.
+    """
+    i, j = (a.ravel() for a in np.indices(shape))
+    lo_i, lo_j = np.zeros_like(i), np.zeros_like(j)
+    hi_i, hi_j = np.full_like(i, shape[0]), np.full_like(j, shape[1])
+    key = np.zeros(i.size, dtype=np.int64)  # about log2(i.size) digits
+    active = np.ones(i.size, dtype=bool)
+    while True:
+        ext_i, ext_j = hi_i - lo_i, hi_j - lo_j
+        active &= ext_i * ext_j > _DISSECTION_LEAF
+        if not active.any():
+            return np.argsort(key, kind="stable")
+        along_j = ext_j > ext_i  # ties split along i
+        c = np.where(along_j, j, i)
+        mid = np.where(along_j, lo_j + ext_j // 2, lo_i + ext_i // 2)
+        digit = np.where(c < mid, 0, np.where(c > mid, 1, 2)) * active
+        key = key * 3 + digit
+        # the box of each node's half (finished nodes' boxes are never used)
+        first, second = digit == 0, digit == 1
+        lo_i = np.where(second & ~along_j, mid + 1, lo_i)
+        hi_i = np.where(first & ~along_j, mid, hi_i)
+        lo_j = np.where(second & along_j, mid + 1, lo_j)
+        hi_j = np.where(first & along_j, mid, hi_j)
+        active &= digit != 2
 
 
 def _corner_pairs(nc: int) -> list[tuple[int, int]]:
@@ -113,7 +162,8 @@ class VariationalCore:
             self.dof_mask = grid.interior.copy()
         else:
             self.dof_mask = ok & (self.mass > 0.0)
-        self.dof_index = np.flatnonzero(self.dof_mask.ravel())
+        order = _dissection_order(ok.shape) if grid.dim > 1 else np.arange(ok.size)
+        self.dof_index = order[self.dof_mask.ravel()[order]]
         self._csc_pattern = None
 
     @property
@@ -188,7 +238,9 @@ class VariationalCore:
         """CSC pattern on the dofs of the energy Hessian (every corner pair
         of every element, which adds each cell's diagonal to the 5-point
         stencil: 7 points) and the data slot of each element stamp; computed
-        once per core.
+        once per core.  Rows and columns are dofs in ``dof_index`` order, and
+        the rows of each column are sorted (canonical format), so that no
+        sparse operation sorts the shared read-only arrays.
 
         Stamps run over families, then corner pairs (``_corner_pairs``),
         then elements.  Returns ``(slot, diag, indices, indptr)``: stamp k
@@ -199,8 +251,7 @@ class VariationalCore:
             return self._csc_pattern
         # stamp groups (nodes, a, b): one stamp per element of a family,
         # coupling corners a fixed flat-index offset apart, so the pattern is
-        # a (column, offset) table; dofs are numbered in node order, so
-        # offset order is row order in a column
+        # a (column, offset) table
         groups = [(nodes, a, b) for nodes, _ in self._families
                   for a, b in _corner_pairs(len(nodes))]
         shift = [int(nodes[a][0] - nodes[b][0]) if len(nodes[0]) else 0
@@ -218,14 +269,19 @@ class VariationalCore:
             col[pos[nodes[a]] < 0] = -1
             present[col[col >= 0], offsets.index(d)] = True
             cols.append(col)
-        nnz = int(present.sum())
-        table = np.full(present.shape, nnz)  # slot nnz collects stamps off the dofs
-        table[present] = np.arange(nnz)
+        # the row of each table entry; absent entries sort after every row
+        rows = np.full(present.shape, m, dtype=np.int32)
+        col_idx, k_idx = np.nonzero(present)
+        rows[col_idx, k_idx] = pos[self.dof_index[col_idx] + np.asarray(offsets)[k_idx]]
+        rank = rows.argsort(axis=1).argsort(axis=1)  # of each row within its column
+        indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
+        nnz = int(indptr[-1])
+        # slot nnz collects stamps off the dofs
+        table = np.where(present, indptr[:-1, None] + rank, nnz)
         slot = np.concatenate([np.where(col >= 0, table[col, offsets.index(d)], nnz)
                                for col, d in zip(cols, shift)])
-        col_idx, k_idx = np.nonzero(present)
-        indices = pos[self.dof_index[col_idx] + np.asarray(offsets)[k_idx]]
-        indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
+        indices = np.sort(rows, axis=1)
+        indices = indices[indices < m]
         indices, indptr = indices.astype(np.int32), indptr.astype(np.int32)
         # every Hessian shares them: an in-place edit of one (eliminate_zeros,
         # prune) raises instead of rewriting the pattern of the next
@@ -237,16 +293,19 @@ class VariationalCore:
     def factor(matrix: sp.csc_matrix):
         """Sparse LU of a symmetric positive definite dof matrix.
 
-        The Hessian has a symmetric pattern and a dominant diagonal, so a
-        minimum-degree ordering of ``A^T + A`` keeps SuperLU's pivots on the
-        diagonal and needs about half the fill of the default COLAMD
-        ordering.  Stored zeros (at p = 2, the couplings along each cell's
-        diagonal) are dropped first, on a copy that leaves the shared
-        pattern intact, so that they cost no fill.
+        The dofs are already in nested-dissection order (``dof_index``,
+        fixed per core), so SuperLU keeps the natural order and runs no
+        ordering per call.  A symmetric positive definite matrix needs no
+        pivoting: every pivot is eliminated on the diagonal, which keeps the
+        fill of the order (threshold pivoting on a rough iterate swaps
+        rows and multiplies the fill).  Stored zeros (at p = 2, the
+        couplings along each cell's diagonal) are dropped first, on a copy
+        that leaves the shared pattern intact, so that they cost no fill.
         """
         matrix = matrix.copy()
         matrix.eliminate_zeros()
-        return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
+        return spla.splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
 
     def _neumann_sigma(self) -> float:
         return 1.0 / max(self.grid.domain.bounding_box[2]

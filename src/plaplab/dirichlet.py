@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import geometry
 from ._variational import VariationalCore, make_core
@@ -309,7 +310,10 @@ def _rounding_residual(core: VariationalCore, H, v: np.ndarray) -> float:
     the strong residual that rounding ``v`` alone can leave."""
     vd = np.abs(v.ravel()[core.dof_index])
     m = core.mass.ravel()[core.dof_index]
-    scale = (abs(H) @ vd) / np.where(m > 0.0, m, 1.0)
+    # |H| on H's own (shared, canonical) pattern: abs(H) would copy the
+    # pattern and scan it for canonical format at every check
+    abs_h = sp.csc_matrix((np.abs(H.data), H.indices, H.indptr), shape=H.shape)
+    scale = (abs_h @ vd) / np.where(m > 0.0, m, 1.0)
     return ROUNDING_EPSILONS * np.finfo(float).eps * float(np.max(scale, initial=0.0))
 
 

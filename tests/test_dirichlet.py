@@ -8,7 +8,10 @@ gradient and the lumped masses equal an element-by-element P1 loop, and the
 gradient is the derivative of the energy; the assembled
 Hessian is the derivative of the energy gradient and, at p = 2, the
 stiffness of an element-by-element P1 assembly; the factored descent metric
-is that Hessian plus the Neumann mass shift.
+is that Hessian plus the Neumann mass shift.  The dofs are the dof mask in
+nested-dissection order, every Hessian is canonical CSC, and its LU keeps the
+fill of that order: none on an interval, no more than the minimum-degree
+order on the n = 128 square, and none added by pivoting at a rough iterate.
 """
 
 from __future__ import annotations
@@ -365,3 +368,51 @@ def test_in_place_edit_of_a_hessian_leaves_the_shared_pattern_intact():
     assert np.array_equal(after.indices, fresh.indices)
     assert np.array_equal(after.indptr, fresh.indptr)
     assert np.array_equal(after.data, fresh.data)
+
+
+def _lu_nnz(factor) -> int:
+    return int(factor.L.nnz + factor.U.nnz)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("name", list(HESSIAN_DOMAINS))
+def test_dofs_are_the_mask_and_hessians_are_canonical(name, bc):
+    grid, core, v, s = _hessian_case(name, seed=11, bc=bc)
+    assert np.array_equal(np.sort(core.dof_index), np.flatnonzero(core.dof_mask.ravel()))
+    hess = core.hessian(v, 4.0, 1e-3)
+    columns = np.split(hess.indices, hess.indptr[1:-1])
+    assert all(np.all(np.diff(rows) > 0) for rows in columns)  # sorted, no duplicates
+    # none of these may sort the shared read-only pattern in place
+    x = s.ravel()[core.dof_index]
+    products = (abs(hess) @ x, hess.T @ x, hess @ x)
+    dense = hess.toarray()
+    for got, want in zip(products, (np.abs(dense) @ x, dense.T @ x, dense @ x)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    if grid.dim == 1:
+        # a tridiagonal matrix in natural order has no fill
+        assert _lu_nnz(core.factor(hess)) == 4 * len(core.dof_index) - 2
+
+
+def test_rough_iterate_lu_keeps_the_fill_of_the_order():
+    # threshold pivoting on a random iterate at large p swaps rows and
+    # multiplies the fill; elimination on the diagonal keeps it
+    grid = build_grid(Domain.unit_square(), 48)
+    core = make_core(grid, "neumann")
+    rng = np.random.default_rng(15)
+    v = np.where(grid.nonexterior, rng.standard_normal(grid.shape), 0.0)
+    p, delta = 15.0, 1e-3
+    factor = core.weighted_factor(v, p, delta)
+    assert _lu_nnz(factor) <= 1.3 * _lu_nnz(core.weighted_factor(v, 2.0, delta))
+    s = rng.standard_normal(grid.shape)
+    expected = spla.spsolve(core._metric(v, p, delta, shifted=True), s.ravel()[core.dof_index])
+    got = core.precond_solve(s, factor).ravel()[core.dof_index]
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_n128_hessian_lu_fill_is_at_most_the_minimum_degree_fill():
+    # 1,048,566 L+U nonzeros: SuperLU's MMD_AT_PLUS_A ordering of the same
+    # Hessian with diagonal pivots (the fill depends on the pattern only)
+    grid = build_grid(Domain.unit_square(), 128)
+    core = make_core(grid, "dirichlet")
+    v = np.where(grid.interior, np.random.default_rng(32).standard_normal(grid.shape), 0.0)
+    assert _lu_nnz(core.factor(core.hessian(v, 32.0, 1e-3))) <= 1_048_566
