@@ -19,10 +19,12 @@ operator ``D``: ``D v / h`` stacks the gradient components of every
 admissible element and ``D^T`` scatters element fluxes back to the nodes.
 ``D v`` itself is evaluated as differences of shifted windows at the corner
 offsets, bit for bit equal to the sparse product.  The regularized
-p-Dirichlet energy needs ``D v`` and its gradient also ``D^T``; for p = 2
-the energy reduces exactly to the classical 5-point scheme.  The one
-descent metric is the exact Hessian of the regularized energy
-(:meth:`VariationalCore.hessian`), whose element tensor
+p-Dirichlet energy needs ``D v`` and its gradient, and the gradient's
+derivative in p (:meth:`VariationalCore.energy_grad_dp`, the right-hand
+side of a continuation tangent), also ``D^T``; for p = 2 the energy reduces
+exactly to the classical 5-point scheme.  The one descent metric is the
+exact Hessian of the regularized energy (:meth:`VariationalCore.hessian`),
+whose element tensor
 ``w (I + (p-2) g g^T/(|g|^2 + delta^2))`` couples the two ends of each
 cell's diagonal (a 7-point pattern); at p = 2 it is the 5-point stiffness.
 :meth:`VariationalCore.weighted_factor` factors it with a mass shift for
@@ -208,6 +210,19 @@ class VariationalCore:
         flux = s ** (p / 2.0 - 1.0) * (self._volume / self.h) * g
         grad = (self._D.T @ flux.ravel()).reshape(v.shape)
         return e, np.where(self.dof_mask, grad, 0.0)
+
+    def energy_grad_dp(self, v: np.ndarray, p: float, delta: float) -> np.ndarray:
+        """Derivative in ``p`` of :meth:`energy_grad`'s gradient,
+        ``D^T [(volume/h) (1/2) ln(s) s^(p/2-1) g]``, zeroed off the dof mask.
+        A flat element (``s = 0``, possible only at ``delta = 0``) contributes
+        0, the limit of ``ln(s) s^(p/2-1) g`` as ``g -> 0`` for p > 1."""
+        g, s = self._slopes(v, delta)
+        flat = s == 0.0
+        safe = np.where(flat, 1.0, s)
+        coef = np.where(flat, 0.0, 0.5 * np.log(safe) * safe ** (p / 2.0 - 1.0))
+        flux = coef * (self._volume / self.h) * g
+        grad = (self._D.T @ flux.ravel()).reshape(v.shape)
+        return np.where(self.dof_mask, grad, 0.0)
 
     # -- masses and p-norms ----------------------------------------------
 

@@ -188,6 +188,7 @@ def _cmd_solve(args):
         "factorizations": res.factorizations,
         "finalEnergy": res.final_energy,
         "optimalityResidual": res.optimality_residual,
+        "stages": [dataclasses.asdict(s) for s in res.stages],
     })
     artifacts = []
     if args.out:

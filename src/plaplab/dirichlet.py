@@ -14,11 +14,17 @@ Hessian, to relative residual ``NEWTON_RTOL``; when that takes more than
 ``PCG_MAX_ITERATIONS`` iterations, ``H`` itself is factored.  Steps are
 capped and backtracked to an energy decrease.  A stage stops once the
 strong residual (``SolveResult.optimality_residual``) falls to
-``RESIDUAL_RTOL`` of its start value, or to the level that rounding the
-iterate leaves (``ROUNDING_EPSILONS`` machine epsilons of ``|H||v|`` per
-unit mass); a final polish at the target exponent removes the
-regularization.  A target stage or polish that ends above both raises
-``SolverError``.
+``RESIDUAL_RTOL`` of the residual of its plain start (the previous stage's
+end point) at its own exponent, or to the level that rounding the iterate
+leaves (``ROUNDING_EPSILONS`` machine epsilons of ``|H||v|`` per unit mass);
+a final polish at the target exponent removes the regularization.  A target
+stage or polish that ends above both raises ``SolverError``.  Torsion stages
+after the first start from a predictor (Allgower & Georg's
+predictor-corrector continuation): the lowest-energy of the plain start, its
+minimizer along its own ray (the torsion energy with zero boundary data is
+homogeneous along rays), and that rescaling of the Euler tangent step, which
+costs one solve with the end point's Hessian.  ``SolveResult.stages`` records
+each stage's start, steps, LUs, target and residual.
 
 As p grows the torsion solution approaches the boundary distance function;
 ``torsion_infinity_gap`` measures that gap.  ``infinity_torsion_ball``
@@ -43,6 +49,7 @@ __all__ = [
     "SolverError",
     "SolverConfig",
     "SolveResult",
+    "StageRecord",
     "TorsionGap",
     "InfinityTorsionProfile",
     "continuation_ladder",
@@ -145,6 +152,23 @@ def continuation_ladder(p: float) -> tuple[float, ...]:
     return tuple(ladder)
 
 
+@dataclass(frozen=True)
+class StageRecord:
+    """One continuation stage or polish: its exponent and regularization,
+    the kind of its start (``plain``: the previous stage's end point;
+    ``rescaled`` or ``tangent``: see ``_Newton.predict``), its Newton steps,
+    the LUs made since the previous stage ended (a tangent solve's
+    included), its stop target and its final strong residual."""
+
+    p: float
+    delta: float
+    start: str
+    iterations: int
+    factorizations: int
+    target: float
+    residual: float
+
+
 @dataclass
 class SolveResult:
     """Solution field plus convergence diagnostics.
@@ -152,7 +176,8 @@ class SolveResult:
     ``optimality_residual`` is the sup over degrees of freedom of the energy
     gradient divided by the lumped mass — a nodal strong-form residual in
     the units of the load.  ``iterations`` counts Newton steps over all
-    stages and ``factorizations`` the sparse LUs they made.
+    stages and ``factorizations`` the sparse LUs they made; ``stages`` holds
+    one :class:`StageRecord` per stage and polish, in order.
     """
 
     field: ScalarField
@@ -162,6 +187,7 @@ class SolveResult:
     final_energy: float
     optimality_residual: float
     energy_history: np.ndarray
+    stages: list[StageRecord]
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +240,8 @@ class _Newton:
     or, when that needs more than ``PCG_MAX_ITERATIONS`` iterations, by a
     fresh LU of ``H``.  The LU carries over from stage to stage, and at most
     one is alive.  Steps are capped and backtracked to a strict energy
-    decrease.
+    decrease.  :meth:`predict` chooses a torsion stage's start; each stage
+    appends its :class:`StageRecord` to ``stages``.
     """
 
     def __init__(self, core: VariationalCore, cfg: SolverConfig, load):
@@ -225,7 +252,9 @@ class _Newton:
         self.iterations = 0
         self.factorizations = 0
         self.energy = math.nan
+        self.hessian = None  # at the end point of the last stage
         self.history: list[float] = []  # energy after each accepted step
+        self.stages: list[StageRecord] = []
 
     def objective(self, v, p, delta):
         e, g = self.core.energy_grad(v, p, delta)
@@ -247,19 +276,18 @@ class _Newton:
         d[core.dof_index] = x
         return d.reshape(v.shape)
 
-    def stage(self, v, p, delta, max_iterations, target=None, strict=False):
-        """Descend at exponent ``p`` until the strong residual is at most
-        ``target`` (default: ``RESIDUAL_RTOL`` times its start value) or at
-        the rounding level of the gradient; returns ``(v, residual,
-        target)``.  Ends early after ``stall_window`` steps that each lower
-        the energy by less than ``tol`` relatively and do not lower the
-        residual, or on a step that no backtrack makes decrease the energy;
-        ``strict`` raises ``SolverError`` if it then ends unconverged."""
+    def stage(self, v, p, delta, max_iterations, target, start="plain", strict=False):
+        """Descend at exponent ``p`` from ``v`` until the strong residual is
+        at most ``target`` or at the rounding level of the gradient, and
+        append a :class:`StageRecord` (``start`` names the start's kind);
+        returns ``(v, residual)``.  Ends early after ``stall_window`` steps
+        that each lower the energy by less than ``tol`` relatively and do not
+        lower the residual, or on a step that no backtrack makes decrease the
+        energy; ``strict`` raises ``SolverError`` if it then ends
+        unconverged.  The Hessian at the end point stays in ``hessian``."""
         core, cfg = self.core, self.cfg
         e, g = self.objective(v, p, delta)
         residual = _strong_residual(core, g)
-        if target is None:
-            target = RESIDUAL_RTOL * residual
         H = core.hessian(v, p, delta)
         tau = 1.0
         stall = 0
@@ -297,12 +325,53 @@ class _Newton:
                 break
         self.iterations += its
         self.energy = e
+        self.hessian = H
+        # LUs since the last stage ended, the start's tangent solve included
+        lus = self.factorizations - sum(s.factorizations for s in self.stages)
+        self.stages.append(StageRecord(p=p, delta=delta, start=start, iterations=its,
+                                       factorizations=lus, target=target, residual=residual))
         floor = _rounding_residual(core, H, v)
         if strict and residual > max(target, floor):
             raise SolverError(f"p = {p:g} descent stopped at strong residual {residual:.3e} "
                               f"above the tolerance {target:.3e} and the rounding level "
                               f"{floor:.3e}", iterations=self.iterations, residual=residual)
-        return v, residual, target
+        return v, residual
+
+    def predict(self, v, p, delta):
+        """Start of the stage at ``(p, delta)`` from ``v``, the end point of
+        the last stage (at ``(p0, delta0)``) of a zero-boundary torsion
+        solve: whichever of ``v``, ``v`` rescaled along its ray
+        (:meth:`rescale`) and the rescaled Euler tangent prediction
+        ``v - (p - p0) w`` has the lowest objective at ``(p, delta)``, with
+        its kind (``plain``, ``rescaled`` or ``tangent``).  ``-w`` is the
+        tangent ``dv/dp``: ``H w = d/dp grad E(v; p0, delta0)``, the
+        derivative in p of the optimality condition, with the end point's
+        Hessian ``H``, solved by :meth:`direction` (PCG on the live LU, or a
+        fresh LU counted in ``factorizations``)."""
+        p0, delta0 = self.stages[-1].p, self.stages[-1].delta
+        w = self.direction(v, self.core.energy_grad_dp(v, p0, delta0), self.hessian)
+        best, kind = v, "plain"
+        e_best = self.objective(v, p, delta)[0]
+        for name, cand in (("rescaled", self.rescale(v, p)),
+                           ("tangent", self.rescale(v - (p - p0) * w, p))):
+            if cand is None:
+                continue
+            e = self.objective(cand, p, delta)[0]
+            if e < e_best:
+                best, kind, e_best = cand, name, e
+        return best, kind
+
+    def rescale(self, v, p):
+        """``s* v`` with ``s* = (B/A)^(1/(p-1))``, the minimizer of the
+        unregularized torsion energy ``s^p A/p - s B`` along the ray of ``v``
+        (``A = sum |grad v|^p |T|``, ``B = sum m load v``); None unless both
+        are positive and finite.  The energy is homogeneous along rays only
+        for zero boundary data."""
+        a = p * self.core.energy(v, p, 0.0)
+        b = float(np.sum(self.core.mass * self.load * v))
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            return None
+        return (b / a) ** (1.0 / (p - 1.0)) * v
 
 
 def _rounding_residual(core: VariationalCore, H, v: np.ndarray) -> float:
@@ -338,28 +407,43 @@ def _polish_deltas(p: float, delta: float) -> tuple[float, ...]:
 
 def _solve(core: VariationalCore, cfg: SolverConfig, boundary_values: np.ndarray,
            load: np.ndarray | None) -> SolveResult:
+    """Continuation over the stages p = 2 (delta = 0), then the ladder's
+    exponents (``cfg.delta``), then the polish at ``cfg.p``.
+
+    Every stage stops at ``RESIDUAL_RTOL`` times the strong residual of its
+    plain start, the end point of the previous stage, at its own ``(p,
+    delta)``; the polish keeps the last stage's target.  For torsion (a load
+    and zero boundary data, where the energy is homogeneous along rays) each
+    stage after the first starts from :meth:`_Newton.predict` instead.
+    """
     grid = core.grid
     ladder = cfg.ladder if cfg.ladder is not None else continuation_ladder(cfg.p)
     v = boundary_values.copy()
     v[core.dof_mask] = 0.0
     newton = _Newton(core, cfg, load)
+    predict = load is not None and not np.any(boundary_values)
     # p = 2 first: the energy is quadratic, so one Newton step is exact
     stages = (2.0,) + tuple(q for q in ladder if q != 2.0)
     for p_stage in stages:
         delta = 0.0 if p_stage == 2.0 else cfg.delta
-        v, residual, target = newton.stage(v, p_stage, delta, cfg.max_iterations,
-                                           strict=p_stage == stages[-1])
+        target = RESIDUAL_RTOL * _strong_residual(core, newton.objective(v, p_stage, delta)[1])
+        start = "plain"
+        if predict and newton.stages:
+            v, start = newton.predict(v, p_stage, delta)
+        v, residual = newton.stage(v, p_stage, delta, cfg.max_iterations, target, start,
+                                   strict=p_stage == stages[-1])
     if cfg.polish_iterations > 0 and cfg.p != 2.0:
         deltas = _polish_deltas(cfg.p, cfg.delta)
         for delta in deltas:
-            v, residual, _ = newton.stage(v, cfg.p, delta, cfg.polish_iterations, target,
-                                          strict=delta == deltas[-1])
+            v, residual = newton.stage(v, cfg.p, delta, cfg.polish_iterations, target,
+                                       strict=delta == deltas[-1])
     out = ScalarField(grid, np.where(grid.nonexterior, v, 0.0))
     return SolveResult(field=out, p=cfg.p, iterations=newton.iterations,
                        factorizations=newton.factorizations,
                        final_energy=newton.energy,
                        optimality_residual=residual,
-                       energy_history=np.asarray(newton.history))
+                       energy_history=np.asarray(newton.history),
+                       stages=newton.stages)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,13 @@ def test_solve_report_counts_factorizations(square_json, workdir, capsys):
                 "--domain", square_json, "--grid", "32", "--report", "s.json"]) == 0
     report = read_json("s.json")
     assert 1 <= report["factorizations"] <= report["iterations"]
+    stages = report["stages"]
+    assert [s["p"] for s in stages] == [2.0, 4.0, 8.0, 8.0]  # ladder, then polish
+    assert sum(s["iterations"] for s in stages) == report["iterations"]
+    assert sum(s["factorizations"] for s in stages) == report["factorizations"]
+    assert stages[0]["start"] == "plain"
+    assert {s["start"] for s in stages[1:3]} <= {"plain", "rescaled", "tangent"}
+    assert all(s["residual"] <= s["target"] for s in stages[-1:])
     assert (f"iterations={report['iterations']} "
             f"factorizations={report['factorizations']}") in capsys.readouterr().out
 

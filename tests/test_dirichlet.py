@@ -8,10 +8,13 @@ gradient and the lumped masses equal an element-by-element P1 loop, and the
 gradient is the derivative of the energy; the assembled
 Hessian is the derivative of the energy gradient and, at p = 2, the
 stiffness of an element-by-element P1 assembly; the factored descent metric
-is that Hessian plus the Neumann mass shift.  The dofs are the dof mask in
-nested-dissection order, every Hessian is canonical CSC, and its LU keeps the
-fill of that order: none on an interval, no more than the minimum-degree
-order on the n = 128 square, and none added by pivoting at a rough iterate.
+is that Hessian plus the Neumann mass shift; the gradient's derivative in p
+is a central difference in p of an element-loop gradient, and predicted
+torsion stage starts keep the plain start's stop target and final field.
+The dofs are the dof mask in nested-dissection order, every Hessian is
+canonical CSC, and its LU keeps the fill of that order: none on an interval,
+no more than the minimum-degree order on the n = 128 square, and none added
+by pivoting at a rough iterate.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
+from plaplab import dirichlet
 from plaplab._variational import VariationalCore, make_core
 from plaplab.dirichlet import (
     SolverConfig,
@@ -152,10 +156,71 @@ def test_torsion_final_residual_contract(name, p):
 @pytest.mark.parametrize("name", list(RESIDUAL_DOMAINS))
 def test_harmonic_final_residual_contract(name):
     # measured 3.6e-7 (square) and 5.6e-7 (disc); energy-stall stops read
-    # 3.4e-4 and 7.7e-5
+    # 3.4e-4 and 7.7e-5.  The solver's own stop target for these cases is
+    # 2.14e-6 (square) and 5.13e-6 (disc), above this bound: the test passes
+    # on Newton's overshoot of the target, which is why p-harmonic solves
+    # keep the plain start of each stage
     grid = build_grid(RESIDUAL_DOMAINS[name], 64)
     res = solve_p_harmonic(grid, lambda x, y: np.sin(3 * x) + y, p=4.0)
     assert res.optimality_residual <= 2e-6
+
+
+def _plain_start_residual(core, v, p, delta):
+    """Strong residual of the torsion objective at ``v``: max |grad| / mass
+    over the dofs."""
+    g = core.energy_grad(v, p, delta)[1] + core.load_grad(np.ones(v.shape))
+    return float(np.max(np.abs(g[core.dof_mask]) / core.mass[core.dof_mask]))
+
+
+def _torsion_energy(core, v, p, delta):
+    return core.energy(v, p, delta) - float(np.sum(core.mass * v))
+
+
+@pytest.mark.parametrize("name", list(RESIDUAL_DOMAINS))
+@pytest.mark.parametrize("p", [1.5, 32.0])
+def test_predicted_stage_starts_keep_the_plain_start_target(name, p, monkeypatch):
+    grid = build_grid(RESIDUAL_DOMAINS[name], 32)
+    core = make_core(grid, "dirichlet")
+    calls = []
+    stage = dirichlet._Newton.stage
+
+    def spy(self, v, p_stage, delta, max_iterations, target, start="plain", strict=False):
+        out = stage(self, v, p_stage, delta, max_iterations, target, start, strict)
+        calls.append((v.copy(), p_stage, delta, target, start, out[0].copy()))
+        return out
+
+    monkeypatch.setattr(dirichlet._Newton, "stage", spy)
+    res = solve_p_torsion(grid, p=p)
+    ladder = len(continuation_ladder(p))
+    assert [c[4] for c in calls] == [s.start for s in res.stages]
+    assert calls[0][4] == "plain" and any(c[4] != "plain" for c in calls[1:ladder])
+    for prev, (v, p_stage, delta, target, start, _) in zip(calls, calls[1:ladder]):
+        plain = prev[5]
+        assert target == pytest.approx(
+            dirichlet.RESIDUAL_RTOL * _plain_start_residual(core, plain, p_stage, delta), rel=1e-12)
+        assert _torsion_energy(core, v, p_stage, delta) <= _torsion_energy(core, plain, p_stage, delta)
+        assert start == "plain" or not np.array_equal(v, plain)
+    # the polish keeps the last stage's target
+    assert all(c[3] == calls[ladder - 1][3] for c in calls[ladder:])
+
+
+@pytest.mark.parametrize("name", list(RESIDUAL_DOMAINS))
+@pytest.mark.parametrize("p", [1.2, 1.5, 4.0, 8.0, 32.0])
+def test_predicted_starts_reach_the_plain_start_field(name, p, monkeypatch):
+    grid = build_grid(RESIDUAL_DOMAINS[name], 64)
+    predicted = solve_p_torsion(grid, p=p).field.values
+    monkeypatch.setattr(dirichlet._Newton, "predict", lambda self, v, *args: (v, "plain"))
+    plain = solve_p_torsion(grid, p=p)
+    assert all(s.start == "plain" for s in plain.stages)
+    assert np.max(np.abs(predicted - plain.field.values)) <= 1e-9 * np.max(np.abs(plain.field.values))
+
+
+def test_predicted_starts_halve_the_lus_at_p32():
+    # 6 LUs with the predictor, 13 from plain starts
+    res = solve_p_torsion(build_grid(Domain.unit_square(), 64), p=32.0)
+    assert res.factorizations <= 8
+    assert sum(s.factorizations for s in res.stages) == res.factorizations
+    assert sum(s.iterations for s in res.stages) == res.iterations
 
 
 def test_core_is_freed_with_its_grid():
@@ -351,6 +416,33 @@ def test_weighted_factor_is_the_shifted_hessian(name, bc, p):
     expected = spla.spsolve(matrix.tocsc(), s.ravel()[core.dof_index])
     got = core.precond_solve(s, core.weighted_factor(v, p, delta)).ravel()[core.dof_index]
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def _loop_gradient(grid, flat, p, delta):
+    """Energy gradient by an element loop; a flat element contributes 0."""
+    grad = np.zeros(flat.size)
+    for nodes, grads, measure in oracles.p1_elements(grid):
+        g = grads.T @ flat[nodes]
+        t = float(g @ g) + delta**2
+        if t > 0.0:
+            grad[nodes] += measure * t ** (p / 2.0 - 1.0) * (grads @ g)
+    return grad
+
+
+@pytest.mark.parametrize("name", ["square", "interval"])
+@pytest.mark.parametrize("p, delta", [(1.5, 1e-3), (4.0, 1e-3), (32.0, 1e-3), (2.0, 0.0)])
+def test_energy_grad_dp_matches_finite_differences_in_p(name, p, delta):
+    grid, core, v, _ = _hessian_case(name, seed=int(p * 10) + 3)
+    if delta == 0.0:
+        # a constant patch: flat elements, where ln s is -inf at delta = 0
+        v[(slice(0, 8),) * grid.dim] = 0.25
+    got = core.energy_grad_dp(v, p, delta).ravel()
+    assert np.all(np.isfinite(got))
+    eps = 1e-6
+    fd = (_loop_gradient(grid, v.ravel(), p + eps, delta)
+          - _loop_gradient(grid, v.ravel(), p - eps, delta)) / (2.0 * eps)
+    fd = np.where(core.dof_mask.ravel(), fd, 0.0)
+    assert np.linalg.norm(got - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 def test_in_place_edit_of_a_hessian_leaves_the_shared_pattern_intact():
