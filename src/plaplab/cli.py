@@ -186,6 +186,7 @@ def _cmd_solve(args):
     report.update({
         "iterations": res.iterations,
         "factorizations": res.factorizations,
+        "pcgIterations": res.pcg_iterations,
         "finalEnergy": res.final_energy,
         "optimalityResidual": res.optimality_residual,
         "stages": [dataclasses.asdict(s) for s in res.stages],

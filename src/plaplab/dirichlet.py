@@ -10,11 +10,17 @@ inexact Newton method with p-continuation (a ladder of intermediate
 exponents warm-starting each stage, after an exact p = 2 step).  Each
 direction solves ``H d = grad E`` with the assembled Hessian ``H`` of the
 stage's energy by conjugate gradients, preconditioned with the last LU of a
-Hessian, to relative residual ``NEWTON_RTOL``; when that takes more than
-``PCG_MAX_ITERATIONS`` iterations, ``H`` itself is factored.  Steps are
-capped and backtracked to an energy decrease.  A stage stops once the
-strong residual (``SolveResult.optimality_residual``) falls to
-``RESIDUAL_RTOL`` of the residual of its plain start (the previous stage's
+Hessian, to the relative residual of an Eisenstat-Walker forcing term
+(choice 2): ``NEWTON_RTOL`` for a stage's first direction, then
+``0.9 (r_k / r_{k-1})^2`` from the stage's strong residuals r, safeguarded
+and capped at 0.9, so early systems are solved loosely and late ones
+tightly.  A PCG of at most ``PCG_MAX_ITERATIONS`` iterations that misses its
+forcing term still serves if it reaches ``NEWTON_RTOL``; otherwise ``H``
+itself is factored.  Each LU serves at most ``LU_PCG_BUDGET`` PCG
+iterations, about the cost of one factorization, before the next direction
+refactors.  Steps are capped and backtracked to an energy decrease.  A stage
+stops once the strong residual (``SolveResult.optimality_residual``) falls
+to ``RESIDUAL_RTOL`` of the residual of its plain start (the previous stage's
 end point) at its own exponent, or to the level that rounding the iterate
 leaves (``ROUNDING_EPSILONS`` machine epsilons of ``|H||v|`` per unit mass);
 a final polish at the target exponent removes the regularization.  A target
@@ -24,7 +30,7 @@ predictor-corrector continuation): the lowest-energy of the plain start, its
 minimizer along its own ray (the torsion energy with zero boundary data is
 homogeneous along rays), and that rescaling of the Euler tangent step, which
 costs one solve with the end point's Hessian.  ``SolveResult.stages`` records
-each stage's start, steps, LUs, target and residual.
+each stage's start, steps, LUs, PCG iterations, target and residual.
 
 As p grows the torsion solution approaches the boundary distance function;
 ``torsion_infinity_gap`` measures that gap.  ``infinity_torsion_ball``
@@ -87,7 +93,9 @@ class SolverConfig:
     gradient norm; a final polish of at most ``polish_iterations`` steps
     removes it (for p < 2, where the unregularized weight is singular, it is
     lowered by factors of 100 to 1e-12, each with its own polish).
-    ``ladder`` overrides the automatic p-continuation sequence.
+    ``ladder`` overrides the automatic p-continuation sequence.  The linear
+    algebra of each Newton step (Eisenstat-Walker forcing terms and
+    ``LU_PCG_BUDGET`` PCG iterations per LU) follows the module constants.
     """
 
     p: float = 2.0
@@ -157,14 +165,16 @@ class StageRecord:
     """One continuation stage or polish: its exponent and regularization,
     the kind of its start (``plain``: the previous stage's end point;
     ``rescaled`` or ``tangent``: see ``_Newton.predict``), its Newton steps,
-    the LUs made since the previous stage ended (a tangent solve's
-    included), its stop target and its final strong residual."""
+    the LUs made and PCG iterations run since the previous stage ended (a
+    tangent solve's included), its stop target and its final strong
+    residual."""
 
     p: float
     delta: float
     start: str
     iterations: int
     factorizations: int
+    pcg_iterations: int
     target: float
     residual: float
 
@@ -176,7 +186,8 @@ class SolveResult:
     ``optimality_residual`` is the sup over degrees of freedom of the energy
     gradient divided by the lumped mass — a nodal strong-form residual in
     the units of the load.  ``iterations`` counts Newton steps over all
-    stages and ``factorizations`` the sparse LUs they made; ``stages`` holds
+    stages, ``factorizations`` the sparse LUs they made and
+    ``pcg_iterations`` the PCG iterations they ran; ``stages`` holds
     one :class:`StageRecord` per stage and polish, in order.
     """
 
@@ -184,6 +195,7 @@ class SolveResult:
     p: float
     iterations: int
     factorizations: int
+    pcg_iterations: int
     final_energy: float
     optimality_residual: float
     energy_history: np.ndarray
@@ -198,50 +210,82 @@ RESIDUAL_RTOL = 1e-8
 #: residuals below this many machine epsilons of ``|H||v|`` per unit mass are
 #: rounding noise: a rounding-level change of ``v`` moves the gradient by that
 ROUNDING_EPSILONS = 4.0
-#: relative residual to which PCG solves the Newton system
+#: forcing term of each stage's first Newton direction and of each tangent
+#: solve, and the relative residual that any PCG iterate must meet
 NEWTON_RTOL = 0.1
-#: PCG iterations on the last LU before the Hessian is refactored instead
+#: Eisenstat-Walker choice 2: eta = FORCING_GAMMA (r_k / r_{k-1})^2, at most
+#: FORCING_MAX
+FORCING_GAMMA = 0.9
+FORCING_MAX = 0.9
+#: PCG iterations per Newton system
 PCG_MAX_ITERATIONS = 8
+#: PCG iterations one LU serves, counted from its factorization, before the
+#: next direction refactors: one Hessian LU costs about as much as 15-28
+#: triangular solves at n = 32-192 (one thread of a 2-core x86-64 VM).  A
+#: count, not a timer, so that no result depends on timing
+LU_PCG_BUDGET = 20
 #: relative energy change below which trial energies are rounding noise
 ENERGY_ROUNDING = 1e-13
 
 
-def _pcg(H, b: np.ndarray, factor) -> np.ndarray | None:
-    """Solve ``H x = b`` to relative residual ``NEWTON_RTOL`` by conjugate
-    gradients preconditioned with ``factor``; None after
-    ``PCG_MAX_ITERATIONS`` iterations or on a nonpositive curvature."""
+def _forcing(residual: float, r_old: float, eta_old: float) -> float:
+    """Eisenstat & Walker's choice 2 of the next forcing term:
+    ``FORCING_GAMMA (residual / r_old)^2``, raised to ``FORCING_GAMMA
+    eta_old^2`` when that exceeds ``NEWTON_RTOL`` (so that one lucky step
+    does not demand an oversolve), and capped at ``FORCING_MAX``."""
+    eta = FORCING_GAMMA * (residual / r_old) ** 2
+    floor = FORCING_GAMMA * eta_old ** 2
+    if floor > NEWTON_RTOL:
+        eta = max(eta, floor)
+    return min(eta, FORCING_MAX)
+
+
+def _pcg(H, b: np.ndarray, factor, rtol: float, max_iterations: int):
+    """Solve ``H x = b`` to relative residual ``rtol`` by conjugate gradients
+    preconditioned with ``factor``, in at most ``max_iterations``
+    iterations; returns ``(x, iterations)``.  A solve that stops short (out
+    of iterations, or on a nonpositive curvature) still returns its iterate
+    if that meets ``NEWTON_RTOL``, and None for ``x`` otherwise."""
     x = np.zeros_like(b)
     r = b.copy()
     z = factor.solve(r)
     d = z.copy()
     rz = float(r @ z)
-    stop = NEWTON_RTOL * float(np.linalg.norm(b))
-    for _ in range(PCG_MAX_ITERATIONS):
+    b_norm = float(np.linalg.norm(b))
+    r_norm = b_norm
+    its = 0
+    while its < max_iterations:
+        its += 1
         hd = H @ d
         curv = float(d @ hd)
         if not curv > 0.0:
-            return None
+            break
         alpha = rz / curv
         x += alpha * d
         r -= alpha * hd
-        if np.linalg.norm(r) <= stop:
-            return x
+        r_norm = float(np.linalg.norm(r))
+        if r_norm <= rtol * b_norm:
+            return x, its
         z = factor.solve(r)
         rz, rz_old = float(r @ z), rz
         d = z + (rz / rz_old) * d
-    return None
+    return (x if r_norm <= NEWTON_RTOL * b_norm else None), its
 
 
 class _Newton:
     """Damped inexact Newton descent on the regularized p-energy.
 
     The direction solves ``H d = grad E`` with the exact Hessian ``H`` of
-    the current stage: by PCG preconditioned with the last LU of a Hessian,
-    or, when that needs more than ``PCG_MAX_ITERATIONS`` iterations, by a
-    fresh LU of ``H``.  The LU carries over from stage to stage, and at most
-    one is alive.  Steps are capped and backtracked to a strict energy
-    decrease.  :meth:`predict` chooses a torsion stage's start; each stage
-    appends its :class:`StageRecord` to ``stages``.
+    the current stage by PCG preconditioned with the last LU of a Hessian,
+    to the forcing term ``eta`` (:func:`_forcing`; ``NEWTON_RTOL`` for a
+    stage's first direction and for a tangent solve), in at most
+    ``PCG_MAX_ITERATIONS`` iterations and no more than the LU has left of
+    its ``LU_PCG_BUDGET``.  When no LU is alive, its budget is spent, or
+    PCG ends above ``NEWTON_RTOL``, a fresh LU of ``H`` solves it.  The LU
+    carries over from stage to stage, and at most one is alive.  Steps are
+    capped and backtracked to a strict energy decrease.  :meth:`predict`
+    chooses a torsion stage's start; each stage appends its
+    :class:`StageRecord` to ``stages``.
     """
 
     def __init__(self, core: VariationalCore, cfg: SolverConfig, load):
@@ -249,8 +293,10 @@ class _Newton:
         self.cfg = cfg
         self.load = load
         self.factor = None
+        self.factor_pcg = 0  # PCG iterations the live LU has served
         self.iterations = 0
         self.factorizations = 0
+        self.pcg_iterations = 0
         self.energy = math.nan
         self.hessian = None  # at the end point of the last stage
         self.history: list[float] = []  # energy after each accepted step
@@ -263,13 +309,19 @@ class _Newton:
             g = g + self.core.load_grad(self.load)
         return e, g
 
-    def direction(self, v, g, H) -> np.ndarray:
+    def direction(self, v, g, H, eta=NEWTON_RTOL) -> np.ndarray:
         core = self.core
         b = g.ravel()[core.dof_index]
-        x = None if self.factor is None else _pcg(H, b, self.factor)
+        x = None
+        budget = LU_PCG_BUDGET - self.factor_pcg
+        if self.factor is not None and budget > 0:
+            x, its = _pcg(H, b, self.factor, eta, min(PCG_MAX_ITERATIONS, budget))
+            self.factor_pcg += its
+            self.pcg_iterations += its
         if x is None:
             self.factor = None  # free the old LU before the new one is built
             self.factor = core.factor(H)
+            self.factor_pcg = 0
             self.factorizations += 1
             x = self.factor.solve(b)
         d = np.zeros(v.size)
@@ -290,11 +342,12 @@ class _Newton:
         residual = _strong_residual(core, g)
         H = core.hessian(v, p, delta)
         tau = 1.0
+        eta = NEWTON_RTOL
         stall = 0
         its = 0
         while residual > max(target, _rounding_residual(core, H, v)) and its < max_iterations:
             its += 1
-            d = self.direction(v, g, H)
+            d = self.direction(v, g, H, eta)
             # cap runaway steps for strongly nonlinear exponents
             scale_ref = max(float(np.max(np.abs(v[core.dof_mask]), initial=0.0)), 1.0)
             dmax = float(np.max(np.abs(d)))
@@ -318,6 +371,7 @@ class _Newton:
             v, e, g = v_try, e_try, g_try
             self.history.append(e)
             r_old, residual = residual, _strong_residual(core, g)
+            eta = _forcing(residual, r_old, eta)
             H = core.hessian(v, p, delta)
             tau = min(t * 2.0, 1.0)
             stall = stall + 1 if rel_drop < cfg.tol and residual >= r_old else 0
@@ -326,10 +380,13 @@ class _Newton:
         self.iterations += its
         self.energy = e
         self.hessian = H
-        # LUs since the last stage ended, the start's tangent solve included
+        # LUs and PCG iterations since the last stage ended, the start's
+        # tangent solve included
         lus = self.factorizations - sum(s.factorizations for s in self.stages)
+        pcg = self.pcg_iterations - sum(s.pcg_iterations for s in self.stages)
         self.stages.append(StageRecord(p=p, delta=delta, start=start, iterations=its,
-                                       factorizations=lus, target=target, residual=residual))
+                                       factorizations=lus, pcg_iterations=pcg,
+                                       target=target, residual=residual))
         floor = _rounding_residual(core, H, v)
         if strict and residual > max(target, floor):
             raise SolverError(f"p = {p:g} descent stopped at strong residual {residual:.3e} "
@@ -440,6 +497,7 @@ def _solve(core: VariationalCore, cfg: SolverConfig, boundary_values: np.ndarray
     out = ScalarField(grid, np.where(grid.nonexterior, v, 0.0))
     return SolveResult(field=out, p=cfg.p, iterations=newton.iterations,
                        factorizations=newton.factorizations,
+                       pcg_iterations=newton.pcg_iterations,
                        final_energy=newton.energy,
                        optimality_residual=residual,
                        energy_history=np.asarray(newton.history),

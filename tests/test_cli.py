@@ -133,6 +133,7 @@ def test_solve_report_counts_factorizations(square_json, workdir, capsys):
     assert [s["p"] for s in stages] == [2.0, 4.0, 8.0, 8.0]  # ladder, then polish
     assert sum(s["iterations"] for s in stages) == report["iterations"]
     assert sum(s["factorizations"] for s in stages) == report["factorizations"]
+    assert sum(s["pcg_iterations"] for s in stages) == report["pcgIterations"]
     assert stages[0]["start"] == "plain"
     assert {s["start"] for s in stages[1:3]} <= {"plain", "rescaled", "tangent"}
     assert all(s["residual"] <= s["target"] for s in stages[-1:])

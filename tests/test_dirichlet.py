@@ -11,6 +11,9 @@ stiffness of an element-by-element P1 assembly; the factored descent metric
 is that Hessian plus the Neumann mass shift; the gradient's derivative in p
 is a central difference in p of an element-loop gradient, and predicted
 torsion stage starts keep the plain start's stop target and final field.
+Eisenstat-Walker forcing with a per-LU PCG budget reaches the field of fixed
+forcing, keeps every LU within its budget, starts each stage and tangent
+solve at ``NEWTON_RTOL`` and decides nothing by timing.
 The dofs are the dof mask in nested-dissection order, every Hessian is
 canonical CSC, and its LU keeps the fill of that order: none on an interval,
 no more than the minimum-degree order on the n = 128 square, and none added
@@ -221,6 +224,118 @@ def test_predicted_starts_halve_the_lus_at_p32():
     assert res.factorizations <= 8
     assert sum(s.factorizations for s in res.stages) == res.factorizations
     assert sum(s.iterations for s in res.stages) == res.iterations
+
+
+@pytest.mark.parametrize("name", list(RESIDUAL_DOMAINS))
+@pytest.mark.parametrize("p", [1.2, 1.5, 4.0, 8.0, 32.0])
+def test_forcing_and_budget_reach_the_fixed_forcing_field(name, p, monkeypatch):
+    grid = build_grid(RESIDUAL_DOMAINS[name], 64)
+    forced = solve_p_torsion(grid, p=p).field.values
+    # the rule before: every Newton system to NEWTON_RTOL, each LU kept until
+    # PCG fails
+    monkeypatch.setattr(dirichlet, "_forcing", lambda residual, r_old, eta: dirichlet.NEWTON_RTOL)
+    monkeypatch.setattr(dirichlet, "LU_PCG_BUDGET", math.inf)
+    fixed = solve_p_torsion(grid, p=p).field.values
+    assert np.max(np.abs(forced - fixed)) <= 1e-9 * np.max(np.abs(fixed))
+
+
+def test_identical_solves_agree_bit_for_bit():
+    grid = build_grid(Domain.disc((0.0, 0.0), 1.0), 64)
+    a, b = solve_p_torsion(grid, p=32.0), solve_p_torsion(grid, p=32.0)
+    assert np.array_equal(a.field.values, b.field.values)
+    assert a.stages == b.stages
+
+
+@pytest.mark.parametrize("name, p", [("square", 32.0), ("disc", 1.5)])
+def test_newton_solves_follow_the_forcing_and_budget_rules(name, p, monkeypatch):
+    events = []
+    pcg, factor = dirichlet._pcg, VariationalCore.factor
+    direction, stage, predict = (dirichlet._Newton.direction, dirichlet._Newton.stage,
+                                 dirichlet._Newton.predict)
+
+    def pcg_spy(H, b, lu, rtol, max_iterations):
+        x, its = pcg(H, b, lu, rtol, max_iterations)
+        events.append(("pcg", its, max_iterations))
+        return x, its
+
+    def factor_spy(matrix):
+        events.append(("lu",))
+        return factor(matrix)
+
+    def direction_spy(self, v, g, H, eta=dirichlet.NEWTON_RTOL):
+        events.append(("direction", eta))
+        return direction(self, v, g, H, eta)
+
+    def stage_spy(self, *args, **kwargs):
+        events.append(("stage",))
+        return stage(self, *args, **kwargs)
+
+    def predict_spy(self, *args):
+        events.append(("predict",))
+        return predict(self, *args)
+
+    monkeypatch.setattr(dirichlet, "_pcg", pcg_spy)
+    monkeypatch.setattr(VariationalCore, "factor", staticmethod(factor_spy))
+    monkeypatch.setattr(dirichlet._Newton, "direction", direction_spy)
+    monkeypatch.setattr(dirichlet._Newton, "stage", stage_spy)
+    monkeypatch.setattr(dirichlet._Newton, "predict", predict_spy)
+    res = solve_p_torsion(build_grid(RESIDUAL_DOMAINS[name], 64), p=p)
+
+    # no LU serves more than the budget, and no PCG is allowed past it; each
+    # stage's first direction and each tangent solve run at NEWTON_RTOL
+    served, first, etas = None, False, []
+    for event in events:
+        if event[0] == "lu":
+            served = 0
+        elif event[0] == "pcg":
+            assert event[2] == min(dirichlet.PCG_MAX_ITERATIONS, dirichlet.LU_PCG_BUDGET - served)
+            served += event[1]
+            assert served <= dirichlet.LU_PCG_BUDGET
+        elif event[0] in ("stage", "predict"):
+            first = True
+        elif event[0] == "direction":
+            assert event[1] == dirichlet.NEWTON_RTOL or not first
+            first = False
+            etas.append(event[1])
+    assert all(0.0 < eta <= dirichlet.FORCING_MAX for eta in etas)
+    assert any(eta != dirichlet.NEWTON_RTOL for eta in etas)
+    assert res.pcg_iterations == sum(e[1] for e in events if e[0] == "pcg")
+    assert res.pcg_iterations == sum(s.pcg_iterations for s in res.stages)
+    assert res.factorizations == sum(e[0] == "lu" for e in events)
+
+
+def test_forcing_term_is_eisenstat_walker_choice_2():
+    rtol, gamma = dirichlet.NEWTON_RTOL, dirichlet.FORCING_GAMMA
+    assert dirichlet._forcing(1e-3, 1e-1, rtol) == pytest.approx(gamma * 1e-4)
+    # a large previous term keeps the next one from collapsing
+    assert dirichlet._forcing(1e-3, 1e-1, 0.5) == pytest.approx(gamma * 0.25)
+    assert dirichlet._forcing(1e-3, 1e-1, 0.3) == pytest.approx(gamma * 1e-4)
+    assert dirichlet._forcing(2.0, 1.0, rtol) == dirichlet.FORCING_MAX
+
+
+def test_direction_short_of_its_forcing_keeps_the_lu_within_newton_rtol():
+    grid = build_grid(Domain.unit_square(), 32)
+    core = make_core(grid, "dirichlet")
+    v = solve_p_torsion(grid, p=2.0).field.values
+    newton = dirichlet._Newton(core, SolverConfig(p=4.0), np.ones(grid.shape))
+    newton.factor = core.factor(core.hessian(v, 3.5, 1e-6))  # stale: from p = 3.5
+    H = core.hessian(v, 4.0, 1e-6)
+    g = newton.objective(v, 4.0, 1e-6)[1]
+    b = g.ravel()[core.dof_index]
+
+    def relative_residual(d):
+        return np.linalg.norm(H @ d.ravel()[core.dof_index] - b) / np.linalg.norm(b)
+
+    d = newton.direction(v, g, H, eta=1e-30)
+    assert newton.factorizations == 0
+    assert newton.pcg_iterations == newton.factor_pcg == dirichlet.PCG_MAX_ITERATIONS
+    assert 1e-30 < relative_residual(d) <= dirichlet.NEWTON_RTOL
+    # the budget's last iteration ends above NEWTON_RTOL: a fresh LU solves
+    newton.factor_pcg = dirichlet.LU_PCG_BUDGET - 1
+    d = newton.direction(v, g, H, eta=1e-30)
+    assert newton.factorizations == 1 and newton.factor_pcg == 0
+    assert newton.pcg_iterations == dirichlet.PCG_MAX_ITERATIONS + 1
+    assert relative_residual(d) <= 1e-10
 
 
 def test_core_is_freed_with_its_grid():
