@@ -402,6 +402,7 @@ def _cmd_flow(args):
         artifacts.append(args.trace)
     report = {"p": p if math.isfinite(p) else "inf", "bc": args.bc,
               "dt": run.dt, "delta": run.delta, "tEnd": args.t_end,
+              "finalTime": float(run.times[-1]),
               "steps": len(run.times) - 1, "init": args.init,
               "fittedRate": run.fitted_rate, "fitR2": run.fit_r2}
     if args.report:

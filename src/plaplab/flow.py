@@ -12,8 +12,9 @@ runs pin the boundary collar to zero; Neumann runs reflect mirror ghosts
 across the lattice faces, which realizes the zero-normal-derivative
 condition and is available for domains that fill their bounding lattice
 (rectangles and intervals).  At p = 2 the normalized operator collapses
-algebraically to half the Laplacian, so the trajectory coincides with the
-explicit heat scheme of diffusivity 1/2 to round-off.
+algebraically to half the Laplacian, and the trajectory is the 5-point
+heat step of diffusivity 1/2, bit for bit; the stencil skips its u_nn part
+there to save passes.
 
 ``run_flow`` steps in place: it allocates one raw state array (with the
 ghost halo for Neumann), the right-hand side, the stencil work buffers, the

@@ -286,3 +286,62 @@ def p1_stiffness(grid, dofs):
                     vals.append(local[a, b])
     m = len(dofs)
     return coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
+
+
+def normalized_stencil_two_part(v, h: float, p: float, delta: float, scale: float,
+                                out, work) -> None:
+    """The flat normalized-operator kernel as it stood before it learnt to
+    skip its u_nn part where that part's coefficient is zero: every p
+    evaluates both parts.
+
+    ``scale/(p h^2) (Sxx + Syy) + scale (1 - 2/p)/h^2 h^2 u_nn`` on the flat
+    span ``[S, v.size - S)`` of ``v`` in C order, ``S`` the sum of its element
+    strides, with ``h^2 u_nn = (a^2 Sxx + ab Sxy/2 + b^2 Syy) / (a^2 + b^2 +
+    4h^2 delta^2)`` in the unscaled differences; ``work`` holds six buffers
+    of the span's length.  The operations and their order are kept, so the
+    package kernel must reproduce this bit for bit, up to the sign of zero.
+    """
+    S = sum(math.prod(v.shape[k + 1:]) for k in range(v.ndim))
+    flat = v.reshape(-1)
+
+    def at(k):
+        return flat[S + k:flat.size - S + k]
+
+    def second_difference(ahead, mid, behind, dest):
+        np.multiply(mid, 2.0, out=dest)
+        np.subtract(ahead, dest, out=dest)
+        dest += behind
+
+    g2, num, lap, t = work[:4]
+    if v.ndim == 1:
+        a = np.subtract(at(1), at(-1), out=t)
+        second_difference(at(1), at(0), at(-1), lap)
+        np.multiply(a, a, out=g2)
+        np.multiply(g2, lap, out=num)
+    else:
+        N = v.shape[1]
+        a, b = t, work[4]
+        sxy, syy = work[5], out
+        np.subtract(at(N), at(-N), out=a)
+        np.subtract(at(1), at(-1), out=b)
+        second_difference(at(N), at(0), at(-N), lap)
+        second_difference(at(1), at(0), at(-1), syy)
+        np.subtract(at(N + 1), at(N - 1), out=sxy)
+        sxy -= at(1 - N)
+        sxy += at(-N - 1)
+        sxy *= 0.5
+        sxy *= a
+        sxy *= b
+        np.multiply(a, a, out=a)
+        np.multiply(b, b, out=b)
+        np.add(a, b, out=g2)
+        np.multiply(a, lap, out=num)
+        num += sxy
+        np.multiply(b, syy, out=b)
+        num += b
+        lap += syy
+    np.add(g2, max(4.0 * h * h * delta * delta, np.finfo(float).smallest_subnormal), out=t)
+    num /= t
+    np.multiply(lap, scale / (p * h * h), out=out)
+    num *= scale * (1.0 - 2.0 / p) / (h * h)
+    out += num

@@ -105,9 +105,12 @@ def test_flow_bump_trace(square_json, workdir):
                 "--tEnd", "0.01", "--init", "bump",
                 "--trace", "tr.csv", "--report", "fr.json"]) == 0
     report = read_json("fr.json")
-    assert set(report) == {"p", "bc", "dt", "delta", "tEnd", "steps", "init",
-                           "fittedRate", "fitR2"}
+    assert set(report) == {"p", "bc", "dt", "delta", "tEnd", "finalTime", "steps",
+                           "init", "fittedRate", "fitR2"}
     assert report["steps"] >= 1
+    # the step count is rounded up, so the run ends within one step past tEnd
+    assert report["finalTime"] == report["steps"] * report["dt"]
+    assert 0.01 <= report["finalTime"] < 0.01 + report["dt"]
     assert report["fittedRate"] > 0.0
     lines = open("tr.csv").read().splitlines()
     assert lines[0] == "t,supNorm"

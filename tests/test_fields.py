@@ -11,8 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracles
 from plaplab.fields import (
     _derivs,
+    _normalized_stencil,
+    _stencil_work,
     FieldError,
     Grid,
     GridError,
@@ -274,6 +277,46 @@ def test_normalized_matches_the_expression_in_central_derivatives(name, p, delta
     assert np.array_equal(got.flagged, g.interior & (g2 < floor * floor))
     assert np.count_nonzero(got.flagged) >= 1
     assert np.max(np.abs(got.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _plateau_case(name: str) -> ScalarField:
+    """``_normalized_case`` cut off at 90 % of its maximum: a flat top of
+    exactly zero gradient, ringed by nodes whose gradient is tiny."""
+    u = _normalized_case(name)
+    return ScalarField(u.grid, np.minimum(u.values, 0.9 * u.values.max()))
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, 32.0, np.inf])
+@pytest.mark.parametrize("name", ["square", "disc", "interval"])
+def test_stencil_matches_the_two_part_kernel(name, p, delta):
+    # the kernel skips its u_nn part only where that part's coefficient is
+    # zero, so it must reproduce the kernel that always evaluates both parts,
+    # bit for bit up to the sign of zero, on the whole span (halo garbage
+    # included)
+    for u in (_normalized_case(name), _plateau_case(name)):
+        for scale in (1.0, 0.37 * u.grid.h ** 2):
+            work = _stencil_work(u.values)
+            out = np.empty_like(work[0])
+            _normalized_stencil(u.values, u.grid.h, p, delta, scale, out, work)
+            ref_work = _stencil_work(u.values)
+            ref = np.empty_like(ref_work[0])
+            oracles.normalized_stencil_two_part(u.values, u.grid.h, p, delta, scale, ref, ref_work)
+            assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("name", ["square", "disc", "interval"])
+def test_normalized_p2_flags_come_from_the_central_gradient(name):
+    # the flags do not depend on p, although the kernel skips its u_nn part
+    # (where it forms |grad u|^2) at p = 2
+    u = _plateau_case(name)
+    d = _derivs(u)
+    g2 = d["ux"] ** 2 if u.grid.dim == 1 else d["ux"] ** 2 + d["uy"] ** 2
+    floor = default_grad_floor(u)
+    got = normalized_p_laplacian(u, 2.0)
+    assert np.array_equal(got.flagged, u.grid.interior & (g2 < floor * floor))
+    assert np.count_nonzero(got.flagged) >= 4
+    assert np.array_equal(got.flagged, normalized_p_laplacian(u, 4.0).flagged)
 
 
 def test_intrinsic_decomposition_identity():

@@ -176,6 +176,44 @@ def test_p2_neumann_flow_is_mirror_ghost_heat_equation(dim):
     assert float(np.max(np.abs(run.final.values - w))) < 1e-12
 
 
+def _five_point_sum(w):
+    """``(u_N - 2u + u_S) + (u_E - 2u + u_W)`` (one term in 1-D) on the
+    inner block of ``w``, evaluated left to right."""
+    c = np.s_[1:-1]
+    if w.ndim == 1:
+        return w[2:] - 2.0 * w[c] + w[:-2]
+    return ((w[2:, c] - 2.0 * w[c, c] + w[:-2, c])
+            + (w[c, 2:] - 2.0 * w[c, c] + w[c, :-2]))
+
+
+@pytest.mark.parametrize("domain, bc", [("square", "dirichlet"),
+                                        ("disc", "dirichlet"),
+                                        ("square", "neumann"),
+                                        ("interval", "neumann")])
+def test_p2_flow_is_the_five_point_heat_step_bit_for_bit(domain, bc):
+    # u + dt/(2h^2) (five-point sum), with the collar pinned after each step
+    # or the ghosts mirrored by np.pad before it
+    u0 = _flow_case(domain)
+    grid = u0.grid
+    dt = cfl_limit(grid, 2.0)
+    steps = 200
+    run = run_flow(u0, FlowConfig(p=2.0, bc=bc, t_end=steps * dt))
+    assert len(run.times) == steps + 1
+    coeff = dt / (2.0 * grid.h * grid.h)
+    w = u0.values.copy()
+    sups = [float(np.max(np.abs(w)))]
+    for _ in range(steps):
+        if bc == "neumann":
+            w = w + coeff * _five_point_sum(np.pad(w, 1, mode="reflect"))
+        else:
+            step = w.copy()
+            step[(np.s_[1:-1],) * grid.dim] += coeff * _five_point_sum(w)
+            w = np.where(grid.interior, step, 0.0)
+        sups.append(float(np.max(np.abs(w))))
+    assert np.array_equal(run.final.values, w)
+    assert np.array_equal(run.sup_trace, sups)
+
+
 def test_p4_neumann_flow_matches_a_mirror_ghost_oracle():
     # every step rebuilt from np.pad's reflection and the normalized
     # expression in scaled central derivatives, independently of the flat
