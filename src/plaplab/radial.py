@@ -7,13 +7,15 @@ normalized torsion problem becomes
     -(p-1) v'' - (n-1)/r v' = p,       v'(0) = 0 = v(R),
 
 solved in closed form by ``v = c(p,n)(R^2 - r^2)`` with
-``c = p/(2(n-2+p))``, and the normalized eigenvalue problem becomes the
-Bessel-type equation
+``c = p/(2(n-2+p))``, and the normalized eigenvalue problem becomes
 
     (p-1) v'' + (n-1)/r v' + p lam v = 0,   v'(0) = 0 = v(R),
 
-handled here by fixed-step shooting from a regularity expansion at the
-origin with bisection on the boundary value.  Two singular limits round out
+which is Bessel's equation of order ``nu = (n-p)/(2(p-1))`` in the
+effective dimension ``(n-1)/(p-1) + 1``: its eigenvalues are
+``lam_k = ((p-1)/p) (j_{nu,k}/R)^2`` and its profiles ``r^-nu J_nu(j r/R)``,
+computed here from the Bessel zeros (Kawohl, Kroemer & Kurtz, Differential
+Integral Equations 27, 2014).  Two singular limits round out
 the module: as p -> 1 the first eigenprofile approaches the Gaussian
 ``exp(-lam r^2 / (2(n-1)))`` away from a boundary layer at r = R, and for
 p > 2 the shifted-parabola "plateau" family shows how the equation
@@ -45,7 +47,7 @@ __all__ = [
 
 
 class RadialError(RuntimeError):
-    """Invalid radial-problem input or failed eigenvalue bracketing."""
+    """Invalid radial-problem input or a profile that is not finite."""
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,8 @@ class ShootingResult:
     """k-th radial eigenvalue with its profile.
 
     ``eigenvalue`` scales as R^-2; ``mismatch`` is |v(R)| relative to the
-    profile's sup at the converged eigenvalue; the profile has exactly
-    ``index - 1`` interior sign changes.
+    profile's sup, at rounding level for the closed form; the profile has
+    exactly ``index - 1`` interior sign changes.
     """
 
     p: float
@@ -93,7 +95,7 @@ class ShootingResult:
     def __post_init__(self):
         if self.mismatch > 1e-10:
             raise RadialError(
-                f"shooting mismatch {self.mismatch:.3e} exceeds 1e-10")
+                f"boundary mismatch {self.mismatch:.3e} exceeds 1e-10")
         if self.interior_sign_changes != self.index - 1:
             raise RadialError(
                 f"eigenvalue of index {self.index} must oscillate "
@@ -140,93 +142,90 @@ def normalized_torsion_radial(p: float, n: int, R: float,
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue shooting
+# eigenpairs from Bessel zeros
 
 
-def _integrate(lam, p: float, n: int, R: float, steps: int):
-    """Fixed-step RK4 for (p-1)v'' + (n-1)/r v' + p lam v = 0 from the
-    regularity expansion at eps = 1e-6 R; ``lam`` may be an array (one
-    trajectory per entry).  Returns (r, v, w) with w = v'."""
-    lam = np.asarray(lam, dtype=float)
-    eps = 1e-6 * R
-    r = np.linspace(eps, R, steps + 1)
-    h = (R - eps) / steps
-    v = np.ones(lam.shape)
-    w = -p * lam * eps / (p - 1.0 + n - 1.0)
-    vs = np.empty((steps + 1,) + lam.shape)
-    ws = np.empty_like(vs)
-    vs[0], ws[0] = v, w
+def _bessel_zero(nu: float, k: int) -> float:
+    """k-th positive zero of J_nu for nu > -1/2.
 
-    def rhs(ri, vi, wi):
-        return wi, -((n - 1.0) / ri * wi + p * lam * vi) / (p - 1.0)
+    J_nu is positive on (0, max(nu, 0)] and its zeros lie more than 2.9
+    apart, so a unit-step scan from there crosses one zero per sign
+    change; bisection then closes the bracket to adjacent floats.
+    """
+    from scipy.special import jv
 
-    for i in range(steps):
-        ri = r[i]
-        k1v, k1w = rhs(ri, v, w)
-        k2v, k2w = rhs(ri + h / 2, v + h / 2 * k1v, w + h / 2 * k1w)
-        k3v, k3w = rhs(ri + h / 2, v + h / 2 * k2v, w + h / 2 * k2w)
-        k4v, k4w = rhs(ri + h, v + h * k3v, w + h * k3w)
-        v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        w = w + h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-        vs[i + 1], ws[i + 1] = v, w
-    return r, vs, ws
+    lo, sign = max(nu, 0.0), 1.0  # sign of J_nu at lo
+    for index in range(1, k + 1):
+        hi = lo + 1.0
+        while sign * jv(nu, hi) > 0.0:
+            lo, hi = hi, hi + 1.0
+        if index < k:
+            lo, sign = hi, -sign
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if sign * jv(nu, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
-def radial_eigen_shoot(p: float, n: int, R: float, k: int = 1,
-                       steps: int = 2048) -> ShootingResult:
-    """k-th radial eigenvalue by shooting with bisection on v(R).
+def _bessel_profile(nu: float, x: np.ndarray) -> np.ndarray:
+    """``phi_nu(x) = Gamma(nu+1) (2/x)^nu J_nu(x)``, so phi_nu(0) = 1.
 
-    The boundary value v(R; lam) changes sign exactly once across each
-    eigenvalue, so eigenvalues are the sign changes of the shot boundary
-    value along increasing lam; a geometric scan brackets the k-th, then
-    16-way subdivision (one vectorized integration per round) tightens the
-    bracket to 1e-12 relative.
+    Where x^2 <= 4(nu+1) the power series ``sum_m (-x^2/4)^m / (m!
+    (nu+1)_m)`` has terms falling in modulus from 1, so it neither cancels
+    nor meets the underflow of J_nu(x) at small x for large nu; beyond it
+    the prefactor is formed in logarithms.  J_nu underflows there too once
+    nu exceeds about 350, and the profile is then not finite.
+    """
+    from scipy.special import gammaln, jv
+
+    out = np.empty_like(x)
+    near = x * x <= 4.0 * (nu + 1.0)
+    y = -0.25 * x[near] ** 2
+    term = np.ones_like(y)
+    total = np.ones_like(y)
+    m = 0
+    while np.max(np.abs(term), initial=0.0) > 1e-17:
+        m += 1
+        term *= y / (m * (nu + m))
+        total += term
+    out[near] = total
+    far = x[~near]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[~near] = (np.exp(gammaln(nu + 1.0) + nu * np.log(2.0 / far))
+                      * jv(nu, far))
+    return out
+
+
+def radial_eigen_shoot(p: float, n: int, R: float, k: int = 1) -> ShootingResult:
+    """k-th radial eigenvalue and its profile in closed form.
+
+    The equation is Bessel's in the effective dimension
+    ``(n-1)/(p-1) + 1``: with ``nu = (n-p)/(2(p-1)) > -1/2`` and
+    ``kappa = j_{nu,k}/R`` the eigenpair is ``lam = ((p-1)/p) kappa^2`` and
+    ``v(r) = phi_nu(kappa r)``, ``v'(r) = -kappa^2 r phi_{nu+1}(kappa r) /
+    (2(nu+1))``, sampled on 2049 equispaced radii of [0, R] for every p.
+    Since |phi_nu| <= 1 = phi_nu(0), the profile is sup-normalized.  In the
+    plane the first eigenpair is finite down to p = 1.0014 (nu = 357);
+    for k >= 2 the outer lobes fall below the sign-change count's floor of
+    1e-8 at p = 1.01, which raises ``RadialError``.
     """
     if not (p > 1.0 and math.isfinite(p)):
-        raise RadialError("eigenvalue shooting requires 1 < p < inf")
+        raise RadialError("radial eigenpairs require 1 < p < inf")
     if n < 2 or R <= 0.0 or k < 1:
         raise RadialError("need dimension n >= 2, radius R > 0 and index k >= 1")
-    # dimensionless scan: lam = mu / R^2 keeps brackets scale-free
-    mu = 0.05
-    brackets: list[tuple[float, float]] = []
-    prev_mu, prev_sign = 0.0, 1.0  # v(R) -> 1 as lam -> 0
-    scan_steps = max(steps // 8, 256)
-    while len(brackets) < k:
-        if mu > 1e8:
-            raise RadialError(
-                f"no bracket for index {k} in lam <= {mu / R**2:.3e} "
-                f"(found {len(brackets)})")
-        grid = mu * np.geomspace(1.0, 1.6, 9)
-        _, vs, _ = _integrate(grid / R**2, p, n, R, scan_steps)
-        ends = vs[-1]
-        for m, val in zip(grid, ends):
-            s = 1.0 if val >= 0 else -1.0
-            if s != prev_sign:
-                brackets.append((prev_mu, m))
-                prev_sign = s
-            prev_mu = m
-        mu = grid[-1] * 1.6
-    lo, hi = brackets[k - 1]
-    lo_positive = bool(_integrate(np.array([lo / R**2]), p, n, R, steps)[1][-1][0] >= 0)
-    while hi - lo > 1e-12 * hi:
-        mids = np.linspace(lo, hi, 17)[1:-1]
-        ends = _integrate(mids / R**2, p, n, R, steps)[1][-1]
-        same = (ends >= 0) == lo_positive
-        if same.all():
-            lo = float(mids[-1])
-        else:
-            j = int(np.argmin(same))
-            if j > 0:
-                lo = float(mids[j - 1])
-            hi = float(mids[j])
-    mu_star = 0.5 * (lo + hi)
-    lam = mu_star / R**2
-    r, vs, ws = _integrate(np.array([lam]), p, n, R, steps)
-    v, w = vs[:, 0], ws[:, 0]
-    sup = float(np.max(np.abs(v)))
-    return ShootingResult(p=p, n=n, R=R, index=k, eigenvalue=float(lam),
-                          r=r, values=v / sup, derivative=w / sup,
-                          mismatch=abs(float(v[-1])) / sup)
+    nu = (n - p) / (2.0 * (p - 1.0))
+    kappa = _bessel_zero(nu, k) / R
+    r = np.linspace(0.0, R, 2049)
+    v = _bessel_profile(nu, kappa * r)
+    w = -kappa * kappa * r * _bessel_profile(nu + 1.0, kappa * r) / (2.0 * (nu + 1.0))
+    if not (np.isfinite(v).all() and np.isfinite(w).all()):
+        raise RadialError(f"Bessel profile of order {nu:.4g} underflows")
+    return ShootingResult(p=p, n=n, R=R, index=k,
+                          eigenvalue=(p - 1.0) / p * kappa * kappa,
+                          r=r, values=v, derivative=w, mismatch=abs(float(v[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +248,7 @@ class GaussianLimitReport:
     The limit equation ``(n-1)/r v' + lam v = 0`` is solved by
     ``exp(-lam r^2/(2(n-1)))``, which never reaches zero: ``boundary_ratio``
     quantifies the classical boundary-condition violation v(R)/v(0).  Each
-    entry compares the shot eigenprofile at its own eigenvalue with the
+    entry compares the first eigenprofile at its own eigenvalue with the
     matching Gaussian: sup distance on [0, 0.9 R] plus the boundary layer
     (onset = last radius where the deviation is within 0.1, on profiles
     normalized to v(0) = 1).
@@ -263,8 +262,7 @@ class GaussianLimitReport:
     entries: tuple[GaussianComparison, ...]
 
 
-def gaussian_limit_p1(lam: float, n: int, R: float, p_list,
-                      steps: int = 4096) -> GaussianLimitReport:
+def gaussian_limit_p1(lam: float, n: int, R: float, p_list) -> GaussianLimitReport:
     if n < 2 or R <= 0.0 or lam <= 0.0:
         raise RadialError("need n >= 2, R > 0 and lam > 0")
     r = np.linspace(0.0, R, 2049)[1:]
@@ -273,7 +271,7 @@ def gaussian_limit_p1(lam: float, n: int, R: float, p_list,
     formal = float(np.max(np.abs((n - 1.0) / r * gp + lam * g)))
     entries = []
     for p in p_list:
-        shot = radial_eigen_shoot(float(p), n, R, k=1, steps=steps)
+        shot = radial_eigen_shoot(float(p), n, R, k=1)
         prof = shot.values / shot.values[0]
         gauss = np.exp(-shot.eigenvalue * shot.r ** 2 / (2.0 * (n - 1.0)))
         dev = np.abs(prof - gauss)

@@ -4,6 +4,9 @@ import filecmp
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -79,6 +82,18 @@ def test_radial_torsion_csv(workdir):
     report = read_json("t.json")
     assert report["coefficient"] == pytest.approx(3.0 / 8.0, rel=1e-12)
     assert report["maxResidual"] < 1e-12
+
+
+def test_radial_gaussian_csv_shares_one_radius_column(workdir):
+    assert run(["radial", "--task", "gaussian", "--p-list", "1.5,1.01",
+                "--out", "g.csv"]) == 0
+    lines = open("g.csv").read().splitlines()
+    assert lines[0] == "r,gaussian,p1.5,p1.01"
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert rows.shape == (2049, 4)
+    assert rows[0, 0] == 0.0 and rows[-1, 0] == 1.0
+    assert np.all(rows[0, 2:] == 1.0)
+    assert np.all(np.abs(rows[-1, 2:]) < 1e-12)
 
 
 def test_check_kink_pass_and_fail(workdir, capsys):
@@ -286,3 +301,15 @@ def test_threads_option_is_gone(square_json):
     with pytest.raises(SystemExit) as exc:
         run(["--threads", "2", "cheeger", "--domain", square_json])
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_scipy_special_and_optimize_unloaded():
+    # each costs 65-250 ms of start-up, so the functions that need them
+    # import them; a fresh interpreter shows what importing the CLI loads
+    src = os.path.dirname(os.path.dirname(plaplab.cli.__file__))
+    code = ("import sys, plaplab.cli; print(sorted(m for m in sys.modules "
+            "if m in ('scipy.special', 'scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

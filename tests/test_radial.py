@@ -1,10 +1,12 @@
-"""Radial ball problems: closed-form torsion, eigenvalue shooting, and the
-two singular limits (Gaussian profile as p -> 1, plateau nonuniqueness of
-the degenerate form for p > 2).
+"""Radial ball problems: closed-form torsion, eigenpairs from Bessel zeros,
+and the two singular limits (Gaussian profile as p -> 1, plateau
+nonuniqueness of the degenerate form for p > 2).
 
 The normalized radial torsion profile is the exact parabola
 ``c(p,n)(R^2 - r^2)`` with ``c = p/(2(n-2+p))``; eigenvalues at p=2 are
-Bessel (n=2) and sine (n=3) zeros; everything else is pinned by scaling.
+Bessel (n=2) and sine (n=3) zeros, elsewhere RK4 shooting, library zeros of
+integer and half-integer orders and the ODE residual of the profile check
+them; everything else is pinned by scaling.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def test_radial_torsion_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue shooting
+# eigenpairs from Bessel zeros
 
 
 def test_shoot_first_eigenvalue_matches_bessel():
@@ -91,6 +93,49 @@ def test_shoot_eigenvalue_scales_as_inverse_radius_squared():
     lam1 = radial_eigen_shoot(2.0, 2, 1.0).eigenvalue
     lam2 = radial_eigen_shoot(2.0, 2, 2.0).eigenvalue
     assert abs(lam2 - lam1 / 4.0) <= 1e-8 * lam2
+
+
+@pytest.mark.parametrize("p,n,R,k", [(2.0, 2, 1.0, 2), (1.1, 2, 1.0, 1),
+                                     (3.0, 3, 1.0, 1), (32.0, 2, 1.0, 1)])
+def test_closed_form_matches_rk4_shooting(p, n, R, k):
+    # Bessel orders 0, 4.5, 0 and -0.484
+    res = radial_eigen_shoot(p, n, R, k=k)
+    oracle = oracles.radial_eigen_rk4(p, n, R, k=k)
+    assert abs(res.eigenvalue - oracle) <= 1e-11 * oracle
+    assert res.interior_sign_changes == k - 1
+
+
+def _ode_residual(res, drift):
+    """Max of ``(p-1)v'' + (n-1)/r drift + p lam v`` over the interior
+    radii, v'' by second differences, relative to p lam (sup |v| = 1)."""
+    h = res.r[1] - res.r[0]
+    v = res.values
+    d2v = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
+    out = ((res.p - 1.0) * d2v + (res.n - 1.0) / res.r[1:-1] * drift
+           + res.p * res.eigenvalue * v[1:-1])
+    return float(np.max(np.abs(out))) / (res.p * res.eigenvalue)
+
+
+@pytest.mark.parametrize("p,lam", [(1.01, 31.7127808), (1.02, 17.9364604),
+                                   (1.04, 10.7242904)])
+def test_eigenpairs_near_p_one(p, lam):
+    # Bessel orders 49.5, 24.5 and 12: half-integer orders against the
+    # zeros of spherical Bessel functions, the integer one against jn_zeros
+    res = radial_eigen_shoot(p, 2, 1.0)
+    assert res.eigenvalue == pytest.approx(lam, rel=1e-8)
+    oracle = oracles.bessel_order_eigenvalue(p, 2)
+    assert abs(res.eigenvalue - oracle) <= 1e-12 * oracle
+    assert abs(res.values[-1]) < 1e-15
+    assert res.values[0] == 1.0
+    h = res.r[1] - res.r[0]
+    assert _ode_residual(res, (res.values[2:] - res.values[:-2]) / (2.0 * h)) <= 1e-4
+    assert _ode_residual(res, res.derivative[1:-1]) <= 1e-4
+
+
+def test_profile_beyond_float_range_raises():
+    # order 499.5: J_nu underflows where the power series stops
+    with pytest.raises(RadialError, match="underflows"):
+        radial_eigen_shoot(1.001, 2, 1.0)
 
 
 def test_shoot_input_validation():
