@@ -22,13 +22,12 @@ offsets, bit for bit equal to the sparse product.  The regularized
 p-Dirichlet energy needs ``D v`` and its gradient, and the gradient's
 derivative in p (:meth:`VariationalCore.energy_grad_dp`, the right-hand
 side of a continuation tangent), also ``D^T``; for p = 2 the energy reduces
-exactly to the classical 5-point scheme.  The one descent metric is the
-exact Hessian of the regularized energy (:meth:`VariationalCore.hessian`),
-whose element tensor
-``w (I + (p-2) g g^T/(|g|^2 + delta^2))`` couples the two ends of each
-cell's diagonal (a 7-point pattern); at p = 2 it is the 5-point stiffness.
-:meth:`VariationalCore.weighted_factor` factors it with a mass shift for
-Neumann problems.  The pattern, and the map from element stamps to CSC data
+exactly to the classical 5-point scheme.  The Newton matrix is the exact
+Hessian of the regularized energy (:meth:`VariationalCore.hessian`), whose
+element tensor ``w (I + (p-2) g g^T/(|g|^2 + delta^2))`` couples the two ends
+of each cell's diagonal (a 7-point pattern); at p = 2 it is the 5-point
+stiffness.  :meth:`VariationalCore.weighted_factor` factors it with a mass
+shift for Neumann problems.  The pattern, and the map from element stamps to CSC data
 slots, are computed once per core.
 
 Degrees of freedom are the interior nodes for Dirichlet boundary conditions
@@ -230,10 +229,6 @@ class VariationalCore:
         """``sum mass * |v|^p`` over value-carrying nodes."""
         return float(np.sum(self.mass * np.abs(v) ** p))
 
-    def pnorm_grad(self, v: np.ndarray, p: float) -> np.ndarray:
-        g = p * self.mass * np.abs(v) ** (p - 1.0) * np.sign(v)
-        return np.where(self.dof_mask, g, 0.0)
-
     def load_grad(self, f_vals: np.ndarray) -> np.ndarray:
         """Gradient of ``-sum mass f v`` (linear load term)."""
         return np.where(self.dof_mask, -self.mass * f_vals, 0.0)
@@ -374,11 +369,10 @@ class VariationalCore:
         return self._metric(v, p, delta, shifted=False)
 
     def weighted_factor(self, v: np.ndarray, p: float, delta: float):
-        """Factorized descent metric at ``v``: :meth:`hessian` plus, for
-        Neumann, ``_neumann_sigma() * mean(w_T) * M`` with ``M`` the lumped
-        mass, which makes it positive definite on the constants.  Returns an
-        object with ``.solve`` usable via :meth:`precond_solve`.
-        """
+        """LU of :meth:`hessian` at ``v`` plus, for Neumann,
+        ``_neumann_sigma() * mean(w_T) * M`` with ``M`` the lumped mass, which
+        makes it positive definite on the constants; :meth:`precond_solve`
+        applies it."""
         return self.factor(self._metric(v, p, delta, shifted=True))
 
     def precond_solve(self, grad: np.ndarray, factor) -> np.ndarray:

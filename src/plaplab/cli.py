@@ -34,7 +34,7 @@ import time
 
 import numpy as np
 
-from . import __version__, geometry
+from . import __version__
 from .dirichlet import (
     SolverConfig,
     SolverError,
@@ -47,6 +47,7 @@ from .eigen import (
     EigenError,
     diagonal_profile,
     dirichlet_eigen_first,
+    limit_target,
     neumann_eigen_first,
     p_sweep,
 )
@@ -151,10 +152,11 @@ def _eigen_solver(kind: str):
     raise CliConfigError(f"unknown eigenproblem type {kind!r}")
 
 
-def _limit_target(kind: str, dom: Domain) -> float:
-    if kind == "dirichlet":
-        return 1.0 / geometry.inradius(dom)
-    return 2.0 / geometry.diameter(dom)
+def _engine_counts(res) -> dict:
+    """The Newton engine's counts and stage records of a solve or eigen result."""
+    return {"iterations": res.iterations, "factorizations": res.factorizations,
+            "pcgIterations": res.pcg_iterations,
+            "stages": [dataclasses.asdict(s) for s in res.stages]}
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +185,8 @@ def _cmd_solve(args):
                 return coords[0] - coords[-1]
         res = solve_p_harmonic(grid, data, cfg=cfg)
         report["boundary"] = args.boundary
-    report.update({
-        "iterations": res.iterations,
-        "factorizations": res.factorizations,
-        "pcgIterations": res.pcg_iterations,
-        "finalEnergy": res.final_energy,
-        "optimalityResidual": res.optimality_residual,
-        "stages": [dataclasses.asdict(s) for s in res.stages],
-    })
+    report.update(_engine_counts(res), finalEnergy=res.final_energy,
+                  optimalityResidual=res.optimality_residual)
     artifacts = []
     if args.out:
         _field_artifact(args.out, res.field)
@@ -215,7 +211,7 @@ def _cmd_eigen(args):
     except EigenError as exc:
         raise CliConfigError(str(exc)) from exc
     res = _eigen_solver(args.type)(grid, cfg=cfg)
-    target = _limit_target(args.type, dom)
+    target = limit_target(args.type, dom)
     gap = abs(res.root - target) / target
     report = {
         "problem": args.type,
@@ -225,8 +221,8 @@ def _cmd_eigen(args):
         "root": res.root,
         "target": target,
         "relativeGap": gap,
-        "iterations": res.iterations,
         "residual": res.residual,
+        **_engine_counts(res),
     }
     artifacts = []
     if args.out:

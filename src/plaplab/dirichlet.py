@@ -6,31 +6,24 @@
 
 over interior values with pinned boundary data; ``solve_p_torsion`` adds the
 load ``- sum_i m_i v_i`` (right-hand side 1).  Minimization is a damped
-inexact Newton method with p-continuation (a ladder of intermediate
-exponents warm-starting each stage, after an exact p = 2 step).  Each
-direction solves ``H d = grad E`` with the assembled Hessian ``H`` of the
-stage's energy by conjugate gradients, preconditioned with the last LU of a
-Hessian, to the relative residual of an Eisenstat-Walker forcing term
-(choice 2): ``NEWTON_RTOL`` for a stage's first direction, then
-``0.9 (r_k / r_{k-1})^2`` from the stage's strong residuals r, safeguarded
-and capped at 0.9, so early systems are solved loosely and late ones
-tightly.  A PCG of at most ``PCG_MAX_ITERATIONS`` iterations that misses its
-forcing term still serves if it reaches ``NEWTON_RTOL``; otherwise ``H``
-itself is factored.  Each LU serves at most ``LU_PCG_BUDGET`` PCG
-iterations, about the cost of one factorization, before the next direction
-refactors.  Steps are capped and backtracked to an energy decrease.  A stage
-stops once the strong residual (``SolveResult.optimality_residual``) falls
-to ``RESIDUAL_RTOL`` of the residual of its plain start (the previous stage's
-end point) at its own exponent, or to the level that rounding the iterate
-leaves (``ROUNDING_EPSILONS`` machine epsilons of ``|H||v|`` per unit mass);
-a final polish at the target exponent removes the regularization.  A target
-stage or polish that ends above both raises ``SolverError``.  Torsion stages
-after the first start from a predictor (Allgower & Georg's
-predictor-corrector continuation): the lowest-energy of the plain start, its
-minimizer along its own ray (the torsion energy with zero boundary data is
-homogeneous along rays), and that rescaling of the Euler tangent step, which
-costs one solve with the end point's Hessian.  ``SolveResult.stages`` records
-each stage's start, steps, LUs, PCG iterations, target and residual.
+inexact Newton method (``_Newton``) with p-continuation: a ladder of
+intermediate exponents warm-starts each stage, after an exact p = 2 step.
+Each direction solves the Newton system by PCG on the last LU of a Hessian to
+an Eisenstat-Walker forcing term, and each LU serves at most
+``LU_PCG_BUDGET`` PCG iterations.  A stage stops once the strong residual
+(``SolveResult.optimality_residual``) falls to ``RESIDUAL_RTOL`` of the
+residual of its plain start (the previous stage's end point) at its own
+exponent, or to the level that rounding the iterate leaves
+(``ROUNDING_EPSILONS`` machine epsilons of ``|H||v|`` per unit mass); a final
+polish at the target exponent removes the regularization.  A target stage
+or polish that ends above both raises ``SolverError``.  Torsion stages after
+the first start from a predictor (Allgower & Georg's predictor-corrector
+continuation): the lowest-energy of the plain start, its minimizer along its
+own ray (the torsion energy with zero boundary data is homogeneous along
+rays), and that rescaling of the Euler tangent step.  ``SolveResult.stages``
+records each stage's start, steps, LUs, PCG iterations, target, residual and
+stop reason.  The eigensolver runs on the same engine
+(``eigen._QuotientNewton``).
 
 As p grows the torsion solution approaches the boundary distance function;
 ``torsion_infinity_gap`` measures that gap.  ``infinity_torsion_ball``
@@ -71,13 +64,15 @@ INFINITY_TORSION_COEFFICIENT = 3.0 ** (4.0 / 3.0) / 4.0
 
 
 class SolverError(RuntimeError):
-    """Nonconvergence or invalid solver configuration."""
+    """Nonconvergence (diagnostics and the failing stage attached) or invalid
+    solver configuration."""
 
     def __init__(self, message: str, *, iterations: int | None = None,
-                 residual: float | None = None):
+                 residual: float | None = None, stage: StageRecord | None = None):
         super().__init__(message)
         self.iterations = iterations
         self.residual = residual
+        self.stage = stage
 
 
 @dataclass(frozen=True)
@@ -85,48 +80,42 @@ class SolverConfig:
     """Descent parameters.
 
     Each stage stops once the strong residual falls to ``RESIDUAL_RTOL``
-    (1e-8) of its start value, or to its rounding level.  ``tol`` and
-    ``stall_window`` are a safeguard only: a stage also ends once
-    ``stall_window`` consecutive accepted steps each decrease the energy by
-    less than ``tol`` relatively without lowering the residual.  Every stage
-    makes at most ``max_iterations`` Newton steps.  ``delta`` regularizes the
-    gradient norm; a final polish of at most ``polish_iterations`` steps
-    removes it (for p < 2, where the unregularized weight is singular, it is
-    lowered by factors of 100 to 1e-12, each with its own polish).
-    ``ladder`` overrides the automatic p-continuation sequence.  The linear
-    algebra of each Newton step (Eisenstat-Walker forcing terms and
-    ``LU_PCG_BUDGET`` PCG iterations per LU) follows the module constants.
+    (1e-8) of its start value, or to its rounding level, and makes at most
+    ``max_iterations`` Newton steps.  ``delta`` regularizes the gradient
+    norm; a final polish of at most ``polish_iterations`` steps removes it
+    (for p < 2, where the unregularized weight is singular, it is lowered by
+    factors of 100 to 1e-12, each with its own polish).  ``ladder``
+    overrides the automatic p-continuation sequence.  The stop rules and
+    linear algebra follow the module constants.
     """
 
     p: float = 2.0
     delta: float = 1e-6
-    tol: float = 1e-12
     max_iterations: int = 2000
-    stall_window: int = 8
     polish_iterations: int = 100
     ladder: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not (self.p > 1.0 and math.isfinite(self.p)):
-            raise SolverError("solver exponent requires 1 < p < inf")
-        if self.delta < 0.0 or self.tol <= 0.0:
-            raise SolverError("delta must be >= 0 and tol > 0")
-        if self.max_iterations < 1:
-            raise SolverError("max_iterations must be positive")
-        if self.ladder is not None:
-            check_ladder(self.ladder, self.p, SolverError)
+        check_config(self, SolverError)
 
 
-def check_ladder(ladder, p: float, error: type[Exception]) -> None:
-    """Raise ``error`` unless ``ladder`` is nonempty, strictly monotone and
-    ends at the target ``p``."""
-    lad = tuple(ladder)
+def check_config(cfg, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``cfg`` has 1 < p < inf, delta >= 0, a positive
+    ``max_iterations`` and no ladder or a nonempty, strictly monotone one
+    that ends at p."""
+    if not (cfg.p > 1.0 and math.isfinite(cfg.p)):
+        raise error("exponent requires 1 < p < inf")
+    if cfg.delta < 0.0:
+        raise error("delta must be >= 0")
+    if cfg.max_iterations < 1:
+        raise error("max_iterations must be positive")
+    lad = tuple(cfg.ladder) if cfg.ladder is not None else (cfg.p,)
     if not lad:
         raise error("ladder must not be empty")
     if any(b <= a for a, b in zip(lad, lad[1:])) and \
        any(b >= a for a, b in zip(lad, lad[1:])):
         raise error("ladder must be strictly monotone")
-    if lad[-1] != p:
+    if lad[-1] != cfg.p:
         raise error("ladder must end at the target p")
 
 
@@ -163,11 +152,11 @@ def continuation_ladder(p: float) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class StageRecord:
     """One continuation stage or polish: its exponent and regularization,
-    the kind of its start (``plain``: the previous stage's end point;
-    ``rescaled`` or ``tangent``: see ``_Newton.predict``), its Newton steps,
-    the LUs made and PCG iterations run since the previous stage ended (a
-    tangent solve's included), its stop target and its final strong
-    residual."""
+    its start's kind (``plain``: the previous end point; else see
+    ``predict``), Newton steps, the LUs and PCG iterations since the previous
+    stage ended (a tangent solve's included), stop target, final strong
+    residual and ``stop`` (``converged``, ``rounding``, ``stalled``,
+    ``no-descent`` or ``max-iterations``)."""
 
     p: float
     delta: float
@@ -177,6 +166,7 @@ class StageRecord:
     pcg_iterations: int
     target: float
     residual: float
+    stop: str
 
 
 @dataclass
@@ -226,6 +216,10 @@ PCG_MAX_ITERATIONS = 8
 LU_PCG_BUDGET = 20
 #: relative energy change below which trial energies are rounding noise
 ENERGY_ROUNDING = 1e-13
+#: safeguard: a stage stops after STALL_WINDOW accepted steps in a row that
+#: lower neither the objective by STALL_RTOL relatively nor the residual
+STALL_RTOL = 1e-12
+STALL_WINDOW = 8
 
 
 def _forcing(residual: float, r_old: float, eta_old: float) -> float:
@@ -240,18 +234,37 @@ def _forcing(residual: float, r_old: float, eta_old: float) -> float:
     return min(eta, FORCING_MAX)
 
 
-def _pcg(H, b: np.ndarray, factor, rtol: float, max_iterations: int):
+def _pcg(H, b: np.ndarray, factor, rtol: float, max_iterations: int, constraints=None,
+         accept: float = NEWTON_RTOL):
     """Solve ``H x = b`` to relative residual ``rtol`` by conjugate gradients
     preconditioned with ``factor``, in at most ``max_iterations``
     iterations; returns ``(x, iterations)``.  A solve that stops short (out
     of iterations, or on a nonpositive curvature) still returns its iterate
-    if that meets ``NEWTON_RTOL``, and None for ``x`` otherwise."""
+    if that meets ``accept``, and None for ``x`` otherwise.
+
+    With ``constraints`` (a dof array ``A``) it solves ``H x = b - A y``
+    subject to ``A^T x = 0`` by projected PCG (Gould, Hribar & Nocedal, SIAM
+    J. Sci. Comput. 23, 2001), which updates each residual ``r`` to ``r - A
+    y`` and preconditions it to ``F^-1 (r - A y)``, ``y = (A^T F^-1 A)^-1
+    A^T F^-1 r``; a nonpositive first curvature returns the projected
+    preconditioned ``b``."""
     x = np.zeros_like(b)
     r = b.copy()
-    z = factor.solve(r)
+    project = None
+    if constraints is None:
+        z = factor.solve(r)
+    else:  # b and A in one solve, which costs little more than b alone
+        z, fa = np.hsplit(factor.solve(np.column_stack([r, constraints])), [1])
+        schur = constraints.T @ fa
+
+        def project(r, z):
+            y = np.linalg.solve(schur, constraints.T @ z)
+            return r - constraints @ y, z - fa @ y
+
+        r, z = project(r, z[:, 0])
     d = z.copy()
     rz = float(r @ z)
-    b_norm = float(np.linalg.norm(b))
+    b_norm = float(np.linalg.norm(r))
     r_norm = b_norm
     its = 0
     while its < max_iterations:
@@ -259,17 +272,22 @@ def _pcg(H, b: np.ndarray, factor, rtol: float, max_iterations: int):
         hd = H @ d
         curv = float(d @ hd)
         if not curv > 0.0:
+            if project is not None and its == 1:
+                return d, its
             break
         alpha = rz / curv
         x += alpha * d
         r -= alpha * hd
+        if project is not None:
+            r, z = project(r, factor.solve(r))
         r_norm = float(np.linalg.norm(r))
         if r_norm <= rtol * b_norm:
             return x, its
-        z = factor.solve(r)
+        if project is None:
+            z = factor.solve(r)
         rz, rz_old = float(r @ z), rz
         d = z + (rz / rz_old) * d
-    return (x if r_norm <= NEWTON_RTOL * b_norm else None), its
+    return (x if r_norm <= accept * b_norm else None), its
 
 
 class _Newton:
@@ -283,12 +301,17 @@ class _Newton:
     its ``LU_PCG_BUDGET``.  When no LU is alive, its budget is spent, or
     PCG ends above ``NEWTON_RTOL``, a fresh LU of ``H`` solves it.  The LU
     carries over from stage to stage, and at most one is alive.  Steps are
-    capped and backtracked to a strict energy decrease.  :meth:`predict`
-    chooses a torsion stage's start; each stage appends its
-    :class:`StageRecord` to ``stages``.
-    """
+    capped and backtracked to a strict energy decrease.
 
-    def __init__(self, core: VariationalCore, cfg: SolverConfig, load):
+    Subclasses override :meth:`objective`, :meth:`hessian`,
+    :meth:`constraints` (normals of linear constraints on the direction),
+    :meth:`retract` (onto the constraint set, after each trial step),
+    :meth:`factorize`, :meth:`predict` and ``error``.  For a constrained
+    direction the LU is a preconditioner only: a fresh one reruns PCG."""
+
+    error = SolverError
+
+    def __init__(self, core: VariationalCore, cfg, load):
         self.core = core
         self.cfg = cfg
         self.load = load
@@ -298,7 +321,7 @@ class _Newton:
         self.factorizations = 0
         self.pcg_iterations = 0
         self.energy = math.nan
-        self.hessian = None  # at the end point of the last stage
+        self.end_hessian = None  # at the end point of the last stage
         self.history: list[float] = []  # energy after each accepted step
         self.stages: list[StageRecord] = []
 
@@ -309,43 +332,66 @@ class _Newton:
             g = g + self.core.load_grad(self.load)
         return e, g
 
+    def hessian(self, v, p, delta):
+        return self.core.hessian(v, p, delta)
+
+    def constraints(self, v):
+        return None
+
+    def retract(self, v, p):
+        return v
+
+    def factorize(self, v, H):
+        return self.core.factor(H)
+
     def direction(self, v, g, H, eta=NEWTON_RTOL) -> np.ndarray:
         core = self.core
         b = g.ravel()[core.dof_index]
+        A = self.constraints(v)
+        constrained = () if A is None else (A,)
         x = None
         budget = LU_PCG_BUDGET - self.factor_pcg
         if self.factor is not None and budget > 0:
-            x, its = _pcg(H, b, self.factor, eta, min(PCG_MAX_ITERATIONS, budget))
+            x, its = _pcg(H, b, self.factor, eta, min(PCG_MAX_ITERATIONS, budget), *constrained)
             self.factor_pcg += its
             self.pcg_iterations += its
         if x is None:
             self.factor = None  # free the old LU before the new one is built
-            self.factor = core.factor(H)
+            self.factor = self.factorize(v, H)
             self.factor_pcg = 0
             self.factorizations += 1
-            x = self.factor.solve(b)
+            if A is None:
+                x = self.factor.solve(b)
+            else:  # the LU only preconditions it: rerun PCG, keep what it reaches
+                x, its = _pcg(H, b, self.factor, eta, PCG_MAX_ITERATIONS, A, math.inf)
+                self.factor_pcg += its
+                self.pcg_iterations += its
         d = np.zeros(v.size)
         d[core.dof_index] = x
         return d.reshape(v.shape)
 
     def stage(self, v, p, delta, max_iterations, target, start="plain", strict=False):
         """Descend at exponent ``p`` from ``v`` until the strong residual is
-        at most ``target`` or at the rounding level of the gradient, and
-        append a :class:`StageRecord` (``start`` names the start's kind);
-        returns ``(v, residual)``.  Ends early after ``stall_window`` steps
-        that each lower the energy by less than ``tol`` relatively and do not
-        lower the residual, or on a step that no backtrack makes decrease the
-        energy; ``strict`` raises ``SolverError`` if it then ends
-        unconverged.  The Hessian at the end point stays in ``hessian``."""
-        core, cfg = self.core, self.cfg
+        at most ``target`` or the gradient's rounding level, or on a stall
+        (``STALL_WINDOW``) or a step that no backtrack makes decrease the
+        objective; append a :class:`StageRecord` (``start``: the start's
+        kind) and return ``(v, residual)``; ``strict`` raises ``error`` if
+        unconverged.  The end point's Hessian stays in ``end_hessian``."""
+        core = self.core
         e, g = self.objective(v, p, delta)
         residual = _strong_residual(core, g)
-        H = core.hessian(v, p, delta)
+        H = self.hessian(v, p, delta)
         tau = 1.0
         eta = NEWTON_RTOL
         stall = 0
         its = 0
-        while residual > max(target, _rounding_residual(core, H, v)) and its < max_iterations:
+        while True:
+            floor = _rounding_residual(core, H, v)
+            stop = ("converged" if residual <= target else "rounding" if residual <= floor
+                    else "stalled" if stall >= STALL_WINDOW
+                    else "max-iterations" if its >= max_iterations else None)
+            if stop:
+                break
             its += 1
             d = self.direction(v, g, H, eta)
             # cap runaway steps for strongly nonlinear exponents
@@ -355,7 +401,7 @@ class _Newton:
                 d *= 10.0 * scale_ref / dmax
             t = tau
             for _ in range(60):
-                v_try = v - t * d
+                v_try = self.retract(v - t * d, p)
                 e_try, g_try = self.objective(v_try, p, delta)
                 if e_try < e - 1e-15 * abs(e):
                     break
@@ -366,57 +412,64 @@ class _Newton:
                     break
                 t *= 0.5
             else:
+                stop = "no-descent"
                 break
             rel_drop = (e - e_try) / max(abs(e_try), 1e-300)
             v, e, g = v_try, e_try, g_try
             self.history.append(e)
             r_old, residual = residual, _strong_residual(core, g)
             eta = _forcing(residual, r_old, eta)
-            H = core.hessian(v, p, delta)
+            H = self.hessian(v, p, delta)
             tau = min(t * 2.0, 1.0)
-            stall = stall + 1 if rel_drop < cfg.tol and residual >= r_old else 0
-            if stall >= cfg.stall_window:
-                break
+            stall = stall + 1 if rel_drop < STALL_RTOL and residual >= r_old else 0
         self.iterations += its
         self.energy = e
-        self.hessian = H
+        self.end_hessian = H
         # LUs and PCG iterations since the last stage ended, the start's
         # tangent solve included
         lus = self.factorizations - sum(s.factorizations for s in self.stages)
         pcg = self.pcg_iterations - sum(s.pcg_iterations for s in self.stages)
         self.stages.append(StageRecord(p=p, delta=delta, start=start, iterations=its,
                                        factorizations=lus, pcg_iterations=pcg,
-                                       target=target, residual=residual))
-        floor = _rounding_residual(core, H, v)
+                                       target=target, residual=residual, stop=stop))
         if strict and residual > max(target, floor):
-            raise SolverError(f"p = {p:g} descent stopped at strong residual {residual:.3e} "
-                              f"above the tolerance {target:.3e} and the rounding level "
-                              f"{floor:.3e}", iterations=self.iterations, residual=residual)
+            raise self.error(f"p = {p:g} descent stopped ({stop}) at strong residual "
+                             f"{residual:.3e} above the tolerance {target:.3e} and the "
+                             f"rounding level {floor:.3e}", iterations=self.iterations,
+                             residual=residual, stage=self.stages[-1])
         return v, residual
+
+    def continuation(self, v, ladder, predict=True):
+        """A stage at each exponent of ``ladder`` (delta = 0 at p = 2, else
+        ``cfg.delta``; the last strict), each stopping at ``RESIDUAL_RTOL`` of
+        the strong residual of its plain start (the previous end point,
+        retracted), and after the first starting from :meth:`predict` if
+        ``predict``.  Returns the last stage's ``(v, residual, target)``."""
+        for p in ladder:
+            delta = 0.0 if p == 2.0 else self.cfg.delta
+            plain = self.retract(v, p)
+            target = RESIDUAL_RTOL * _strong_residual(self.core,
+                                                      self.objective(plain, p, delta)[1])
+            v, start = self.predict(v, p, delta) if predict and self.stages else (plain, "plain")
+            v, residual = self.stage(v, p, delta, self.cfg.max_iterations, target, start,
+                                     strict=p == ladder[-1])
+        return v, residual, target
 
     def predict(self, v, p, delta):
         """Start of the stage at ``(p, delta)`` from ``v``, the end point of
         the last stage (at ``(p0, delta0)``) of a zero-boundary torsion
         solve: whichever of ``v``, ``v`` rescaled along its ray
-        (:meth:`rescale`) and the rescaled Euler tangent prediction
-        ``v - (p - p0) w`` has the lowest objective at ``(p, delta)``, with
-        its kind (``plain``, ``rescaled`` or ``tangent``).  ``-w`` is the
-        tangent ``dv/dp``: ``H w = d/dp grad E(v; p0, delta0)``, the
-        derivative in p of the optimality condition, with the end point's
-        Hessian ``H``, solved by :meth:`direction` (PCG on the live LU, or a
-        fresh LU counted in ``factorizations``)."""
+        (:meth:`rescale`) and the rescaled Euler tangent prediction ``v - (p
+        - p0) w`` has the lowest objective, with its kind (``plain``,
+        ``rescaled`` or ``tangent``).  ``-w`` is the tangent ``dv/dp``: ``H w
+        = d/dp grad E(v; p0, delta0)`` with the end point's Hessian, solved
+        by :meth:`direction`."""
         p0, delta0 = self.stages[-1].p, self.stages[-1].delta
-        w = self.direction(v, self.core.energy_grad_dp(v, p0, delta0), self.hessian)
-        best, kind = v, "plain"
-        e_best = self.objective(v, p, delta)[0]
-        for name, cand in (("rescaled", self.rescale(v, p)),
-                           ("tangent", self.rescale(v - (p - p0) * w, p))):
-            if cand is None:
-                continue
-            e = self.objective(cand, p, delta)[0]
-            if e < e_best:
-                best, kind, e_best = cand, name, e
-        return best, kind
+        w = self.direction(v, self.core.energy_grad_dp(v, p0, delta0), self.end_hessian)
+        starts = [(v, "plain"), (self.rescale(v, p), "rescaled"),
+                  (self.rescale(v - (p - p0) * w, p), "tangent")]
+        return min((start for start in starts if start[0] is not None),
+                   key=lambda start: self.objective(start[0], p, delta)[0])
 
     def rescale(self, v, p):
         """``s* v`` with ``s* = (B/A)^(1/(p-1))``, the minimizer of the
@@ -478,17 +531,10 @@ def _solve(core: VariationalCore, cfg: SolverConfig, boundary_values: np.ndarray
     v = boundary_values.copy()
     v[core.dof_mask] = 0.0
     newton = _Newton(core, cfg, load)
-    predict = load is not None and not np.any(boundary_values)
     # p = 2 first: the energy is quadratic, so one Newton step is exact
-    stages = (2.0,) + tuple(q for q in ladder if q != 2.0)
-    for p_stage in stages:
-        delta = 0.0 if p_stage == 2.0 else cfg.delta
-        target = RESIDUAL_RTOL * _strong_residual(core, newton.objective(v, p_stage, delta)[1])
-        start = "plain"
-        if predict and newton.stages:
-            v, start = newton.predict(v, p_stage, delta)
-        v, residual = newton.stage(v, p_stage, delta, cfg.max_iterations, target, start,
-                                   strict=p_stage == stages[-1])
+    v, residual, target = newton.continuation(
+        v, (2.0,) + tuple(q for q in ladder if q != 2.0),
+        predict=load is not None and not np.any(boundary_values))
     if cfg.polish_iterations > 0 and cfg.p != 2.0:
         deltas = _polish_deltas(cfg.p, cfg.delta)
         for delta in deltas:

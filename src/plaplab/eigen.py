@@ -1,28 +1,27 @@
 """First (and exploratory second) eigenpairs of the p-Laplacian via
-projected steepest descent on the Rayleigh quotient.
+projected Newton on the Rayleigh quotient.
 
 The discrete quotient is ``R_p(v) = N(v)/D(v)`` with the numerator summed
 over affine elements and the denominator over lumped nodal masses:
 
     N(v) = sum_T |grad v|^p |T|          D(v) = sum_i m_i |v_i|^p
 
-Descent steps follow the preconditioned quotient gradient
-``H^{-1}(grad N - R_p grad D)``, where ``H`` is the Hessian of the
-regularized p-energy (the 5-point stiffness at p = 2; mass-shifted for
-Neumann), factored at the start of every continuation stage and, away from
-p = 2, again every ``METRIC_REFRESH`` steps.  Backtracking enforces a
-strictly nonincreasing quotient, and iterates are renormalized in L^p after
-every step.  A stage that reaches ``max_iterations`` raises ``EigenError``.
-Dirichlet problems fix v = 0 on the boundary collar and keep the first
-eigenfunction nonnegative; Neumann problems constrain the p-mean to zero,
-re-projected each step by a safeguarded Newton solve of
-``sum m_i |v_i - c|^(p-2) (v_i - c) = 0``.
+Each continuation stage minimizes ``R = p E_delta / D`` on ``D = 1`` (for
+Neumann problems also zero p-mean, ``sum m_i |v_i|^(p-2) v_i = 0``) by
+projected Newton (Absil, Mahony & Sepulchre, 2008) on the torsion solver's
+engine (``dirichlet._Newton``, with its forcing terms, LU budget, stop rule
+and ``EigenError`` on an unconverged target stage); see
+:class:`_QuotientNewton`.  Trial points are re-projected to zero p-mean by a
+safeguarded Newton solve of ``sum m_i |v_i - c|^(p-2) (v_i - c) = 0`` and
+renormalized in L^p.  Dirichlet problems fix v = 0 on the boundary collar
+and keep the first eigenfunction nonnegative.
 
 Reported eigenvalues come in two scalings: ``raw`` is the quotient minimum
 (the eigenvalue of ``-lap_p u = raw |u|^(p-2) u``) and ``root = raw^(1/p)``,
 the scaling that converges to geometric quantities as p grows: 1/inradius
-for Dirichlet, 2/diameter for Neumann.  ``p_sweep`` tabulates the gap to
-those targets across exponents with warm-started continuation.
+for Dirichlet, 2/diameter for Neumann (:func:`limit_target`).  ``p_sweep``
+tabulates the gap to those targets across exponents with warm-started
+continuation.
 """
 
 from __future__ import annotations
@@ -31,10 +30,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import geometry
 from ._variational import VariationalCore, make_core
-from .dirichlet import check_ladder, continuation_ladder, resolve_cfg
+from .dirichlet import (SolverError, StageRecord, _Newton, check_config, continuation_ladder,
+                        resolve_cfg)
 from .fields import FieldError, Grid, ScalarField, build_grid, sample_at
 
 __all__ = [
@@ -49,61 +50,35 @@ __all__ = [
     "project_zero_pmean",
     "dirichlet_eigen_first",
     "neumann_eigen_first",
+    "limit_target",
     "p_sweep",
     "diagonal_profile",
     "nodal_distances",
     "second_dirichlet_eigen_experiment",
 ]
 
-#: iterations a factored energy Hessian serves before it is rebuilt (p != 2)
-METRIC_REFRESH = 12
 
-
-class EigenError(RuntimeError):
-    """Nonconvergence or invalid eigen-solver input.
-
-    A descent stage that makes ``max_iterations`` steps without stopping
-    raises it with the stage's ``iterations`` and final ``residual``
-    attached.
-    """
-
-    def __init__(self, message: str, *, iterations: int | None = None,
-                 residual: float | None = None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
+class EigenError(SolverError):
+    """Nonconvergence of the shared Newton engine (diagnostics as in
+    ``SolverError``) or invalid eigen-solver input."""
 
 
 @dataclass(frozen=True)
 class EigenConfig:
-    """Descent parameters for the Rayleigh-quotient minimization.
-
-    Each stage stops once ``stall_window`` consecutive accepted steps each
-    lower the quotient by less than ``tol`` relatively (or no decreasing
-    step exists); a stage that makes ``max_iterations`` steps first raises
-    ``EigenError``.  ``perturbation`` is the relative amplitude of the seeded
-    random kick added once to Neumann starts to break the constant trap and
-    orientation symmetries.
-    """
+    """Rayleigh-quotient minimization parameters, ``p``, ``delta``,
+    ``max_iterations`` and ``ladder`` as in ``SolverConfig``; ``perturbation``
+    is the relative amplitude of the seeded random kick added once to Neumann
+    starts to break the constant trap and orientation symmetries."""
 
     p: float = 2.0
     delta: float = 1e-6
-    tol: float = 1e-10
     max_iterations: int = 4000
-    stall_window: int = 50
     ladder: tuple[float, ...] | None = None
     seed: int = 0
     perturbation: float = 1e-3
 
     def __post_init__(self):
-        if not (self.p > 1.0 and math.isfinite(self.p)):
-            raise EigenError("eigen exponent requires 1 < p < inf")
-        if self.tol <= 0.0 or self.delta < 0.0:
-            raise EigenError("tol must be > 0 and delta >= 0")
-        if self.max_iterations < 1:
-            raise EigenError("max_iterations must be positive")
-        if self.ladder is not None:
-            check_ladder(self.ladder, self.p, EigenError)
+        check_config(self, EigenError)
 
 
 @dataclass
@@ -111,12 +86,11 @@ class EigenResult:
     """First eigenpair in a fixed normalization.
 
     ``field`` has sup-norm 1 with positive maximum (Dirichlet fields are
-    nonnegative, Neumann fields have zero p-mean).  ``history`` is the
-    nonincreasing sequence of accepted Rayleigh-quotient values of the last
-    stage.  ``residual`` is the relative quotient-gradient norm
-    ``||grad N - R grad D|| / ||grad N||`` over the degrees of freedom, at
-    the start of the last iteration (not preconditioned).
-    """
+    nonnegative, Neumann fields have zero p-mean).  ``history`` holds the
+    (regularized) quotient after each accepted step of the last stage, and
+    ``residual`` the relative quotient-gradient norm ``||grad N - R grad D||
+    / ||grad N||`` over the dofs at the returned field; the counts and
+    ``stages`` are as in ``SolveResult``."""
 
     p: float
     bc: str
@@ -126,6 +100,9 @@ class EigenResult:
     history: np.ndarray
     iterations: int
     residual: float
+    factorizations: int
+    pcg_iterations: int
+    stages: list[StageRecord]
 
 
 # ---------------------------------------------------------------------------
@@ -168,18 +145,13 @@ def _pmean_weights(w: np.ndarray, mass: np.ndarray, p: float) -> np.ndarray:
 
 def _pmean_shift(vals: np.ndarray, mass: np.ndarray, p: float) -> float:
     """Shift c with ``f(c) = sum m |v - c|^(p-2)(v - c) = 0`` (closed form at
-    p = 2).
-
-    f decreases strictly in c, with ``f'(c) = -(p-1) sum m |v - c|^(p-2)``,
-    so the root is found by safeguarded Newton: every evaluation tightens
-    the bracket [min v, max v] by the sign of f, and a Newton step that
-    leaves the bracket, or is longer than half the previous move (Newton is
-    then converging only linearly), is replaced by the bracket midpoint.  It
-    starts at c = 0 when 0 lies in the bracket, because projected iterates
-    minus a step are nearly balanced, and stops once the step or the
+    p = 2) by safeguarded Newton on the strictly decreasing f: every
+    evaluation tightens the bracket [min v, max v] by the sign of f, and a
+    step that leaves it, or is longer than half the previous move, is
+    replaced by its midpoint.  It starts at c = 0 when 0 lies in the bracket
+    (trial points are nearly balanced) and stops once the step or the
     bracket is within 1e-12 of the value span (or a few ulps of the values,
-    if that is more).
-    """
+    if that is more)."""
     sel = mass > 0.0
     x, m = vals[sel], mass[sel]
     if p == 2.0:
@@ -226,26 +198,6 @@ def project_zero_pmean(v: ScalarField, p: float) -> ScalarField:
 # descent engine
 
 
-def _normalize(core: VariationalCore, vals: np.ndarray, p: float) -> np.ndarray:
-    den = core.pnorm_term(vals, p)
-    if den <= 0.0:
-        raise EigenError("eigen iterate collapsed to zero")
-    return vals / den ** (1.0 / p)
-
-
-def _project(core: VariationalCore, vals: np.ndarray, p: float, neumann: bool,
-             deflate=None) -> np.ndarray:
-    if neumann:
-        c = _pmean_shift(vals, core.mass, p)
-        vals = np.where(core.grid.nonexterior, vals - c, 0.0)
-    if deflate is not None:
-        w, wnorm2 = deflate
-        coeff = float(np.sum(w * vals)) / wnorm2
-        vals = vals - coeff * w
-        vals = np.where(core.grid.nonexterior, vals, 0.0)
-    return vals
-
-
 def _quotient(core: VariationalCore, vals: np.ndarray, p: float) -> float:
     den = core.pnorm_term(vals, p)
     if den <= 0.0:
@@ -253,117 +205,142 @@ def _quotient(core: VariationalCore, vals: np.ndarray, p: float) -> float:
     return core.energy(vals, p, 0.0) * p / den
 
 
-def _descend_quotient(core: VariationalCore, v0: np.ndarray, p: float,
-                      cfg: EigenConfig, neumann: bool, deflate=None):
-    """Monotone preconditioned descent on R_p; returns (v, history, its, residual).
-
-    The metric is the energy Hessian at the stage's start iterate (mass-
-    shifted for Neumann), a local LU that dies with the stage.  Away from
-    p = 2 it is refactored at the current iterate every ``METRIC_REFRESH``
-    iterations, which keeps the steps Newton-like for strongly degenerate
-    exponents.  Raises ``EigenError`` when ``cfg.max_iterations`` steps end
-    without a stop.
-    """
-    v = _project(core, v0.copy(), p, neumann, deflate)
-    v = _normalize(core, v, p)
-    r_cur = _quotient(core, v, p)
-    history = [r_cur]
-    tau = 1.0
-    stall = 0
-    it = 0
-    gnorm_rel = math.inf
-    factor = None
-    while it < cfg.max_iterations:
-        it += 1
-        if factor is None or (p != 2.0 and (it - 1) % METRIC_REFRESH == 0):
-            factor = None  # free the old LU before the new one is built
-            factor = core.weighted_factor(v, p, cfg.delta)
-        _, g_num = core.energy_grad(v, p, cfg.delta)
-        g_num = g_num * p  # energy carries 1/p
-        g_den = core.pnorm_grad(v, p)
-        g = g_num - r_cur * g_den
-        d = core.precond_solve(g, factor)
-        dmax = float(np.max(np.abs(d)))
-        vmax = float(np.max(np.abs(v)))
-        if dmax > 4.0 * vmax:
-            d *= 4.0 * vmax / dmax
-        accepted = False
-        t = tau
-        for _ in range(50):
-            v_try = _normalize(core, _project(core, v - t * d, p, neumann, deflate), p)
-            r_try = _quotient(core, v_try, p)
-            if r_try < r_cur * (1.0 - 1e-15):
-                accepted = True
-                break
-            t *= 0.5
-        # refine: a first-accepted step may overshoot the 1-D minimum (at
-        # p = 2 a full preconditioned step leaves high modes undamped), so
-        # halve while that still lowers the quotient
-        while accepted:
-            v_half = _normalize(core,
-                                _project(core, v - 0.5 * t * d, p, neumann, deflate), p)
-            r_half = _quotient(core, v_half, p)
-            if r_half < r_try:
-                t, v_try, r_try = 0.5 * t, v_half, r_half
-            else:
-                break
-        gnorm_rel = float(np.linalg.norm(g[core.dof_mask])
-                          / max(np.linalg.norm(g_num[core.dof_mask]), 1e-300))
-        if not accepted:
-            break
-        rel_drop = (r_cur - r_try) / max(r_try, 1e-300)
-        v, r_cur = v_try, r_try
-        history.append(r_cur)
-        tau = min(t * 2.0, 1.0)
-        stall = stall + 1 if rel_drop < cfg.tol else 0
-        if stall >= cfg.stall_window:
-            break
-    else:
-        raise EigenError(f"p = {p:g} quotient descent made {it} steps without a stop "
-                         f"(residual {gnorm_rel:.3e})", iterations=it, residual=gnorm_rel)
-    return v, history, it, gnorm_rel
+def _quotient_grad(core: VariationalCore, v: np.ndarray, p: float, delta: float):
+    """``(p E_delta / D, grad E_delta, m |v|^(p-2) v)``, arrays zeroed off the dofs."""
+    e, grad_e = core.energy_grad(v, p, delta)
+    flux = np.where(core.dof_mask, _pmean_weights(v, core.mass, p) * v, 0.0)
+    return p * e / core.pnorm_term(v, p), grad_e, flux
 
 
-def _finalize(core: VariationalCore, vals: np.ndarray, p: float, bc: str,
-              history: list, its: int, residual: float) -> EigenResult:
+class _QuotientNewton(_Newton):
+    """Projected Newton on ``R = p E_delta / D`` (``p E_delta`` on ``D =
+    1``): the gradient is ``g = grad E_delta - R m |v|^(p-2) v``, less its
+    component along the deflation vector ``deflate`` (if any), and the
+    Hessian is the Lagrangian's, the energy Hessian less the diagonal ``R
+    (p-1) m |v|^(p-2)``.  Directions keep the linearized constraints
+    (normals ``m |v|^(p-2) v``, for Neumann ``m |v|^(p-2)``, and
+    ``deflate``), preconditioned with the LU of ``weighted_factor``; trial
+    points are shifted to zero p-mean (Neumann), cleared along ``deflate``
+    and normalized to ``D = 1``."""
+
+    error = EigenError
+
+    def __init__(self, core: VariationalCore, cfg: EigenConfig, deflate=None):
+        super().__init__(core, cfg, load=None)
+        self.deflate = deflate
+        self.at = (cfg.p, cfg.delta)  # (p, delta) of the last Hessian
+
+    def objective(self, v, p, delta):
+        q, grad_e, flux = _quotient_grad(self.core, v, p, delta)
+        g, w = grad_e - q * flux, self.deflate
+        if w is not None:
+            g = g - float(np.sum(w * g)) / float(np.sum(w * w)) * w
+        return q, g
+
+    def hessian(self, v, p, delta):
+        core, self.at = self.core, (p, delta)
+        q = p * core.energy(v, p, delta) / core.pnorm_term(v, p)
+        weights = _pmean_weights(v, core.mass, p).ravel()[core.dof_index]
+        return core.hessian(v, p, delta) - sp.diags(q * (p - 1.0) * weights, format="csc")
+
+    def constraints(self, v):
+        core = self.core
+        a = _pmean_weights(v, core.mass, self.at[0])
+        normals = [a * v]
+        if core.bc == "neumann":
+            normals.append(a)
+        if self.deflate is not None:
+            normals.append(self.deflate)
+        return np.column_stack([n.ravel()[core.dof_index] for n in normals])
+
+    def retract(self, v, p):
+        core, w = self.core, self.deflate
+        if core.bc == "neumann":
+            v = np.where(core.grid.nonexterior, v - _pmean_shift(v, core.mass, p), 0.0)
+        if w is not None:
+            v = v - float(np.sum(w * v)) / float(np.sum(w * w)) * w
+        den = core.pnorm_term(v, p)
+        if den <= 0.0:
+            raise EigenError("eigen iterate collapsed to zero")
+        return v / den ** (1.0 / p)
+
+    def factorize(self, v, H):
+        return self.core.weighted_factor(v, *self.at)
+
+    def predict(self, v, p, delta):
+        """Whichever of ``v - s (p - p0) w``, retracted, for s = 0
+        (``plain``), 1/2 (``half-tangent``) and 1 (``tangent``) has the
+        lowest quotient at ``(p, delta)``, with its kind; ``v`` is the end
+        point of the last stage (at ``p0``).  ``-w`` is the tangent
+        ``dv/dp``: ``H w = d/dp g``, solved by :meth:`direction` subject to
+        the end point's constraints, which absorb ``dR/dp``."""
+        core = self.core
+        p0, delta0 = self.stages[-1].p, self.stages[-1].delta
+        av = np.abs(v)
+        log = np.log(av, out=np.zeros_like(av), where=av > 0.0)
+        dp = (core.energy_grad_dp(v, p0, delta0)
+              - self.energy * log * _pmean_weights(v, core.mass, p0) * v)
+        w = self.direction(v, dp, self.end_hessian)
+        starts = [(self.retract(v - s * (p - p0) * w, p), kind)
+                  for kind, s in (("plain", 0.0), ("half-tangent", 0.5), ("tangent", 1.0))]
+        return min(starts, key=lambda start: self.objective(start[0], p, delta)[0])
+
+
+def _start(core: VariationalCore, cfg: EigenConfig) -> np.ndarray:
+    """The p = 2 torsion function (Dirichlet), or a ramp along the diameter
+    plus a seeded kick of relative size ``cfg.perturbation`` (Neumann), which
+    keeps the solve off the constants and off unstable symmetry axes."""
     grid = core.grid
-    raw = _quotient(core, vals, p)
+    if core.bc == "dirichlet":
+        return core.precond_solve(core.mass, core.weighted_factor(np.zeros(grid.shape), 2.0, 0.0))
+    v = _diameter_ramp(grid)
+    osc = float(v[grid.nonexterior].max() - v[grid.nonexterior].min())
+    v = v + cfg.perturbation * osc * np.random.default_rng(cfg.seed).standard_normal(grid.shape)
+    return np.where(grid.nonexterior, v, 0.0)
+
+
+def _continue(core: VariationalCore, v: np.ndarray, cfg: EigenConfig, deflate=None,
+              more=()) -> list[EigenResult]:
+    """Minimize the quotient from ``v`` through the continuation ladder up
+    to ``cfg.p``, then at each exponent of ``more`` in turn, on one engine
+    (:meth:`_Newton.continuation`): one result per target."""
+    newton = _QuotientNewton(core, cfg, deflate)
+    results = []
+    for ladder in [cfg.ladder or continuation_ladder(cfg.p), *((p,) for p in more)]:
+        v, _, _ = newton.continuation(v, ladder)
+        results.append(_result(newton, v))
+    return results
+
+
+def _result(newton: _QuotientNewton, v: np.ndarray) -> EigenResult:
+    """The eigenpair at ``v``, the end point of the engine's last stage."""
+    core, last = newton.core, newton.stages[-1]
+    q, grad_e, flux = _quotient_grad(core, v, last.p, last.delta)
+    dofs = core.dof_mask
+    residual = (float(np.linalg.norm((grad_e - q * flux)[dofs]))
+                / max(float(np.linalg.norm(grad_e[dofs])), 1e-300))
+    raw = _quotient(core, v, last.p)
     # sign convention: positive maximum (zero p-mean survives negation)
-    if abs(float(vals.min())) > float(vals.max()):
-        vals = -vals
-    sup = float(np.max(np.abs(vals[grid.nonexterior])))
-    out = ScalarField(grid, np.where(grid.nonexterior, vals / sup, 0.0))
-    hist = np.asarray(history)
-    return EigenResult(p=p, bc=bc, raw=float(raw), root=float(raw ** (1.0 / p)),
-                       field=out, history=hist, iterations=its,
-                       residual=float(residual))
-
-
-def _continue(core: VariationalCore, v: np.ndarray, cfg: EigenConfig) -> EigenResult:
-    """Descend on R_p from ``v`` through the continuation ladder up to
-    ``cfg.p``; the result keeps the last stage's history and the iterations
-    of all stages."""
-    total = 0
-    for p_stage in cfg.ladder if cfg.ladder is not None else continuation_ladder(cfg.p):
-        stage_cfg = cfg if p_stage == cfg.p else replace(cfg, p=p_stage, ladder=None)
-        v, hist, its, residual = _descend_quotient(core, v, p_stage, stage_cfg,
-                                                   neumann=core.bc == "neumann")
-        total += its
-    return _finalize(core, v, cfg.p, core.bc, hist, total, residual)
+    if abs(float(v.min())) > float(v.max()):
+        v = -v
+    ok = core.grid.nonexterior
+    out = ScalarField(core.grid, np.where(ok, v / float(np.max(np.abs(v[ok]))), 0.0))
+    return EigenResult(p=last.p, bc=core.bc, raw=float(raw), root=float(raw ** (1.0 / last.p)),
+                       field=out,
+                       history=np.asarray(newton.history[len(newton.history) - last.iterations:]),
+                       iterations=newton.iterations, residual=residual,
+                       factorizations=newton.factorizations,
+                       pcg_iterations=newton.pcg_iterations, stages=list(newton.stages))
 
 
 def dirichlet_eigen_first(grid: Grid, p: float | None = None,
                           cfg: EigenConfig | None = None,
                           v0: np.ndarray | None = None) -> EigenResult:
-    """First Dirichlet eigenpair by continuation in p from a torsion start
-    (one solve of ``K v = M 1`` with the p = 2 stiffness ``K``)."""
+    """First Dirichlet eigenpair by continuation in p from ``v0`` or :func:`_start`."""
     cfg = resolve_cfg(EigenConfig, cfg, p)
     core = make_core(grid, "dirichlet")
-    if v0 is None:
-        v = core.precond_solve(core.mass, core.weighted_factor(np.zeros(grid.shape), 2.0, 0.0))
-    else:
-        v = np.where(grid.interior, np.asarray(v0, dtype=float), 0.0)
-    return _continue(core, v, cfg)
+    v = _start(core, cfg) if v0 is None else np.where(grid.interior, np.asarray(v0, float), 0.0)
+    return _continue(core, v, cfg)[0]
 
 
 def _diameter_ramp(grid: Grid) -> np.ndarray:
@@ -380,22 +357,11 @@ def _diameter_ramp(grid: Grid) -> np.ndarray:
 def neumann_eigen_first(grid: Grid, p: float | None = None,
                         cfg: EigenConfig | None = None,
                         v0: np.ndarray | None = None) -> EigenResult:
-    """First nontrivial Neumann eigenpair.
-
-    The start is a ramp along the diameter direction plus a seeded random
-    perturbation (relative amplitude ``cfg.perturbation``), so the descent
-    neither stalls on constants nor sits on an unstable symmetry axis.
-    """
+    """First nontrivial Neumann eigenpair, as :func:`dirichlet_eigen_first`."""
     cfg = resolve_cfg(EigenConfig, cfg, p)
     core = make_core(grid, "neumann")
-    if v0 is None:
-        v = _diameter_ramp(grid)
-        rng = np.random.default_rng(cfg.seed)
-        osc = float(v[grid.nonexterior].max() - v[grid.nonexterior].min())
-        v = v + cfg.perturbation * osc * rng.standard_normal(grid.shape)
-    else:
-        v = np.asarray(v0, dtype=float).copy()
-    return _continue(core, np.where(grid.nonexterior, v, 0.0), cfg)
+    v = _start(core, cfg) if v0 is None else np.where(grid.nonexterior, np.asarray(v0, float), 0.0)
+    return _continue(core, v, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -432,38 +398,38 @@ class SweepReport:
         }
 
 
+def limit_target(problem: str, domain: geometry.Domain) -> float:
+    """The p -> oo limit of the eigenvalue roots of ``problem``: 1/inradius
+    (``"dirichlet"``) or 2/diameter (``"neumann"``)."""
+    if problem == "dirichlet":
+        return 1.0 / geometry.inradius(domain)
+    if problem == "neumann":
+        return 2.0 / geometry.diameter(domain)
+    raise EigenError(f"unknown eigenproblem {problem!r}")
+
+
 def p_sweep(problem: str, domain: geometry.Domain, p_list, n: int,
             cfg: EigenConfig | None = None) -> SweepReport:
-    """Warm-started eigen solves across exponents.
+    """Eigen solves across exponents on one continuation.
 
-    ``problem`` is ``"dirichlet"`` (target 1/inradius) or ``"neumann"``
-    (target 2/diameter).  Entries are sorted by p; each solve continues from
-    the previous exponent's eigenfunction.
+    ``problem`` is ``"dirichlet"`` or ``"neumann"``, compared with its
+    :func:`limit_target`.  Entries are sorted by p; each continues from the
+    previous one through the engine's predictor and counts its own steps.
     """
-    if problem not in ("dirichlet", "neumann"):
-        raise EigenError(f"unknown sweep problem {problem!r}")
+    target = limit_target(problem, domain)
     ps = sorted(float(p) for p in p_list)
     if len(ps) != len(set(ps)) or not ps:
         raise EigenError("p list must be nonempty with distinct entries")
-    grid = build_grid(domain, n)
-    if problem == "dirichlet":
-        target = 1.0 / geometry.inradius(domain)
-    else:
-        target = 2.0 / geometry.diameter(domain)
-    base = cfg if cfg is not None else EigenConfig(p=ps[0])
+    grid = build_grid(domain, n)  # the grid owns its core
+    core = make_core(grid, problem)
+    first = replace(cfg if cfg is not None else EigenConfig(), p=ps[0], ladder=None)
     report = SweepReport(problem=problem, target=target)
-    prev_field: np.ndarray | None = None
-    for p in ps:
-        stage = replace(base, p=p, ladder=None if prev_field is None else (p,))
-        if problem == "dirichlet":
-            res = dirichlet_eigen_first(grid, cfg=stage, v0=prev_field)
-        else:
-            res = neumann_eigen_first(grid, cfg=stage, v0=prev_field)
-        prev_field = res.field.values
-        report.entries.append(SweepEntry(p=p, raw=res.raw, root=res.root,
-                                         target=target,
+    done = 0
+    for p, res in zip(ps, _continue(core, _start(core, first), first, more=ps[1:])):
+        report.entries.append(SweepEntry(p=p, raw=res.raw, root=res.root, target=target,
                                          relative_gap=abs(res.root - target) / target,
-                                         iterations=res.iterations))
+                                         iterations=res.iterations - done))
+        done = res.iterations
     return report
 
 
@@ -569,10 +535,11 @@ def nodal_distances(u: ScalarField, band: float = 0.0) -> tuple[float, float]:
 class SecondEigenResult:
     """Heuristic second Dirichlet eigenpair (exploratory).
 
-    Two deflated descents run from starts biased toward the two candidate
-    nodal orientations (side-parallel and diagonal); each start's symmetry
-    class is preserved by the descent, so their converged quotients probe
-    the two orientation families independently.  ``orientation`` is the
+    Two deflated Newton solves run from starts biased toward the two
+    candidate nodal orientations (side-parallel and diagonal).  They keep
+    each start's symmetry class only up to rounding: a family that is a
+    saddle of the deflated quotient (the axis family on the square at p = 6)
+    is left for the other, and the two quotients tie.  ``orientation`` is the
     lower family's tag (``"parallel"``/``"diagonal"``), or ``"other"`` when
     the families tie within discretization resolution (degenerate pair) or
     the winning field fits neither reflection pattern.  ``scores`` holds the
@@ -596,10 +563,11 @@ def second_dirichlet_eigen_experiment(grid: Grid, p: float | None = None,
                                       first: EigenResult | None = None) -> SecondEigenResult:
     """Minimize R_p deflated against the first eigenfunction (heuristic).
 
-    The constraint ``sum m |u1|^(p-2) u1 u = 0`` is linear in ``u``; iterates
-    are projected onto it after each step.  The result is exploratory: the
-    deflation is one of several conceivable second-eigenvalue definitions,
-    and for symmetric domains the minimizer may be degenerate.
+    The constraint ``sum m |u1|^(p-2) u1 u = 0`` is linear in ``u``: Newton
+    directions keep it, and trial points are projected onto it.  The result
+    is exploratory: the deflation is one of several conceivable
+    second-eigenvalue definitions, and for symmetric domains the minimizer
+    may be degenerate.
     """
     cfg = resolve_cfg(EigenConfig, cfg, p)
     core = make_core(grid, "dirichlet")
@@ -608,8 +576,7 @@ def second_dirichlet_eigen_experiment(grid: Grid, p: float | None = None,
     u1 = first.field.values
     w = core.mass * np.abs(u1) ** (cfg.p - 1.0) * np.sign(u1)
     w = np.where(grid.interior, w, 0.0)
-    wnorm2 = float(np.sum(w * w))
-    if wnorm2 <= 0.0:
+    if not np.any(w):
         raise EigenError("first eigenfunction vanishes; cannot deflate")
     X, Y = grid.coordinates()
     cx = 0.5 * (X[grid.interior].min() + X[grid.interior].max())
@@ -618,10 +585,7 @@ def second_dirichlet_eigen_experiment(grid: Grid, p: float | None = None,
     results: dict[str, EigenResult] = {}
     for name, ramp in ramps.items():
         v0 = np.where(grid.interior, ramp * np.abs(u1), 0.0)
-        v, hist, its, residual = _descend_quotient(core, v0, cfg.p, cfg,
-                                                   neumann=False,
-                                                   deflate=(w, wnorm2))
-        results[name] = _finalize(core, v, cfg.p, "dirichlet", hist, its, residual)
+        results[name] = _continue(core, v0, replace(cfg, ladder=(cfg.p,)), deflate=w)[0]
     ra, rd = results["axis"].raw, results["diagonal"].raw
     winner = results["axis"] if ra <= rd else results["diagonal"]
     scores = _symmetry_scores(winner.field)

@@ -103,9 +103,10 @@ class ShootingResult:
 
     @property
     def interior_sign_changes(self) -> int:
+        """Sign changes among the nonzero samples: the closed form's signs
+        are exact away from the zeros, however small the outer lobes."""
         v = self.values[:-1]  # boundary zero excluded
-        sel = np.abs(v) > 1e-8 * np.max(np.abs(v))
-        s = np.sign(v[sel])
+        s = np.sign(v[v != 0.0])
         return int(np.sum(s[1:] != s[:-1]))
 
 
@@ -208,9 +209,7 @@ def radial_eigen_shoot(p: float, n: int, R: float, k: int = 1) -> ShootingResult
     ``v(r) = phi_nu(kappa r)``, ``v'(r) = -kappa^2 r phi_{nu+1}(kappa r) /
     (2(nu+1))``, sampled on 2049 equispaced radii of [0, R] for every p.
     Since |phi_nu| <= 1 = phi_nu(0), the profile is sup-normalized.  In the
-    plane the first eigenpair is finite down to p = 1.0014 (nu = 357);
-    for k >= 2 the outer lobes fall below the sign-change count's floor of
-    1e-8 at p = 1.01, which raises ``RadialError``.
+    plane the first eigenpair is finite down to p = 1.0014 (nu = 357).
     """
     if not (p > 1.0 and math.isfinite(p)):
         raise RadialError("radial eigenpairs require 1 < p < inf")

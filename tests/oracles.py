@@ -49,25 +49,27 @@ def bessel_dirichlet_eigenvalue(k: int = 1) -> float:
     return float(jn_zeros(0, k)[k - 1]) ** 2 / 2.0
 
 
-def bessel_order_eigenvalue(p: float, n: int, R: float = 1.0) -> float:
-    """First radial eigenvalue ``((p-1)/p) (j_{nu,1}/R)^2`` of the normalized
+def bessel_order_eigenvalue(p: float, n: int, R: float = 1.0, k: int = 1) -> float:
+    """k-th radial eigenvalue ``((p-1)/p) (j_{nu,k}/R)^2`` of the normalized
     problem for an integer or half-integer order ``nu = (n-p)/(2(p-1))``.
 
     Integer orders take ``jn_zeros``.  A half-integer order l + 1/2 takes the
-    first zero of the spherical Bessel function j_l, since
-    ``J_{l+1/2}(x) = sqrt(2x/pi) j_l(x)``: a half-unit scan from l brackets
-    it and brentq closes it.
+    k-th zero of the spherical Bessel function j_l, since
+    ``J_{l+1/2}(x) = sqrt(2x/pi) j_l(x)``: a half-unit scan from l, whose
+    sign flips at each zero, brackets it and brentq closes it.
     """
     nu = (n - p) / (2.0 * (p - 1.0))
     if abs(nu - round(nu)) < 1e-9:
-        j = float(jn_zeros(round(nu), 1)[0])
+        j = float(jn_zeros(round(nu), k)[k - 1])
     else:
         order = round(nu - 0.5)
         assert abs(nu - order - 0.5) < 1e-9, "order must be an integer or half-integer"
-        x = float(max(order, 0))
-        while spherical_jn(order, x + 0.5) > 0.0:
-            x += 0.5
-        j = brentq(lambda t: spherical_jn(order, t), x, x + 0.5,
+        x, sign = float(max(order, 0)), 1.0
+        for _ in range(k):
+            while sign * spherical_jn(order, x + 0.5) > 0.0:
+                x += 0.5
+            lo, x, sign = x, x + 0.5, -sign
+        j = brentq(lambda t: spherical_jn(order, t), lo, lo + 0.5,
                    xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
     return (p - 1.0) / p * (j / R) ** 2
 

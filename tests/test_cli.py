@@ -175,6 +175,19 @@ def test_eigen_nonconvergence_exits_1(square_json, workdir, monkeypatch, capsys)
     assert json.loads(capsys.readouterr().err)["error"] == "EigenError"
 
 
+def test_eigen_report_counts_stages(square_json, workdir):
+    assert run(["eigen", "--type", "neumann", "--p", "8",
+                "--domain", square_json, "--grid", "32", "--report", "e.json"]) == 0
+    report = read_json("e.json")
+    stages = report["stages"]
+    assert [s["p"] for s in stages] == [2.0, 4.0, 8.0]
+    assert sum(s["iterations"] for s in stages) == report["iterations"]
+    assert sum(s["factorizations"] for s in stages) == report["factorizations"] >= 1
+    assert sum(s["pcg_iterations"] for s in stages) == report["pcgIterations"]
+    assert {s["stop"] for s in stages} <= {"converged", "rounding"}
+    assert stages[-1]["residual"] <= stages[-1]["target"]
+
+
 def test_eigen_single_with_field_csv(square_json, workdir, capsys):
     assert run(["eigen", "--type", "dirichlet", "--p", "2",
                 "--domain", square_json, "--grid", "32",

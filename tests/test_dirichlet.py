@@ -58,7 +58,7 @@ def test_config_validation():
     with pytest.raises(SolverError):
         SolverConfig(p=math.inf)
     with pytest.raises(SolverError):
-        SolverConfig(tol=0.0)
+        SolverConfig(delta=-1.0)
     with pytest.raises(SolverError):
         SolverConfig(p=4.0, ladder=(2.0, 8.0, 4.0))
     with pytest.raises(SolverError):
@@ -135,6 +135,15 @@ def test_nonconvergence_raises_with_diagnostics():
     # one exact p = 2 step, then two steps at each of p = 4, 8, 16, 32
     assert exc.value.iterations == 9
     assert math.isfinite(exc.value.residual) and exc.value.residual > 0.0
+    stage = exc.value.stage
+    assert (stage.p, stage.stop, stage.iterations) == (32.0, "max-iterations", 2)
+    assert stage.residual == exc.value.residual > stage.target
+
+
+def test_stage_records_say_why_they_stopped():
+    res = solve_p_torsion(build_grid(Domain.unit_square(), 32), p=8.0)
+    assert [s.stop for s in res.stages] == ["converged"] * len(res.stages)
+    assert all(s.residual <= s.target for s in res.stages)
 
 
 def test_result_counts_factorizations():

@@ -72,7 +72,7 @@ def test_config_validation():
     with pytest.raises(EigenError):
         EigenConfig(p=1.0)
     with pytest.raises(EigenError):
-        EigenConfig(tol=0.0)
+        EigenConfig(delta=-1.0)
     with pytest.raises(EigenError):
         EigenConfig(p=4.0, ladder=())
     with pytest.raises(EigenError):
@@ -88,12 +88,38 @@ def test_config_validation():
 
 @pytest.mark.parametrize("solver", [dirichlet_eigen_first, neumann_eigen_first])
 def test_iteration_cap_raises_with_diagnostics(solver):
-    # no stage of a p = 8 solve stalls within 3 steps
+    # no stage of a p = 8 solve converges within 3 steps: 3 at each of
+    # p = 2, 4 and 8, and the target stage raises with its record
     grid = build_grid(Domain.unit_square(), 16)
     with pytest.raises(EigenError) as exc:
         solver(grid, cfg=EigenConfig(p=8.0, max_iterations=3))
-    assert exc.value.iterations == 3
+    assert exc.value.iterations == 9
     assert math.isfinite(exc.value.residual) and exc.value.residual > 0.0
+    stage = exc.value.stage
+    assert (stage.p, stage.stop, stage.iterations) == (8.0, "max-iterations", 3)
+    assert stage.residual == exc.value.residual > stage.target
+
+
+@pytest.mark.parametrize("solver", [dirichlet_eigen_first, neumann_eigen_first])
+def test_result_records_every_stage(solver):
+    res = solver(build_grid(Domain.unit_square(), 32), p=8.0)
+    assert [s.p for s in res.stages] == [2.0, 4.0, 8.0]
+    assert [s.delta for s in res.stages] == [0.0, 1e-6, 1e-6]
+    assert res.stages[0].start == "plain"
+    assert {s.start for s in res.stages[1:]} <= {"plain", "half-tangent", "tangent"}
+    assert sum(s.iterations for s in res.stages) == res.iterations
+    assert sum(s.factorizations for s in res.stages) == res.factorizations >= 1
+    assert sum(s.pcg_iterations for s in res.stages) == res.pcg_iterations
+    assert all(s.stop == "converged" and s.residual <= s.target for s in res.stages)
+    assert len(res.history) == res.stages[-1].iterations
+    assert res.residual < 1e-6
+
+
+def test_p11_dirichlet_reaches_its_residual():
+    # the quotient descent this replaced stopped on a flat quotient at 2.0e-2
+    res = dirichlet_eigen_first(build_grid(Domain.unit_square(), 64), p=1.1)
+    assert res.residual <= 1e-6
+    assert res.stages[-1].stop in ("converged", "rounding")
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,16 @@ def test_eigenpairs_near_p_one(p, lam):
     assert _ode_residual(res, res.derivative[1:-1]) <= 1e-4
 
 
+@pytest.mark.parametrize("p", [1.01, 1.02])
+def test_second_eigenpair_near_p_one(p):
+    # orders 49.5 and 24.5; at p = 1.01 the negative lobe stays below 1e-8
+    # of the sup, yet it is one exact sign change of the closed form
+    res = radial_eigen_shoot(p, 2, 1.0, k=2)
+    oracle = oracles.bessel_order_eigenvalue(p, 2, k=2)
+    assert abs(res.eigenvalue - oracle) <= 1e-12 * oracle
+    assert res.interior_sign_changes == 1
+
+
 def test_profile_beyond_float_range_raises():
     # order 499.5: J_nu underflows where the power series stops
     with pytest.raises(RadialError, match="underflows"):
