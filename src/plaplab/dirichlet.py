@@ -82,7 +82,7 @@ class SolverConfig:
     Each stage stops once the strong residual falls to ``RESIDUAL_RTOL``
     (1e-8) of its start value, or to its rounding level, and makes at most
     ``max_iterations`` Newton steps.  ``delta`` regularizes the gradient
-    norm; a final polish of at most ``polish_iterations`` steps removes it
+    norm; a final polish of at most ``POLISH_ITERATIONS`` steps removes it
     (for p < 2, where the unregularized weight is singular, it is lowered by
     factors of 100 to 1e-12, each with its own polish).  ``ladder``
     overrides the automatic p-continuation sequence.  The stop rules and
@@ -92,7 +92,6 @@ class SolverConfig:
     p: float = 2.0
     delta: float = 1e-6
     max_iterations: int = 2000
-    polish_iterations: int = 100
     ladder: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -220,6 +219,8 @@ ENERGY_ROUNDING = 1e-13
 #: lower neither the objective by STALL_RTOL relatively nor the residual
 STALL_RTOL = 1e-12
 STALL_WINDOW = 8
+#: Newton steps of each polish stage
+POLISH_ITERATIONS = 100
 
 
 def _forcing(residual: float, r_old: float, eta_old: float) -> float:
@@ -535,10 +536,10 @@ def _solve(core: VariationalCore, cfg: SolverConfig, boundary_values: np.ndarray
     v, residual, target = newton.continuation(
         v, (2.0,) + tuple(q for q in ladder if q != 2.0),
         predict=load is not None and not np.any(boundary_values))
-    if cfg.polish_iterations > 0 and cfg.p != 2.0:
+    if cfg.p != 2.0:
         deltas = _polish_deltas(cfg.p, cfg.delta)
         for delta in deltas:
-            v, residual = newton.stage(v, cfg.p, delta, cfg.polish_iterations, target,
+            v, residual = newton.stage(v, cfg.p, delta, POLISH_ITERATIONS, target,
                                        strict=delta == deltas[-1])
     out = ScalarField(grid, np.where(grid.nonexterior, v, 0.0))
     return SolveResult(field=out, p=cfg.p, iterations=newton.iterations,

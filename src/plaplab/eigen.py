@@ -1,5 +1,5 @@
-"""First (and exploratory second) eigenpairs of the p-Laplacian via
-projected Newton on the Rayleigh quotient.
+"""First eigenpairs of the p-Laplacian via projected Newton on the Rayleigh
+quotient, and an exploratory second Dirichlet pair from half domains.
 
 The discrete quotient is ``R_p(v) = N(v)/D(v)`` with the numerator summed
 over affine elements and the denominator over lumped nodal masses:
@@ -21,13 +21,17 @@ Reported eigenvalues come in two scalings: ``raw`` is the quotient minimum
 the scaling that converges to geometric quantities as p grows: 1/inradius
 for Dirichlet, 2/diameter for Neumann (:func:`limit_target`).  ``p_sweep``
 tabulates the gap to those targets across exponents with warm-started
-continuation.
+continuation.  ``second_dirichlet_eigen_experiment`` bounds the second
+Dirichlet eigenvalue by the first eigenvalue of a symmetric half domain and
+extends the half's eigenfunction oddly.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,19 +67,22 @@ class EigenError(SolverError):
     ``SolverError``) or invalid eigen-solver input."""
 
 
+#: relative amplitude of the seeded random kick added once to Neumann starts,
+#: which breaks the constant trap and orientation symmetries
+PERTURBATION = 1e-3
+
+
 @dataclass(frozen=True)
 class EigenConfig:
     """Rayleigh-quotient minimization parameters, ``p``, ``delta``,
-    ``max_iterations`` and ``ladder`` as in ``SolverConfig``; ``perturbation``
-    is the relative amplitude of the seeded random kick added once to Neumann
-    starts to break the constant trap and orientation symmetries."""
+    ``max_iterations`` and ``ladder`` as in ``SolverConfig``; ``seed`` seeds
+    the kick of Neumann starts (``PERTURBATION``)."""
 
     p: float = 2.0
     delta: float = 1e-6
     max_iterations: int = 4000
     ladder: tuple[float, ...] | None = None
     seed: int = 0
-    perturbation: float = 1e-3
 
     def __post_init__(self):
         check_config(self, EigenError)
@@ -214,28 +221,22 @@ def _quotient_grad(core: VariationalCore, v: np.ndarray, p: float, delta: float)
 
 class _QuotientNewton(_Newton):
     """Projected Newton on ``R = p E_delta / D`` (``p E_delta`` on ``D =
-    1``): the gradient is ``g = grad E_delta - R m |v|^(p-2) v``, less its
-    component along the deflation vector ``deflate`` (if any), and the
+    1``): the gradient is ``g = grad E_delta - R m |v|^(p-2) v`` and the
     Hessian is the Lagrangian's, the energy Hessian less the diagonal ``R
     (p-1) m |v|^(p-2)``.  Directions keep the linearized constraints
-    (normals ``m |v|^(p-2) v``, for Neumann ``m |v|^(p-2)``, and
-    ``deflate``), preconditioned with the LU of ``weighted_factor``; trial
-    points are shifted to zero p-mean (Neumann), cleared along ``deflate``
-    and normalized to ``D = 1``."""
+    (normals ``m |v|^(p-2) v``, for Neumann also ``m |v|^(p-2)``),
+    preconditioned with the LU of ``weighted_factor``; trial points are
+    shifted to zero p-mean (Neumann) and normalized to ``D = 1``."""
 
     error = EigenError
 
-    def __init__(self, core: VariationalCore, cfg: EigenConfig, deflate=None):
+    def __init__(self, core: VariationalCore, cfg: EigenConfig):
         super().__init__(core, cfg, load=None)
-        self.deflate = deflate
         self.at = (cfg.p, cfg.delta)  # (p, delta) of the last Hessian
 
     def objective(self, v, p, delta):
         q, grad_e, flux = _quotient_grad(self.core, v, p, delta)
-        g, w = grad_e - q * flux, self.deflate
-        if w is not None:
-            g = g - float(np.sum(w * g)) / float(np.sum(w * w)) * w
-        return q, g
+        return q, grad_e - q * flux
 
     def hessian(self, v, p, delta):
         core, self.at = self.core, (p, delta)
@@ -246,19 +247,13 @@ class _QuotientNewton(_Newton):
     def constraints(self, v):
         core = self.core
         a = _pmean_weights(v, core.mass, self.at[0])
-        normals = [a * v]
-        if core.bc == "neumann":
-            normals.append(a)
-        if self.deflate is not None:
-            normals.append(self.deflate)
+        normals = [a * v, a] if core.bc == "neumann" else [a * v]
         return np.column_stack([n.ravel()[core.dof_index] for n in normals])
 
     def retract(self, v, p):
-        core, w = self.core, self.deflate
+        core = self.core
         if core.bc == "neumann":
             v = np.where(core.grid.nonexterior, v - _pmean_shift(v, core.mass, p), 0.0)
-        if w is not None:
-            v = v - float(np.sum(w * v)) / float(np.sum(w * w)) * w
         den = core.pnorm_term(v, p)
         if den <= 0.0:
             raise EigenError("eigen iterate collapsed to zero")
@@ -288,23 +283,23 @@ class _QuotientNewton(_Newton):
 
 def _start(core: VariationalCore, cfg: EigenConfig) -> np.ndarray:
     """The p = 2 torsion function (Dirichlet), or a ramp along the diameter
-    plus a seeded kick of relative size ``cfg.perturbation`` (Neumann), which
+    plus a seeded kick of relative size ``PERTURBATION`` (Neumann), which
     keeps the solve off the constants and off unstable symmetry axes."""
     grid = core.grid
     if core.bc == "dirichlet":
         return core.precond_solve(core.mass, core.weighted_factor(np.zeros(grid.shape), 2.0, 0.0))
     v = _diameter_ramp(grid)
     osc = float(v[grid.nonexterior].max() - v[grid.nonexterior].min())
-    v = v + cfg.perturbation * osc * np.random.default_rng(cfg.seed).standard_normal(grid.shape)
+    v = v + PERTURBATION * osc * np.random.default_rng(cfg.seed).standard_normal(grid.shape)
     return np.where(grid.nonexterior, v, 0.0)
 
 
-def _continue(core: VariationalCore, v: np.ndarray, cfg: EigenConfig, deflate=None,
+def _continue(core: VariationalCore, v: np.ndarray, cfg: EigenConfig,
               more=()) -> list[EigenResult]:
     """Minimize the quotient from ``v`` through the continuation ladder up
     to ``cfg.p``, then at each exponent of ``more`` in turn, on one engine
     (:meth:`_Newton.continuation`): one result per target."""
-    newton = _QuotientNewton(core, cfg, deflate)
+    newton = _QuotientNewton(core, cfg)
     results = []
     for ladder in [cfg.ladder or continuation_ladder(cfg.p), *((p,) for p in more)]:
         v, _, _ = newton.continuation(v, ladder)
@@ -533,94 +528,101 @@ def nodal_distances(u: ScalarField, band: float = 0.0) -> tuple[float, float]:
 
 @dataclass
 class SecondEigenResult:
-    """Heuristic second Dirichlet eigenpair (exploratory).
+    """Second Dirichlet eigenpair from symmetric half domains (exploratory).
 
-    Two deflated Newton solves run from starts biased toward the two
-    candidate nodal orientations (side-parallel and diagonal).  They keep
-    each start's symmetry class only up to rounding: a family that is a
-    saddle of the deflated quotient (the axis family on the square at p = 6)
-    is left for the other, and the two quotients tie.  ``orientation`` is the
-    lower family's tag (``"parallel"``/``"diagonal"``), or ``"other"`` when
-    the families tie within discretization resolution (degenerate pair) or
-    the winning field fits neither reflection pattern.  ``scores`` holds the
-    winner's odd-symmetry defects per candidate axis; ``family_raw`` the two
-    converged quotients.
+    ``eigen`` carries the ``raw``, ``root`` and diagnostics of the lowest
+    half-domain first eigenpair (:func:`second_dirichlet_eigen_experiment`)
+    and, as ``field``, its eigenfunction extended oddly to the whole grid.
+    ``family_raw`` holds each family's ``raw``: ``"axis"`` (halves across a
+    mid-line, the lower of two) and, on a square, ``"diagonal"``.
+    ``orientation`` is the lower family's nodal-line tag (``"parallel"`` or
+    ``"diagonal"``), or ``"other"`` when the two agree within
+    ``DEGENERACY_RTOL``.
     """
 
     eigen: EigenResult
     orientation: str
-    scores: dict[str, float]
     family_raw: dict[str, float]
 
 
-#: Relative quotient split below which the two orientation families are
-#: reported as degenerate; absorbs O(h^2) asymmetry of the discretization.
-DEGENERACY_RTOL = 1e-3
+#: Relative split of the family quotients below which they tie (orientation
+#: ``"other"``).  On the unit square at p = 2, where the discrete pair is
+#: degenerate, the split is at most 2.9e-16 for n in {16, 24, 32, 40, 48,
+#: 64, 96}; at n = 48 it grows as 0.042 |p - 2| (4.2e-4 at p = 2.01)
+DEGENERACY_RTOL = 1e-12
 
 
 def second_dirichlet_eigen_experiment(grid: Grid, p: float | None = None,
-                                      cfg: EigenConfig | None = None,
-                                      first: EigenResult | None = None) -> SecondEigenResult:
-    """Minimize R_p deflated against the first eigenfunction (heuristic).
+                                      cfg: EigenConfig | None = None) -> SecondEigenResult:
+    """Upper bound for lambda_2 from the first eigenpairs of half domains
+    (exploratory).
 
-    The constraint ``sum m |u1|^(p-2) u1 u = 0`` is linear in ``u``: Newton
-    directions keep it, and trial points are projected onto it.  The result
-    is exploratory: the deflation is one of several conceivable
-    second-eigenvalue definitions, and for symmetric domains the minimizer
-    may be degenerate.
+    By the minimax characterization (Cuesta, de Figueiredo & Gossez, 1999)
+    lambda_2 is at most the larger first eigenvalue of the two sets of any
+    partition, which for two congruent halves is the half's.  So
+    :func:`dirichlet_eigen_first` runs with ``cfg``, at ``grid.h``, on each
+    half that the lattice maps onto its mirror image: the halves of an
+    interval; of a rectangle across each mid-line (one of the two on a
+    square, where the transpose, a symmetry of the P1 mesh, exchanges
+    them); and on a square the triangle below the main diagonal, the one
+    diagonal that splits the mesh's cells.  The bound is lambda_2 when an
+    optimal partition is symmetric; as p -> oo, lambda_2^(1/p) -> 1/r_2,
+    the inverse of the largest radius of two disjoint equal discs
+    (Juutinen & Lindqvist, 2005), which is the inradius of the square's
+    diagonal halves.  Other domains, and mid-lines off the lattice, raise
+    ``EigenError``.
     """
     cfg = resolve_cfg(EigenConfig, cfg, p)
-    core = make_core(grid, "dirichlet")
-    if first is None:
-        first = dirichlet_eigen_first(grid, cfg=cfg)
-    u1 = first.field.values
-    w = core.mass * np.abs(u1) ** (cfg.p - 1.0) * np.sign(u1)
-    w = np.where(grid.interior, w, 0.0)
-    if not np.any(w):
-        raise EigenError("first eigenfunction vanishes; cannot deflate")
-    X, Y = grid.coordinates()
-    cx = 0.5 * (X[grid.interior].min() + X[grid.interior].max())
-    cy = 0.5 * (Y[grid.interior].min() + Y[grid.interior].max())
-    ramps = {"axis": X - cx, "diagonal": (X - cx) + (Y - cy)}
-    results: dict[str, EigenResult] = {}
-    for name, ramp in ramps.items():
-        v0 = np.where(grid.interior, ramp * np.abs(u1), 0.0)
-        results[name] = _continue(core, v0, replace(cfg, ladder=(cfg.p,)), deflate=w)[0]
-    ra, rd = results["axis"].raw, results["diagonal"].raw
-    winner = results["axis"] if ra <= rd else results["diagonal"]
-    scores = _symmetry_scores(winner.field)
+    best = {}
+    for family, half, reflect in _halves(grid):
+        res = dirichlet_eigen_first(half, cfg=cfg)
+        if family not in best or res.raw < best[family][0].raw:
+            best[family] = (res, half, reflect)
+    family_raw = {name: res.raw for name, (res, _, _) in best.items()}
+    res, half, reflect = min(best.values(), key=lambda b: b[0].raw)
+    # the half's nodes are the grid's first ones along each axis
+    e = np.zeros(grid.shape)
+    e[tuple(slice(0, s) for s in half.shape)] = res.field.values
+    ra, rd = family_raw["axis"], family_raw.get("diagonal", math.inf)
     if abs(ra - rd) <= DEGENERACY_RTOL * min(ra, rd):
-        oa = _classify_orientation(_symmetry_scores(results["axis"].field))
-        od = _classify_orientation(_symmetry_scores(results["diagonal"].field))
-        orientation = oa if oa == od else "other"
+        orientation = "other"
     else:
-        orientation = _classify_orientation(scores)
-    return SecondEigenResult(eigen=winner, orientation=orientation, scores=scores,
-                             family_raw={"axis": ra, "diagonal": rd})
+        orientation = "parallel" if ra < rd else "diagonal"
+    return SecondEigenResult(eigen=replace(res, field=ScalarField(grid, e - reflect(e))),
+                             orientation=orientation, family_raw=family_raw)
 
 
-def _symmetry_scores(u: ScalarField) -> dict[str, float]:
-    g = u.grid
-    if g.dim != 2:
-        raise EigenError("orientation classification requires a 2-D grid")
-    v = u.values
-    sup = max(u.sup_norm(), 1e-300)
-    scores = {
-        "vertical": float(np.max(np.abs(v + v[::-1, :]))) / sup,
-        "horizontal": float(np.max(np.abs(v + v[:, ::-1]))) / sup,
-    }
-    if v.shape[0] == v.shape[1]:
-        scores["main-diagonal"] = float(np.max(np.abs(v + v.T))) / sup
-        scores["anti-diagonal"] = float(np.max(np.abs(v + v[::-1, ::-1].T))) / sup
-    return scores
-
-
-def _classify_orientation(scores: dict[str, float]) -> str:
-    axis_best = min(scores.get("vertical", math.inf), scores.get("horizontal", math.inf))
-    diag_best = min(scores.get("main-diagonal", math.inf),
-                    scores.get("anti-diagonal", math.inf))
-    best = min(axis_best, diag_best)
-    other = max(axis_best, diag_best)
-    if best < 0.25 and (other == math.inf or best < 0.5 * other):
-        return "parallel" if axis_best <= diag_best else "diagonal"
-    return "other"
+def _halves(grid: Grid) -> list[tuple[str, Grid, Callable[[np.ndarray], np.ndarray]]]:
+    """``(family, half grid, reflection)`` for each half domain of
+    :func:`second_dirichlet_eigen_experiment`.  Each half holds the
+    domain's lower-left corner and is built at ``grid.h``; the reflection
+    maps a full-grid array onto its mirror image across the half's edge."""
+    dom, h = grid.domain, grid.h
+    x0, y0, x1, y1 = dom.bounding_box
+    if dom.kind == "interval":
+        axes = (0,)
+    elif (dom.kind == "polygon" and len(dom.vertices) == 4
+          and bool(np.all((dom.vertices == (x0, y0)) | (dom.vertices == (x1, y1))))):
+        axes = (0,) if dom.is_square() else (0, 1)
+    else:
+        raise EigenError("the second pair needs an interval or an axis-aligned rectangle")
+    halves = []
+    for axis in axes:
+        lo, hi = (x0, x1) if axis == 0 else (y0, y1)
+        cells = (hi - lo) / (2.0 * h)  # lattice cells between an edge and the mid-line
+        if abs(cells - round(cells)) > 1e-9:
+            raise EigenError("the mid-line is not a lattice line")
+        mid = 0.5 * (lo + hi)
+        if dom.dim == 1:
+            half = geometry.Domain.interval(lo, mid)
+        elif axis == 0:
+            half = geometry.Domain.rectangle(x0, y0, mid, y1)
+        else:
+            half = geometry.Domain.rectangle(x0, y0, x1, mid)
+        x0h, y0h, x1h, y1h = half.bounding_box
+        n = round(max(x1h - x0h, y1h - y0h) / h)
+        halves.append(("axis", build_grid(half, n), partial(np.flip, axis=axis)))
+    if dom.is_square():
+        triangle = geometry.Domain.polygon([(x0, y0), (x1, y0), (x1, y1)])
+        halves.append(("diagonal", build_grid(triangle, grid.n), np.transpose))
+    return halves

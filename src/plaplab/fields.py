@@ -236,33 +236,6 @@ def default_grad_floor(f: ScalarField) -> float:
 # stencils
 
 
-def _difference_quotients(v: np.ndarray, h: float, out) -> None:
-    """Central differences on the inner block of ``v``, which carries a
-    one-node halo.  ``out`` receives ux, uxx in 1-D and ux, uy, uxx, uyy, uxy
-    in 2-D, each of the block's shape; no temporary is allocated."""
-    c = np.s_[1:-1]
-    if v.ndim == 1:
-        ux, uxx = out[:2]
-        np.subtract(v[2:], v[:-2], out=ux)
-        ux /= 2.0 * h
-        _second_difference(v[2:], v[c], v[:-2], uxx)
-        uxx /= h * h
-        return
-    ux, uy, uxx, uyy, uxy = out[:5]
-    np.subtract(v[2:, c], v[:-2, c], out=ux)
-    ux /= 2.0 * h
-    np.subtract(v[c, 2:], v[c, :-2], out=uy)
-    uy /= 2.0 * h
-    _second_difference(v[2:, c], v[c, c], v[:-2, c], uxx)
-    uxx /= h * h
-    _second_difference(v[c, 2:], v[c, c], v[c, :-2], uyy)
-    uyy /= h * h
-    np.subtract(v[2:, 2:], v[2:, :-2], out=uxy)
-    uxy -= v[:-2, 2:]
-    uxy += v[:-2, :-2]
-    uxy /= 4.0 * h * h
-
-
 def _second_difference(ahead, mid, behind, out) -> None:
     """``ahead - 2 mid + behind``, evaluated left to right."""
     np.multiply(mid, 2.0, out=out)
@@ -271,11 +244,28 @@ def _second_difference(ahead, mid, behind, out) -> None:
 
 
 def _derivs(f: ScalarField) -> dict[str, np.ndarray]:
-    """Central derivatives as full arrays, valid on interior nodes only."""
+    """Central derivatives as full arrays, valid on interior nodes only.
+
+    They are formed on the flat span (``_span_shifts``) as in
+    ``_normalized_stencil``; the span's halo nodes get finite garbage and
+    the rest of the ring stays 0."""
+    v, h = f.values, f.grid.h
+    at = _span_shifts(v)
     names = ("ux", "uxx") if f.grid.dim == 1 else ("ux", "uy", "uxx", "uyy", "uxy")
-    d = {name: np.zeros_like(f.values) for name in names}
-    inner = (np.s_[1:-1],) * f.grid.dim
-    _difference_quotients(f.values, f.grid.h, [d[name][inner] for name in names])
+    d = {name: np.zeros_like(v) for name in names}
+    span = {name: _span_shifts(d[name])(0) for name in names}
+    steps = (1,) if f.grid.dim == 1 else (v.shape[1], 1)  # flat offsets along x (, y)
+    for first, second, s in zip(("ux", "uy"), ("uxx", "uyy"), steps):
+        np.subtract(at(s), at(-s), out=span[first])
+        span[first] /= 2.0 * h
+        _second_difference(at(s), at(0), at(-s), span[second])
+        span[second] /= h * h
+    if f.grid.dim == 2:
+        N, uxy = v.shape[1], span["uxy"]
+        np.subtract(at(N + 1), at(N - 1), out=uxy)
+        uxy -= at(1 - N)
+        uxy += at(-N - 1)
+        uxy /= 4.0 * h * h
     return d
 
 
