@@ -36,20 +36,20 @@ import numpy as np
 
 from . import __version__
 from .dirichlet import (
-    SolverConfig,
     SolverError,
+    check_exponent,
     distance_field,
     solve_p_harmonic,
     torsion_infinity_gap,
 )
 from .eigen import (
-    EigenConfig,
     EigenError,
     diagonal_profile,
     dirichlet_eigen_first,
     limit_target,
     neumann_eigen_first,
     p_sweep,
+    sweep_exponents,
 )
 from .fields import (
     FieldError,
@@ -144,12 +144,12 @@ def _load_domain_arg(path: str) -> Domain:
         raise CliConfigError(f"--domain {path}: {exc}") from exc
 
 
-def _eigen_solver(kind: str):
+def _eigen_first(kind: str, grid, p: float, seed: int):
+    """First ``kind`` eigenpair at ``p``; a seed only moves a Neumann start."""
+    p = check_exponent(p, CliConfigError)
     if kind == "dirichlet":
-        return dirichlet_eigen_first
-    if kind == "neumann":
-        return neumann_eigen_first
-    raise CliConfigError(f"unknown eigenproblem type {kind!r}")
+        return dirichlet_eigen_first(grid, p)
+    return neumann_eigen_first(grid, p, seed=seed)
 
 
 def _engine_counts(res) -> dict:
@@ -166,13 +166,10 @@ def _engine_counts(res) -> dict:
 def _cmd_solve(args):
     dom = _load_domain_arg(args.domain)
     grid = build_grid(dom, args.grid)
-    try:
-        cfg = SolverConfig(p=args.p)
-    except SolverError as exc:
-        raise CliConfigError(str(exc)) from exc
+    check_exponent(args.p, CliConfigError)
     report: dict = {"problem": args.problem, "p": args.p}
     if args.problem == "torsion":
-        gap = torsion_infinity_gap(grid, args.p, cfg=cfg)
+        gap = torsion_infinity_gap(grid, args.p)
         res = gap.torsion
         report["supGap"] = gap.sup_gap
     else:
@@ -183,7 +180,7 @@ def _cmd_solve(args):
         else:
             def data(*coords):
                 return coords[0] - coords[-1]
-        res = solve_p_harmonic(grid, data, cfg=cfg)
+        res = solve_p_harmonic(grid, data, args.p)
         report["boundary"] = args.boundary
     report.update(_engine_counts(res), finalEnergy=res.final_energy,
                   optimalityResidual=res.optimality_residual)
@@ -194,9 +191,8 @@ def _cmd_solve(args):
     if args.report:
         _write_json(args.report, report)
         artifacts.append(args.report)
-    config = {"problem": args.problem, "domain": domain_to_json(dom),
-              "grid": args.grid, "boundary": getattr(args, "boundary", None),
-              "solver": dataclasses.asdict(cfg)}
+    config = {"problem": args.problem, "p": args.p, "domain": domain_to_json(dom),
+              "grid": args.grid, "boundary": getattr(args, "boundary", None)}
     summary = (f"solve {args.problem} p={args.p:g}: iterations={res.iterations} "
                f"factorizations={res.factorizations} "
                f"residual={res.optimality_residual:.3e}")
@@ -206,11 +202,7 @@ def _cmd_solve(args):
 def _cmd_eigen(args):
     dom = _load_domain_arg(args.domain)
     grid = build_grid(dom, args.grid)
-    try:
-        cfg = EigenConfig(p=args.p, seed=args.seed)
-    except EigenError as exc:
-        raise CliConfigError(str(exc)) from exc
-    res = _eigen_solver(args.type)(grid, cfg=cfg)
+    res = _eigen_first(args.type, grid, args.p, args.seed)
     target = limit_target(args.type, dom)
     gap = abs(res.root - target) / target
     report = {
@@ -232,7 +224,7 @@ def _cmd_eigen(args):
         _write_json(args.report, report)
         artifacts.append(args.report)
     config = {"type": args.type, "p": args.p, "domain": domain_to_json(dom),
-              "grid": args.grid, "eigen": dataclasses.asdict(cfg)}
+              "grid": args.grid}
     summary = (f"eigen {args.type} p={args.p:g}: root={res.root:.6f} "
                f"target={target:.6f} relativeGap={gap:.4f}")
     return config, [args.domain], artifacts, summary
@@ -240,11 +232,8 @@ def _cmd_eigen(args):
 
 def _cmd_sweep(args):
     dom = _load_domain_arg(args.domain)
-    try:
-        cfg = EigenConfig(p=max(args.p_list), seed=args.seed)
-    except EigenError as exc:
-        raise CliConfigError(str(exc)) from exc
-    rep = p_sweep(args.problem, dom, args.p_list, args.grid, cfg=cfg)
+    sweep_exponents(args.p_list, CliConfigError)
+    rep = p_sweep(args.problem, dom, args.p_list, args.grid, seed=args.seed)
     payload = rep.to_dict()
     payload["domain"] = domain_to_json(dom)
     artifacts = []
@@ -252,8 +241,7 @@ def _cmd_sweep(args):
         _write_json(args.report, payload)
         artifacts.append(args.report)
     config = {"type": args.problem, "pList": list(args.p_list),
-              "domain": domain_to_json(dom), "grid": args.grid,
-              "eigen": dataclasses.asdict(cfg)}
+              "domain": domain_to_json(dom), "grid": args.grid}
     last = rep.entries[-1]
     summary = (f"sweep {args.problem} p={last.p:g}: root={last.root:.6f} "
                f"relativeGap={last.relative_gap:.4f} ({len(rep.entries)} entries)")
@@ -333,13 +321,7 @@ def _cmd_radial(args):
 
 def _flow_initial(args, grid) -> ScalarField:
     if args.init == "eigen":
-        try:
-            cfg = EigenConfig(p=args.p, seed=args.seed)
-        except EigenError as exc:
-            raise CliConfigError(
-                f"--init eigen requires a finite exponent p > 1: {exc}") from exc
-        res = _eigen_solver(args.bc)(grid, cfg=cfg)
-        return res.field
+        return _eigen_first(args.bc, grid, args.p, args.seed).field
     if args.init == "bump":
         x0, y0, x1, y1 = grid.domain.bounding_box
         width = 0.25 * min(x1 - x0, (y1 - y0) if grid.dim == 2 else (x1 - x0))
@@ -491,9 +473,7 @@ def _cmd_reproduce(args):
         raise CliConfigError(f"unknown figure tag {args.figure!r} (use fig4 or fig5)")
     dom = Domain.unit_square()
     grid = build_grid(dom, args.grid)
-    cfg = EigenConfig(p=15.0, seed=args.seed)
-    res = neumann_eigen_first(grid, cfg=cfg)
-    prof = diagonal_profile(res.field)
+    res = neumann_eigen_first(grid, 15.0, seed=args.seed)
     prefix = args.out_prefix
     artifacts = []
     if args.figure == "fig4":
@@ -511,6 +491,7 @@ def _cmd_reproduce(args):
         artifacts.append(side_path)
         summary = f"reproduce fig4: root={res.root:.6f} nodes={len(vals)}"
     else:
+        prof = diagonal_profile(res.field)
         prof_path = f"{prefix}fig5-profile.csv"
         _write_csv(prof_path, ["t", "normalizedValue"], zip(prof.t, prof.values))
         artifacts.append(prof_path)
@@ -522,8 +503,7 @@ def _cmd_reproduce(args):
         })
         artifacts.append(summary_path)
         summary = f"reproduce fig5: maxDeviationFromLinear={prof.max_deviation:.4f}"
-    config = {"figure": args.figure, "grid": args.grid,
-              "eigen": dataclasses.asdict(cfg)}
+    config = {"figure": args.figure, "p": 15.0, "grid": args.grid}
     return config, [], artifacts, summary
 
 

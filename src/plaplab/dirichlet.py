@@ -5,24 +5,29 @@
     E(v) = sum_T (1/p) (|grad v|^2 + delta^2)^(p/2) |T|
 
 over interior values with pinned boundary data; ``solve_p_torsion`` adds the
-load ``- sum_i m_i v_i`` (right-hand side 1).  Minimization is a damped
-inexact Newton method (``_Newton``) with p-continuation: a ladder of
-intermediate exponents warm-starts each stage, after an exact p = 2 step.
+load ``- sum_i m_i v_i`` (right-hand side 1).  The exponent is the only
+setting: every solver takes 1 < p < inf (``check_exponent``).  Minimization
+is a damped inexact Newton method (``_Newton``) with p-continuation: the
+exponents of ``continuation_ladder(p)`` warm-start each stage, after an exact
+p = 2 step, and stages away from p = 2 run at delta = ``DELTA``.
 Each direction solves the Newton system by PCG on the last LU of a Hessian to
 an Eisenstat-Walker forcing term, and each LU serves at most
 ``LU_PCG_BUDGET`` PCG iterations.  A stage stops once the strong residual
 (``SolveResult.optimality_residual``) falls to ``RESIDUAL_RTOL`` of the
 residual of its plain start (the previous stage's end point) at its own
 exponent, or to the level that rounding the iterate leaves
-(``ROUNDING_EPSILONS`` machine epsilons of ``|H||v|`` per unit mass); a final
-polish at the target exponent removes the regularization.  A target stage
-or polish that ends above both raises ``SolverError``.  Torsion stages after
-the first start from a predictor (Allgower & Georg's predictor-corrector
-continuation): the lowest-energy of the plain start, its minimizer along its
-own ray (the torsion energy with zero boundary data is homogeneous along
-rays), and that rescaling of the Euler tangent step.  ``SolveResult.stages``
-records each stage's start, steps, LUs, PCG iterations, target, residual and
-stop reason.  The eigensolver runs on the same engine
+(``ROUNDING_EPSILONS`` machine epsilons of ``|H||v|`` per unit mass), and
+makes at most ``_Newton.max_iterations`` Newton steps.  A final polish of at
+most ``POLISH_ITERATIONS`` steps at the target exponent removes the
+regularization (for p < 2, where the unregularized weight is singular,
+delta is lowered by factors of 100 to 1e-12, each with its own polish).  A
+target stage or polish that ends above both raises ``SolverError``.  Torsion
+stages after the first start from a predictor (Allgower & Georg's
+predictor-corrector continuation): the lowest-energy of the plain start, its
+minimizer along its own ray (the torsion energy with zero boundary data is
+homogeneous along rays), and that rescaling of the Euler tangent step.
+``SolveResult.stages`` records each stage's start, steps, LUs, PCG
+iterations, target, residual and stop reason.  The eigensolver runs on the same engine
 (``eigen._QuotientNewton``).
 
 As p grows the torsion solution approaches the boundary distance function;
@@ -35,7 +40,7 @@ evaluates the closed-form radial solution of ``-lap_inf u = 1`` on a ball,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,7 +51,6 @@ from .fields import Grid, ScalarField
 
 __all__ = [
     "SolverError",
-    "SolverConfig",
     "SolveResult",
     "StageRecord",
     "TorsionGap",
@@ -65,7 +69,7 @@ INFINITY_TORSION_COEFFICIENT = 3.0 ** (4.0 / 3.0) / 4.0
 
 class SolverError(RuntimeError):
     """Nonconvergence (diagnostics and the failing stage attached) or invalid
-    solver configuration."""
+    solver input."""
 
     def __init__(self, message: str, *, iterations: int | None = None,
                  residual: float | None = None, stage: StageRecord | None = None):
@@ -75,57 +79,12 @@ class SolverError(RuntimeError):
         self.stage = stage
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Descent parameters.
-
-    Each stage stops once the strong residual falls to ``RESIDUAL_RTOL``
-    (1e-8) of its start value, or to its rounding level, and makes at most
-    ``max_iterations`` Newton steps.  ``delta`` regularizes the gradient
-    norm; a final polish of at most ``POLISH_ITERATIONS`` steps removes it
-    (for p < 2, where the unregularized weight is singular, it is lowered by
-    factors of 100 to 1e-12, each with its own polish).  ``ladder``
-    overrides the automatic p-continuation sequence.  The stop rules and
-    linear algebra follow the module constants.
-    """
-
-    p: float = 2.0
-    delta: float = 1e-6
-    max_iterations: int = 2000
-    ladder: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        check_config(self, SolverError)
-
-
-def check_config(cfg, error: type[Exception]) -> None:
-    """Raise ``error`` unless ``cfg`` has 1 < p < inf, delta >= 0, a positive
-    ``max_iterations`` and no ladder or a nonempty, strictly monotone one
-    that ends at p."""
-    if not (cfg.p > 1.0 and math.isfinite(cfg.p)):
+def check_exponent(p, error: type[Exception] = SolverError) -> float:
+    """``p`` as a float; raises ``error`` unless 1 < p < inf."""
+    p = float(p)
+    if not (p > 1.0 and math.isfinite(p)):
         raise error("exponent requires 1 < p < inf")
-    if cfg.delta < 0.0:
-        raise error("delta must be >= 0")
-    if cfg.max_iterations < 1:
-        raise error("max_iterations must be positive")
-    lad = tuple(cfg.ladder) if cfg.ladder is not None else (cfg.p,)
-    if not lad:
-        raise error("ladder must not be empty")
-    if any(b <= a for a, b in zip(lad, lad[1:])) and \
-       any(b >= a for a, b in zip(lad, lad[1:])):
-        raise error("ladder must be strictly monotone")
-    if lad[-1] != cfg.p:
-        raise error("ladder must end at the target p")
-
-
-def resolve_cfg(kind: type, cfg, p: float | None):
-    """``cfg`` (default ``kind(p=2)``) with the exponent ``p`` when one is
-    given; a changed exponent drops the ladder, which ends at the old one."""
-    if cfg is None:
-        cfg = kind(p=2.0 if p is None else float(p))
-    elif p is not None and p != cfg.p:
-        cfg = replace(cfg, p=float(p), ladder=None)
-    return cfg
+    return p
 
 
 def continuation_ladder(p: float) -> tuple[float, ...]:
@@ -221,6 +180,8 @@ STALL_RTOL = 1e-12
 STALL_WINDOW = 8
 #: Newton steps of each polish stage
 POLISH_ITERATIONS = 100
+#: gradient-norm regularization of the stages away from p = 2
+DELTA = 1e-6
 
 
 def _forcing(residual: float, r_old: float, eta_old: float) -> float:
@@ -308,13 +269,14 @@ class _Newton:
     :meth:`constraints` (normals of linear constraints on the direction),
     :meth:`retract` (onto the constraint set, after each trial step),
     :meth:`factorize`, :meth:`predict` and ``error``.  For a constrained
-    direction the LU is a preconditioner only: a fresh one reruns PCG."""
+    direction the LU is a preconditioner only: a fresh one reruns PCG.
+    ``max_iterations`` caps the Newton steps of each continuation stage."""
 
     error = SolverError
+    max_iterations = 2000
 
-    def __init__(self, core: VariationalCore, cfg, load):
+    def __init__(self, core: VariationalCore, load):
         self.core = core
-        self.cfg = cfg
         self.load = load
         self.factor = None
         self.factor_pcg = 0  # PCG iterations the live LU has served
@@ -442,17 +404,17 @@ class _Newton:
 
     def continuation(self, v, ladder, predict=True):
         """A stage at each exponent of ``ladder`` (delta = 0 at p = 2, else
-        ``cfg.delta``; the last strict), each stopping at ``RESIDUAL_RTOL`` of
+        ``DELTA``; the last strict), each stopping at ``RESIDUAL_RTOL`` of
         the strong residual of its plain start (the previous end point,
         retracted), and after the first starting from :meth:`predict` if
         ``predict``.  Returns the last stage's ``(v, residual, target)``."""
         for p in ladder:
-            delta = 0.0 if p == 2.0 else self.cfg.delta
+            delta = 0.0 if p == 2.0 else DELTA
             plain = self.retract(v, p)
             target = RESIDUAL_RTOL * _strong_residual(self.core,
                                                       self.objective(plain, p, delta)[1])
             v, start = self.predict(v, p, delta) if predict and self.stages else (plain, "plain")
-            v, residual = self.stage(v, p, delta, self.cfg.max_iterations, target, start,
+            v, residual = self.stage(v, p, delta, self.max_iterations, target, start,
                                      strict=p == ladder[-1])
         return v, residual, target
 
@@ -504,45 +466,49 @@ def _strong_residual(core: VariationalCore, g: np.ndarray) -> float:
     return float(np.max(gd / safe, initial=0.0))
 
 
-def _polish_deltas(p: float, delta: float) -> tuple[float, ...]:
+def _polish_deltas(p: float) -> tuple[float, ...]:
     """Regularizations of the final polish: none for p >= 2; for p < 2, where
-    the unregularized weight is singular, factors of 100 below ``delta``
+    the unregularized weight is singular, factors of 100 below ``DELTA``
     down to 1e-12, so that each Newton solve starts near its solution."""
     if p >= 2.0:
         return (0.0,)
     steps = [1e-12]
-    while steps[-1] * 100.0 < delta:
+    while steps[-1] * 100.0 < DELTA:
         steps.append(steps[-1] * 100.0)
     return tuple(reversed(steps))
 
 
-def _solve(core: VariationalCore, cfg: SolverConfig, boundary_values: np.ndarray,
+def _solve(core: VariationalCore, p: float, boundary_values: np.ndarray,
            load: np.ndarray | None) -> SolveResult:
-    """Continuation over the stages p = 2 (delta = 0), then the ladder's
-    exponents (``cfg.delta``), then the polish at ``cfg.p``.
+    """Continuation over the stages p = 2 (delta = 0), then the exponents of
+    ``continuation_ladder(p)`` (``DELTA``), then the polish at ``p``.
 
     Every stage stops at ``RESIDUAL_RTOL`` times the strong residual of its
     plain start, the end point of the previous stage, at its own ``(p,
-    delta)``; the polish keeps the last stage's target.  For torsion (a load
+    delta)``, or at its rounding level, and makes at most
+    ``_Newton.max_iterations`` Newton steps.  The polish keeps the last
+    stage's target, makes at most ``POLISH_ITERATIONS`` steps and removes
+    the regularization; for p < 2, where the unregularized weight is
+    singular, it lowers delta by factors of 100 to 1e-12
+    (:func:`_polish_deltas`), each with its own polish.  For torsion (a load
     and zero boundary data, where the energy is homogeneous along rays) each
     stage after the first starts from :meth:`_Newton.predict` instead.
     """
     grid = core.grid
-    ladder = cfg.ladder if cfg.ladder is not None else continuation_ladder(cfg.p)
     v = boundary_values.copy()
     v[core.dof_mask] = 0.0
-    newton = _Newton(core, cfg, load)
+    newton = _Newton(core, load)
     # p = 2 first: the energy is quadratic, so one Newton step is exact
     v, residual, target = newton.continuation(
-        v, (2.0,) + tuple(q for q in ladder if q != 2.0),
+        v, (2.0,) + tuple(q for q in continuation_ladder(p) if q != 2.0),
         predict=load is not None and not np.any(boundary_values))
-    if cfg.p != 2.0:
-        deltas = _polish_deltas(cfg.p, cfg.delta)
+    if p != 2.0:
+        deltas = _polish_deltas(p)
         for delta in deltas:
-            v, residual = newton.stage(v, cfg.p, delta, POLISH_ITERATIONS, target,
+            v, residual = newton.stage(v, p, delta, POLISH_ITERATIONS, target,
                                        strict=delta == deltas[-1])
     out = ScalarField(grid, np.where(grid.nonexterior, v, 0.0))
-    return SolveResult(field=out, p=cfg.p, iterations=newton.iterations,
+    return SolveResult(field=out, p=p, iterations=newton.iterations,
                        factorizations=newton.factorizations,
                        pcg_iterations=newton.pcg_iterations,
                        final_energy=newton.energy,
@@ -572,26 +538,25 @@ def _boundary_array(grid: Grid, g) -> np.ndarray:
     return vals
 
 
-def solve_p_harmonic(grid: Grid, g, cfg: SolverConfig | None = None,
-                     p: float | None = None) -> SolveResult:
+def solve_p_harmonic(grid: Grid, g, p: float = 2.0) -> SolveResult:
     """Minimize the p-Dirichlet energy with boundary data ``g``.
 
     ``g`` is a callable of the node coordinate arrays or a full-shape array;
-    it is sampled on the boundary collar.  Raises ``SolverError`` on
-    nonconvergence (diagnostics attached).
+    it is sampled on the boundary collar.  Raises ``SolverError`` on an
+    exponent outside 1 < p < inf and on nonconvergence (diagnostics
+    attached).
     """
-    cfg = resolve_cfg(SolverConfig, cfg, p)
+    p = check_exponent(p)
     core = make_core(grid, "dirichlet")
-    return _solve(core, cfg, _boundary_array(grid, g), load=None)
+    return _solve(core, p, _boundary_array(grid, g), load=None)
 
 
-def solve_p_torsion(grid: Grid, cfg: SolverConfig | None = None,
-                    p: float | None = None) -> SolveResult:
+def solve_p_torsion(grid: Grid, p: float = 2.0) -> SolveResult:
     """Solve the p-torsion problem (unit load, zero boundary values)."""
-    cfg = resolve_cfg(SolverConfig, cfg, p)
+    p = check_exponent(p)
     core = make_core(grid, "dirichlet")
     load = np.ones(grid.shape)
-    return _solve(core, cfg, np.zeros(grid.shape), load=load)
+    return _solve(core, p, np.zeros(grid.shape), load=load)
 
 
 # ---------------------------------------------------------------------------
@@ -620,14 +585,14 @@ class TorsionGap:
     distance: ScalarField
 
 
-def torsion_infinity_gap(grid: Grid, p: float, cfg: SolverConfig | None = None) -> TorsionGap:
+def torsion_infinity_gap(grid: Grid, p: float) -> TorsionGap:
     """Solve the p-torsion problem and compare with the distance function.
 
     ``sup_gap`` is ``max |u_p - d|`` over non-exterior nodes; the nodal gap
     field is returned for inspection and for the limit-equation residual
     checks.
     """
-    result = solve_p_torsion(grid, cfg=cfg, p=p)
+    result = solve_p_torsion(grid, p)
     dist = distance_field(grid)
     gap_vals = result.field.values - dist.values
     gap = ScalarField(grid, np.where(grid.nonexterior, gap_vals, 0.0))

@@ -38,13 +38,12 @@ import scipy.sparse as sp
 
 from . import geometry
 from ._variational import VariationalCore, make_core
-from .dirichlet import (SolverError, StageRecord, _Newton, check_config, continuation_ladder,
-                        resolve_cfg)
+from .dirichlet import (DELTA, SolverError, StageRecord, _Newton, check_exponent,
+                        continuation_ladder)
 from .fields import FieldError, Grid, ScalarField, build_grid, sample_at
 
 __all__ = [
     "EigenError",
-    "EigenConfig",
     "EigenResult",
     "SweepEntry",
     "SweepReport",
@@ -70,22 +69,6 @@ class EigenError(SolverError):
 #: relative amplitude of the seeded random kick added once to Neumann starts,
 #: which breaks the constant trap and orientation symmetries
 PERTURBATION = 1e-3
-
-
-@dataclass(frozen=True)
-class EigenConfig:
-    """Rayleigh-quotient minimization parameters, ``p``, ``delta``,
-    ``max_iterations`` and ``ladder`` as in ``SolverConfig``; ``seed`` seeds
-    the kick of Neumann starts (``PERTURBATION``)."""
-
-    p: float = 2.0
-    delta: float = 1e-6
-    max_iterations: int = 4000
-    ladder: tuple[float, ...] | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        check_config(self, EigenError)
 
 
 @dataclass
@@ -229,10 +212,11 @@ class _QuotientNewton(_Newton):
     shifted to zero p-mean (Neumann) and normalized to ``D = 1``."""
 
     error = EigenError
+    max_iterations = 4000
 
-    def __init__(self, core: VariationalCore, cfg: EigenConfig):
-        super().__init__(core, cfg, load=None)
-        self.at = (cfg.p, cfg.delta)  # (p, delta) of the last Hessian
+    def __init__(self, core: VariationalCore, p: float):
+        super().__init__(core, load=None)
+        self.at = (p, DELTA)  # (p, delta) of the last Hessian
 
     def objective(self, v, p, delta):
         q, grad_e, flux = _quotient_grad(self.core, v, p, delta)
@@ -281,27 +265,27 @@ class _QuotientNewton(_Newton):
         return min(starts, key=lambda start: self.objective(start[0], p, delta)[0])
 
 
-def _start(core: VariationalCore, cfg: EigenConfig) -> np.ndarray:
+def _start(core: VariationalCore, seed: int = 0) -> np.ndarray:
     """The p = 2 torsion function (Dirichlet), or a ramp along the diameter
-    plus a seeded kick of relative size ``PERTURBATION`` (Neumann), which
-    keeps the solve off the constants and off unstable symmetry axes."""
+    plus a kick of relative size ``PERTURBATION`` seeded by ``seed``
+    (Neumann), which keeps the solve off the constants and off unstable
+    symmetry axes."""
     grid = core.grid
     if core.bc == "dirichlet":
         return core.precond_solve(core.mass, core.weighted_factor(np.zeros(grid.shape), 2.0, 0.0))
     v = _diameter_ramp(grid)
     osc = float(v[grid.nonexterior].max() - v[grid.nonexterior].min())
-    v = v + PERTURBATION * osc * np.random.default_rng(cfg.seed).standard_normal(grid.shape)
+    v = v + PERTURBATION * osc * np.random.default_rng(seed).standard_normal(grid.shape)
     return np.where(grid.nonexterior, v, 0.0)
 
 
-def _continue(core: VariationalCore, v: np.ndarray, cfg: EigenConfig,
-              more=()) -> list[EigenResult]:
-    """Minimize the quotient from ``v`` through the continuation ladder up
-    to ``cfg.p``, then at each exponent of ``more`` in turn, on one engine
+def _continue(core: VariationalCore, v: np.ndarray, p: float, more=()) -> list[EigenResult]:
+    """Minimize the quotient from ``v`` through ``continuation_ladder(p)``,
+    then at each exponent of ``more`` in turn, on one engine
     (:meth:`_Newton.continuation`): one result per target."""
-    newton = _QuotientNewton(core, cfg)
+    newton = _QuotientNewton(core, p)
     results = []
-    for ladder in [cfg.ladder or continuation_ladder(cfg.p), *((p,) for p in more)]:
+    for ladder in [continuation_ladder(p), *((q,) for q in more)]:
         v, _, _ = newton.continuation(v, ladder)
         results.append(_result(newton, v))
     return results
@@ -328,14 +312,16 @@ def _result(newton: _QuotientNewton, v: np.ndarray) -> EigenResult:
                        pcg_iterations=newton.pcg_iterations, stages=list(newton.stages))
 
 
-def dirichlet_eigen_first(grid: Grid, p: float | None = None,
-                          cfg: EigenConfig | None = None,
+def dirichlet_eigen_first(grid: Grid, p: float = 2.0,
                           v0: np.ndarray | None = None) -> EigenResult:
-    """First Dirichlet eigenpair by continuation in p from ``v0`` or :func:`_start`."""
-    cfg = resolve_cfg(EigenConfig, cfg, p)
+    """First Dirichlet eigenpair by continuation in p from ``v0`` or :func:`_start`.
+
+    Raises ``EigenError`` on an exponent outside 1 < p < inf and on
+    nonconvergence (diagnostics attached)."""
+    p = check_exponent(p, EigenError)
     core = make_core(grid, "dirichlet")
-    v = _start(core, cfg) if v0 is None else np.where(grid.interior, np.asarray(v0, float), 0.0)
-    return _continue(core, v, cfg)[0]
+    v = _start(core) if v0 is None else np.where(grid.interior, np.asarray(v0, float), 0.0)
+    return _continue(core, v, p)[0]
 
 
 def _diameter_ramp(grid: Grid) -> np.ndarray:
@@ -349,14 +335,15 @@ def _diameter_ramp(grid: Grid) -> np.ndarray:
     return X * d[0] + Y * d[1]
 
 
-def neumann_eigen_first(grid: Grid, p: float | None = None,
-                        cfg: EigenConfig | None = None,
+def neumann_eigen_first(grid: Grid, p: float = 2.0, seed: int = 0,
                         v0: np.ndarray | None = None) -> EigenResult:
-    """First nontrivial Neumann eigenpair, as :func:`dirichlet_eigen_first`."""
-    cfg = resolve_cfg(EigenConfig, cfg, p)
+    """First nontrivial Neumann eigenpair, as :func:`dirichlet_eigen_first`;
+    ``seed`` seeds the start's kick (:func:`_start`)."""
+    p = check_exponent(p, EigenError)
     core = make_core(grid, "neumann")
-    v = _start(core, cfg) if v0 is None else np.where(grid.nonexterior, np.asarray(v0, float), 0.0)
-    return _continue(core, v, cfg)[0]
+    v = (_start(core, seed) if v0 is None
+         else np.where(grid.nonexterior, np.asarray(v0, float), 0.0))
+    return _continue(core, v, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -403,24 +390,32 @@ def limit_target(problem: str, domain: geometry.Domain) -> float:
     raise EigenError(f"unknown eigenproblem {problem!r}")
 
 
+def sweep_exponents(p_list, error: type[Exception] = EigenError) -> list[float]:
+    """The exponents of a sweep, sorted; raises ``error`` unless they are
+    nonempty, distinct and each in 1 < p < inf."""
+    ps = sorted(check_exponent(p, error) for p in p_list)
+    if len(ps) != len(set(ps)) or not ps:
+        raise error("p list must be nonempty with distinct entries")
+    return ps
+
+
 def p_sweep(problem: str, domain: geometry.Domain, p_list, n: int,
-            cfg: EigenConfig | None = None) -> SweepReport:
+            seed: int = 0) -> SweepReport:
     """Eigen solves across exponents on one continuation.
 
     ``problem`` is ``"dirichlet"`` or ``"neumann"``, compared with its
-    :func:`limit_target`.  Entries are sorted by p; each continues from the
-    previous one through the engine's predictor and counts its own steps.
+    :func:`limit_target`; ``p_list`` must pass :func:`sweep_exponents`, and
+    ``seed`` seeds a Neumann start's kick.  Entries are sorted by p; each
+    continues from the previous one through the engine's predictor and
+    counts its own steps.
     """
     target = limit_target(problem, domain)
-    ps = sorted(float(p) for p in p_list)
-    if len(ps) != len(set(ps)) or not ps:
-        raise EigenError("p list must be nonempty with distinct entries")
+    ps = sweep_exponents(p_list)
     grid = build_grid(domain, n)  # the grid owns its core
     core = make_core(grid, problem)
-    first = replace(cfg if cfg is not None else EigenConfig(), p=ps[0], ladder=None)
     report = SweepReport(problem=problem, target=target)
     done = 0
-    for p, res in zip(ps, _continue(core, _start(core, first), first, more=ps[1:])):
+    for p, res in zip(ps, _continue(core, _start(core, seed), ps[0], more=ps[1:])):
         report.entries.append(SweepEntry(p=p, raw=res.raw, root=res.root, target=target,
                                          relative_gap=abs(res.root - target) / target,
                                          iterations=res.iterations - done))
@@ -552,15 +547,14 @@ class SecondEigenResult:
 DEGENERACY_RTOL = 1e-12
 
 
-def second_dirichlet_eigen_experiment(grid: Grid, p: float | None = None,
-                                      cfg: EigenConfig | None = None) -> SecondEigenResult:
+def second_dirichlet_eigen_experiment(grid: Grid, p: float = 2.0) -> SecondEigenResult:
     """Upper bound for lambda_2 from the first eigenpairs of half domains
     (exploratory).
 
     By the minimax characterization (Cuesta, de Figueiredo & Gossez, 1999)
     lambda_2 is at most the larger first eigenvalue of the two sets of any
     partition, which for two congruent halves is the half's.  So
-    :func:`dirichlet_eigen_first` runs with ``cfg``, at ``grid.h``, on each
+    :func:`dirichlet_eigen_first` runs at ``p`` and ``grid.h`` on each
     half that the lattice maps onto its mirror image: the halves of an
     interval; of a rectangle across each mid-line (one of the two on a
     square, where the transpose, a symmetry of the P1 mesh, exchanges
@@ -572,10 +566,10 @@ def second_dirichlet_eigen_experiment(grid: Grid, p: float | None = None,
     diagonal halves.  Other domains, and mid-lines off the lattice, raise
     ``EigenError``.
     """
-    cfg = resolve_cfg(EigenConfig, cfg, p)
+    p = check_exponent(p, EigenError)
     best = {}
     for family, half, reflect in _halves(grid):
-        res = dirichlet_eigen_first(half, cfg=cfg)
+        res = dirichlet_eigen_first(half, p)
         if family not in best or res.raw < best[family][0].raw:
             best[family] = (res, half, reflect)
     family_raw = {name: res.raw for name, (res, _, _) in best.items()}

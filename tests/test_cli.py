@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line driver (in-process, via main())."""
 
 import filecmp
-import functools
 import json
 import math
 import os
@@ -13,8 +12,6 @@ import pytest
 
 import plaplab.cli
 from plaplab.cli import main
-from plaplab.dirichlet import SolverConfig
-from plaplab.eigen import EigenConfig
 from plaplab.fields import build_grid
 from plaplab.geometry import Domain, domain_to_json
 
@@ -76,7 +73,7 @@ def test_radial_eigen_report(workdir, capsys):
 def test_radial_torsion_csv(workdir):
     assert run(["radial", "--task", "torsion", "--p", "3", "--n", "3",
                 "--out", "prof.csv", "--report", "t.json"]) == 0
-    lines = open("prof.csv").read().splitlines()
+    lines = (workdir / "prof.csv").read_text().splitlines()
     assert lines[0] == "r,value,residual"
     assert len(lines) > 100
     report = read_json("t.json")
@@ -87,7 +84,7 @@ def test_radial_torsion_csv(workdir):
 def test_radial_gaussian_csv_shares_one_radius_column(workdir):
     assert run(["radial", "--task", "gaussian", "--p-list", "1.5,1.01",
                 "--out", "g.csv"]) == 0
-    lines = open("g.csv").read().splitlines()
+    lines = (workdir / "g.csv").read_text().splitlines()
     assert lines[0] == "r,gaussian,p1.5,p1.01"
     rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     assert rows.shape == (2049, 4)
@@ -127,7 +124,7 @@ def test_flow_bump_trace(square_json, workdir):
     assert report["finalTime"] == report["steps"] * report["dt"]
     assert 0.01 <= report["finalTime"] < 0.01 + report["dt"]
     assert report["fittedRate"] > 0.0
-    lines = open("tr.csv").read().splitlines()
+    lines = (workdir / "tr.csv").read_text().splitlines()
     assert lines[0] == "t,supNorm"
     assert len(lines) == report["steps"] + 2  # header + initial + each step
 
@@ -139,7 +136,10 @@ def test_solve_torsion_gap(square_json, workdir):
     report = read_json("s.json")
     assert 0.2 < report["supGap"] < 0.3
     assert report["optimalityResidual"] < 1e-3
-    assert open("u.csv").readline().rstrip() == "x,y,value"
+    with open("u.csv") as fh:
+        assert fh.readline().rstrip() == "x,y,value"
+    config = read_json("u.csv.manifest.json")["config"]
+    assert (config["p"], config["seed"]) == (4.0, 0)  # the only solver settings
 
 
 def test_solve_report_counts_factorizations(square_json, workdir, capsys):
@@ -160,16 +160,14 @@ def test_solve_report_counts_factorizations(square_json, workdir, capsys):
 
 
 def test_solve_nonconvergence_exits_1(square_json, workdir, monkeypatch, capsys):
-    monkeypatch.setattr(plaplab.cli, "SolverConfig",
-                        functools.partial(SolverConfig, max_iterations=2))
+    monkeypatch.setattr(plaplab.dirichlet._Newton, "max_iterations", 2)
     assert run(["solve", "--problem", "torsion", "--p", "32",
                 "--domain", square_json, "--grid", "32"]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "SolverError"
 
 
 def test_eigen_nonconvergence_exits_1(square_json, workdir, monkeypatch, capsys):
-    monkeypatch.setattr(plaplab.cli, "EigenConfig",
-                        functools.partial(EigenConfig, max_iterations=3))
+    monkeypatch.setattr(plaplab.eigen._QuotientNewton, "max_iterations", 3)
     assert run(["eigen", "--type", "dirichlet", "--p", "8",
                 "--domain", square_json, "--grid", "16"]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "EigenError"
@@ -199,7 +197,7 @@ def test_eigen_single_with_field_csv(square_json, workdir, capsys):
     assert report["root"] == pytest.approx(root, rel=5e-3)
     assert report["relativeGap"] == pytest.approx(root / 2.0 - 1.0, rel=1e-2)
     grid = build_grid(Domain.unit_square(), 32)
-    rows = open("ef.csv").read().splitlines()
+    rows = (workdir / "ef.csv").read_text().splitlines()
     assert len(rows) == 1 + int(np.count_nonzero(grid.nonexterior))
 
 
@@ -232,7 +230,8 @@ def test_reproduce_profile_smoke(workdir):
     assert set(summary) == {"p", "grid", "samples", "root", "diagonal",
                             "maxDeviationFromLinear"}
     assert summary["maxDeviationFromLinear"] < 0.1
-    lines = open(prefix + "fig5-profile.csv").read().splitlines()
+    with open(prefix + "fig5-profile.csv") as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "t,normalizedValue"
     assert len(lines) == summary["samples"] + 1
     manifest = read_json(prefix + "fig5-profile.csv.manifest.json")
@@ -288,6 +287,12 @@ def test_invalid_exponent_exits_2(square_json, workdir):
     assert run(["solve", "--problem", "torsion", "--p", "1",
                 "--domain", square_json]) == 2
     assert run(["flow", "--p", "abc", "--domain", square_json]) == 2
+    assert run(["flow", "--p", "inf", "--domain", square_json, "--init", "eigen"]) == 2
+    assert run(["eigen", "--type", "dirichlet", "--p", "1",
+                "--domain", square_json]) == 2
+    for p_list in ("1,2", "2,2"):
+        assert run(["sweep", "--problem", "dirichlet", "--p-list", p_list,
+                    "--domain", square_json]) == 2
 
 
 def test_flow_neumann_needs_lattice_filling_domain(workdir):

@@ -35,7 +35,6 @@ import oracles
 from plaplab import dirichlet
 from plaplab._variational import VariationalCore, make_core
 from plaplab.dirichlet import (
-    SolverConfig,
     SolverError,
     continuation_ladder,
     distance_field,
@@ -53,18 +52,15 @@ from plaplab.geometry import Domain
 
 
 def test_config_validation():
-    with pytest.raises(SolverError):
-        SolverConfig(p=1.0)
-    with pytest.raises(SolverError):
-        SolverConfig(p=math.inf)
-    with pytest.raises(SolverError):
-        SolverConfig(delta=-1.0)
-    with pytest.raises(SolverError):
-        SolverConfig(p=4.0, ladder=(2.0, 8.0, 4.0))
-    with pytest.raises(SolverError):
-        SolverConfig(p=4.0, ladder=(2.0, 3.0))
-    with pytest.raises(SolverError):
-        SolverConfig(p=4.0, ladder=())
+    # every entry point checks its exponent before it solves
+    grid = build_grid(Domain.unit_square(), 8)
+    for p in (1.0, math.inf):
+        with pytest.raises(SolverError):
+            solve_p_torsion(grid, p)
+        with pytest.raises(SolverError):
+            solve_p_harmonic(grid, lambda x, y: x, p)
+        with pytest.raises(SolverError):
+            torsion_infinity_gap(grid, p)
 
 
 def test_continuation_ladder_shapes():
@@ -128,10 +124,11 @@ def test_interval_p32_torsion_converges_on_a_fine_grid():
     assert np.max(np.abs(res.field.values - oracles.interval_torsion(grid.xs, 32.0))) < 2e-4
 
 
-def test_nonconvergence_raises_with_diagnostics():
+def test_nonconvergence_raises_with_diagnostics(monkeypatch):
     grid = build_grid(Domain.unit_square(), 32)
+    monkeypatch.setattr(dirichlet._Newton, "max_iterations", 2)
     with pytest.raises(SolverError) as exc:
-        solve_p_torsion(grid, SolverConfig(p=32.0, max_iterations=2))
+        solve_p_torsion(grid, 32.0)
     # one exact p = 2 step, then two steps at each of p = 4, 8, 16, 32
     assert exc.value.iterations == 9
     assert math.isfinite(exc.value.residual) and exc.value.residual > 0.0
@@ -326,7 +323,7 @@ def test_direction_short_of_its_forcing_keeps_the_lu_within_newton_rtol():
     grid = build_grid(Domain.unit_square(), 32)
     core = make_core(grid, "dirichlet")
     v = solve_p_torsion(grid, p=2.0).field.values
-    newton = dirichlet._Newton(core, SolverConfig(p=4.0), np.ones(grid.shape))
+    newton = dirichlet._Newton(core, np.ones(grid.shape))
     newton.factor = core.factor(core.hessian(v, 3.5, 1e-6))  # stale: from p = 3.5
     H = core.hessian(v, 4.0, 1e-6)
     g = newton.objective(v, 4.0, 1e-6)[1]

@@ -19,12 +19,12 @@ import pytest
 import oracles
 from plaplab import eigen
 from plaplab.eigen import (
-    EigenConfig,
     EigenError,
     diagonal_profile,
     dirichlet_eigen_first,
     neumann_eigen_first,
     nodal_distances,
+    p_sweep,
     project_zero_pmean,
     rayleigh_quotient,
     second_dirichlet_eigen_experiment,
@@ -70,30 +70,29 @@ def test_project_zero_pmean_properties():
 
 
 def test_config_validation():
-    with pytest.raises(EigenError):
-        EigenConfig(p=1.0)
-    with pytest.raises(EigenError):
-        EigenConfig(delta=-1.0)
-    with pytest.raises(EigenError):
-        EigenConfig(p=4.0, ladder=())
-    with pytest.raises(EigenError):
-        EigenConfig(p=4.0, ladder=(2.0, 3.0))
-    with pytest.raises(EigenError):
-        EigenConfig(p=4.0, ladder=(2.0, 8.0, 4.0))
-    with pytest.raises(EigenError):
-        EigenConfig(max_iterations=0)
-    # the ladders the solvers build themselves stay valid
-    assert EigenConfig(p=4.0, ladder=(4.0,)).ladder == (4.0,)
-    assert EigenConfig(p=1.5, ladder=(2.0, 1.5)).ladder == (2.0, 1.5)
+    # every entry point checks each exponent before it solves
+    square = Domain.unit_square()
+    grid = build_grid(square, 8)
+    for p in (1.0, math.inf):
+        for solver in (dirichlet_eigen_first, neumann_eigen_first,
+                       second_dirichlet_eigen_experiment):
+            with pytest.raises(EigenError):
+                solver(grid, p)
+        with pytest.raises(EigenError):
+            p_sweep("dirichlet", square, (2.0, p), 8)
+    for p_list in ((), (2.0, 2.0)):
+        with pytest.raises(EigenError):
+            p_sweep("dirichlet", square, p_list, 8)
 
 
 @pytest.mark.parametrize("solver", [dirichlet_eigen_first, neumann_eigen_first])
-def test_iteration_cap_raises_with_diagnostics(solver):
+def test_iteration_cap_raises_with_diagnostics(solver, monkeypatch):
     # no stage of a p = 8 solve converges within 3 steps: 3 at each of
     # p = 2, 4 and 8, and the target stage raises with its record
     grid = build_grid(Domain.unit_square(), 16)
+    monkeypatch.setattr(eigen._QuotientNewton, "max_iterations", 3)
     with pytest.raises(EigenError) as exc:
-        solver(grid, cfg=EigenConfig(p=8.0, max_iterations=3))
+        solver(grid, 8.0)
     assert exc.value.iterations == 9
     assert math.isfinite(exc.value.residual) and exc.value.residual > 0.0
     stage = exc.value.stage
