@@ -26,16 +26,19 @@ exactly to the classical 5-point scheme.  The Newton matrix is the exact
 Hessian of the regularized energy (:meth:`VariationalCore.hessian`), whose
 element tensor ``w (I + (p-2) g g^T/(|g|^2 + delta^2))`` couples the two ends
 of each cell's diagonal (a 7-point pattern); at p = 2 it is the 5-point
-stiffness.  :meth:`VariationalCore.weighted_factor` factors it with a mass
-shift for Neumann problems.  The pattern, and the map from element stamps to CSC data
-slots, are computed once per core.
+stiffness.  :meth:`VariationalCore.weighted_factor` factors it, for Neumann
+problems shifted by a multiple of the weight-lumped mass (each element gives
+its Hessian weight times its measure over its corner count to each corner),
+which follows the Hessian's local scale where the gradient vanishes.  The
+pattern, and the map from element stamps to CSC data slots, are computed
+once per core.
 
 Degrees of freedom are the interior nodes for Dirichlet boundary conditions
 and every mass-carrying node for natural (Neumann) conditions.  They are
 numbered once per core (``dof_index``) in a nested-dissection order of the
 lattice (``_dissection_order``; natural order in 1-D, where a line has no
 fill), the fill-reducing order for these lattice matrices.  Every matrix
-that is factored, the Hessian, the Neumann mass-shifted Hessian and the
+that is factored, the Hessian, the Neumann shifted Hessian and the
 p = 2 stiffness, is symmetric positive definite, so :meth:`VariationalCore.factor`
 eliminates on the diagonal in that order with no per-call ordering and no
 row pivoting.
@@ -115,8 +118,9 @@ def _corner_pairs(nc: int) -> list[tuple[int, int]]:
 
 
 class VariationalCore:
-    """Energy/gradient evaluations, the energy Hessian and its (mass-shifted)
-    factorizations, all on the admissible elements of ``_FAMILIES``."""
+    """Energy/gradient evaluations, the energy Hessian and its (for Neumann,
+    weight-lumped mass shifted) factorizations, all on the admissible elements
+    of ``_FAMILIES``."""
 
     def __init__(self, grid: Grid, bc: str):
         if bc not in ("dirichlet", "neumann"):
@@ -150,9 +154,8 @@ class VariationalCore:
                 pairs[k].append(np.stack([nodes[plus], nodes[minus]], axis=1))
             self._families.append((nodes, B))
         self._volume = self.h ** grid.dim / math.factorial(grid.dim)  # element measure
-        incident = np.concatenate([n for nodes, _ in self._families for n in nodes])
-        self.mass = (np.bincount(incident, minlength=ok.size)
-                     * (self._volume / (grid.dim + 1))).reshape(ok.shape)
+        elements = sum(len(nodes[0]) for nodes, _ in self._families)
+        self.mass = self._lumped(np.ones(elements)).reshape(ok.shape)
         # D: row k*m + e holds v[plus] - v[minus] of gradient component k on
         # element e (m admissible elements, in family order)
         ends = np.concatenate([p for per_family in pairs for p in per_family]).astype(np.int32)
@@ -224,6 +227,19 @@ class VariationalCore:
         return np.where(self.dof_mask, grad, 0.0)
 
     # -- masses and p-norms ----------------------------------------------
+
+    def _lumped(self, w: np.ndarray) -> np.ndarray:
+        """Flat lumped mass of the element weights ``w`` (one per admissible
+        element, in family order): each element gives ``w_T |T| / (d+1)`` to
+        each of its corners."""
+        size = int(np.prod(self.grid.shape))
+        out, start = np.zeros(size), 0
+        for nodes, _ in self._families:
+            w_family = w[start:start + len(nodes[0])]
+            start += len(w_family)
+            for corner in nodes:
+                out += np.bincount(corner, weights=w_family, minlength=size)
+        return out * (self._volume / (self.grid.dim + 1))
 
     def pnorm_term(self, v: np.ndarray, p: float) -> float:
         """``sum mass * |v|^p`` over value-carrying nodes."""
@@ -323,7 +339,8 @@ class VariationalCore:
 
     def _metric(self, v: np.ndarray, p: float, delta: float, shifted: bool) -> sp.csc_matrix:
         """The energy Hessian at ``v`` on the dofs; with ``shifted``, plus
-        ``_neumann_sigma() * mean(w) * M`` for Neumann."""
+        ``_neumann_sigma()`` times the weight-lumped mass (:meth:`_lumped` of
+        the floored element weights ``w``) for Neumann."""
         g, s, w = self._element_weights(v, p, delta)
         r = np.divide(p - 2.0, s, out=np.zeros_like(s), where=s > 0.0) * w
         slot, diag, indices, indptr = self._pattern()
@@ -350,8 +367,7 @@ class VariationalCore:
                     done[a, b] = out
         data = np.bincount(slot, weights=vals, minlength=len(indices) + 1)[:-1]
         if shifted and self.bc == "neumann":
-            scale = float(np.mean(w)) if len(w) else 1.0
-            data[diag] += self._neumann_sigma() * scale * self.mass.ravel()[self.dof_index]
+            data[diag] += self._neumann_sigma() * self._lumped(w)[self.dof_index]
         m = len(self.dof_index)
         return sp.csc_matrix((data, indices, indptr), shape=(m, m))
 
@@ -370,9 +386,13 @@ class VariationalCore:
 
     def weighted_factor(self, v: np.ndarray, p: float, delta: float):
         """LU of :meth:`hessian` at ``v`` plus, for Neumann,
-        ``_neumann_sigma() * mean(w_T) * M`` with ``M`` the lumped mass, which
-        makes it positive definite on the constants; :meth:`precond_solve`
-        applies it."""
+        ``_neumann_sigma()`` times the weight-lumped mass: each element gives
+        ``w_T |T| / (d+1)`` to each corner, with the floored weights of the
+        Hessian.  The shift makes the matrix positive definite on the
+        constants and follows the local scale of the Hessian, where one
+        global weight would swamp it at the degenerate corners of a high-p
+        iterate; at p = 2 (``w_T = 1``) it is ``_neumann_sigma() * M``, ``M``
+        the lumped mass.  :meth:`precond_solve` applies it."""
         return self.factor(self._metric(v, p, delta, shifted=True))
 
     def precond_solve(self, grad: np.ndarray, factor) -> np.ndarray:

@@ -164,6 +164,9 @@ def _engine_counts(res) -> dict:
 
 
 def _cmd_solve(args):
+    if args.problem == "torsion" and args.boundary is not None:
+        raise CliConfigError("--boundary applies only to --problem harmonic")
+    boundary = (args.boundary or "aronsson") if args.problem == "harmonic" else None
     dom = _load_domain_arg(args.domain)
     grid = build_grid(dom, args.grid)
     check_exponent(args.p, CliConfigError)
@@ -173,7 +176,7 @@ def _cmd_solve(args):
         res = gap.torsion
         report["supGap"] = gap.sup_gap
     else:
-        if args.boundary == "aronsson":
+        if boundary == "aronsson":
             def data(*coords):
                 x, y = coords
                 return np.abs(x) ** (4.0 / 3.0) - np.abs(y) ** (4.0 / 3.0)
@@ -181,7 +184,7 @@ def _cmd_solve(args):
             def data(*coords):
                 return coords[0] - coords[-1]
         res = solve_p_harmonic(grid, data, args.p)
-        report["boundary"] = args.boundary
+        report["boundary"] = boundary
     report.update(_engine_counts(res), finalEnergy=res.final_energy,
                   optimalityResidual=res.optimality_residual)
     artifacts = []
@@ -192,7 +195,7 @@ def _cmd_solve(args):
         _write_json(args.report, report)
         artifacts.append(args.report)
     config = {"problem": args.problem, "p": args.p, "domain": domain_to_json(dom),
-              "grid": args.grid, "boundary": getattr(args, "boundary", None)}
+              "grid": args.grid, "boundary": boundary}
     summary = (f"solve {args.problem} p={args.p:g}: iterations={res.iterations} "
                f"factorizations={res.factorizations} "
                f"residual={res.optimality_residual:.3e}")
@@ -529,8 +532,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--p", type=float, required=True)
     ps.add_argument("--domain", required=True)
     ps.add_argument("--grid", type=int, default=64)
-    ps.add_argument("--boundary", choices=("aronsson", "affine"),
-                    default="aronsson", help="boundary data for --problem harmonic")
+    ps.add_argument("--boundary", choices=("aronsson", "affine"), default=None,
+                    help="boundary data for --problem harmonic (default aronsson)")
     ps.add_argument("--out", default=None, help="field CSV path")
     ps.add_argument("--report", default=None, help="report JSON path")
     ps.set_defaults(handler=_cmd_solve)

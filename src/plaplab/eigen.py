@@ -208,8 +208,11 @@ class _QuotientNewton(_Newton):
     Hessian is the Lagrangian's, the energy Hessian less the diagonal ``R
     (p-1) m |v|^(p-2)``.  Directions keep the linearized constraints
     (normals ``m |v|^(p-2) v``, for Neumann also ``m |v|^(p-2)``),
-    preconditioned with the LU of ``weighted_factor``; trial points are
-    shifted to zero p-mean (Neumann) and normalized to ``D = 1``."""
+    preconditioned with the LU of ``weighted_factor``: the energy Hessian,
+    for Neumann plus a multiple of the weight-lumped mass, which keeps to the
+    Hessian's scale at the corners where a high-p eigenfunction's gradient
+    vanishes; trial points are shifted to zero p-mean (Neumann) and
+    normalized to ``D = 1``."""
 
     error = EigenError
     max_iterations = 4000

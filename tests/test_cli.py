@@ -142,6 +142,18 @@ def test_solve_torsion_gap(square_json, workdir):
     assert (config["p"], config["seed"]) == (4.0, 0)  # the only solver settings
 
 
+def test_solve_boundary_belongs_to_harmonic(square_json, workdir):
+    assert run(["solve", "--problem", "torsion", "--p", "2", "--domain", square_json,
+                "--grid", "16", "--boundary", "aronsson"]) == 2
+    assert run(["solve", "--problem", "torsion", "--p", "2", "--domain", square_json,
+                "--grid", "16", "--out", "t.csv"]) == 0
+    assert read_json("t.csv.manifest.json")["config"]["boundary"] is None
+    assert run(["solve", "--problem", "harmonic", "--p", "4", "--domain", square_json,
+                "--grid", "16", "--out", "h.csv", "--report", "h.json"]) == 0
+    assert read_json("h.csv.manifest.json")["config"]["boundary"] == "aronsson"
+    assert read_json("h.json")["boundary"] == "aronsson"
+
+
 def test_solve_report_counts_factorizations(square_json, workdir, capsys):
     assert run(["solve", "--problem", "torsion", "--p", "8",
                 "--domain", square_json, "--grid", "32", "--report", "s.json"]) == 0

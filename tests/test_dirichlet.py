@@ -8,7 +8,8 @@ gradient and the lumped masses equal an element-by-element P1 loop, and the
 gradient is the derivative of the energy; the assembled
 Hessian is the derivative of the energy gradient and, at p = 2, the
 stiffness of an element-by-element P1 assembly; the factored descent metric
-is that Hessian plus the Neumann mass shift; the gradient's derivative in p
+is that Hessian plus, for Neumann, the weight-lumped mass shift (the plain
+mass shift at p = 2, bit for bit); the gradient's derivative in p
 is a central difference in p of an element-loop gradient, and predicted
 torsion stage starts keep the plain start's stop target and final field.
 Eisenstat-Walker forcing with a per-LU PCG budget reaches the field of fixed
@@ -528,12 +529,24 @@ def test_weighted_factor_is_the_shifted_hessian(name, bc, p):
     delta = 1e-3
     matrix = core.hessian(v, p, delta)
     if bc == "neumann":
-        # mean element weight (|grad v|^2 + delta^2)^((p-2)/2), element by element
+        # the weight-lumped mass, element by element: each element gives
+        # w_T |T| / (d+1) to each corner, w_T = (|grad v|^2 + delta^2)^((p-2)/2)
+        # floored at 1e-12 of its maximum as in the Hessian
         flat = v.ravel()
-        w = [(float(np.sum((grads.T @ flat[nodes]) ** 2)) + delta**2) ** (p / 2.0 - 1.0)
-             for nodes, grads, _ in oracles.p1_elements(grid)]
-        mass = core.mass.ravel()[core.dof_index]
-        matrix = matrix + core._neumann_sigma() * float(np.mean(w)) * sp.diags(mass)
+        elements = list(oracles.p1_elements(grid))
+        w = np.array([(float(np.sum((grads.T @ flat[nodes]) ** 2)) + delta**2) ** (p / 2.0 - 1.0)
+                      for nodes, grads, _ in elements])
+        w = np.maximum(w, 1e-12 * w.max())
+        lumped = np.zeros(flat.size)
+        for (nodes, _, measure), w_t in zip(elements, w):
+            lumped[nodes] += w_t * measure / len(nodes)
+        shift = core._neumann_sigma() * sp.diags(lumped[core.dof_index])
+        if p == 2.0:
+            # w = 1: the shift is the plain mass shift, bit for bit
+            mass = core._neumann_sigma() * sp.diags(core.mass.ravel()[core.dof_index])
+            assert np.array_equal(core._metric(v, p, delta, shifted=True).toarray(),
+                                  (matrix + mass).toarray())
+        matrix = matrix + shift
     expected = spla.spsolve(matrix.tocsc(), s.ravel()[core.dof_index])
     got = core.precond_solve(s, core.weighted_factor(v, p, delta)).ravel()[core.dof_index]
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)

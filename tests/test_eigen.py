@@ -122,6 +122,23 @@ def test_p11_dirichlet_reaches_its_residual():
     assert res.stages[-1].stop in ("converged", "rounding")
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_p20_neumann_square_factors_few_times(seed):
+    # the preconditioner's shift keeps to the Hessian's scale at the nodal
+    # line's degenerate corners; one global weight there took 35-37 LUs
+    res = neumann_eigen_first(build_grid(Domain.unit_square(), 64), p=20.0, seed=seed)
+    assert res.factorizations <= 12
+    assert oracles.square_neumann_lower(20.0) <= res.root <= oracles.square_neumann_upper(20.0)
+
+
+def test_p12_neumann_square_converges():
+    # with one global weight in the preconditioner's shift this solve stopped
+    # "no-descent" at strong residual 3.0e-4
+    res = neumann_eigen_first(build_grid(Domain.unit_square(), 64), p=1.2, seed=0)
+    assert res.stages[-1].stop in ("converged", "rounding")
+    assert oracles.square_neumann_lower(1.2) <= res.root <= oracles.square_neumann_upper(1.2)
+
+
 # ---------------------------------------------------------------------------
 # p-mean shift (safeguarded Newton) against closed forms and bisection
 
