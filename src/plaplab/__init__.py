@@ -13,7 +13,7 @@ geometry   exact convex geometry: inradius, diameter, Cheeger sets
 fields     finite-difference grids, scalar fields and differential operators
 dirichlet  variational p-harmonic and p-torsion solvers
 eigen      first (and exploratory second) eigenpairs by projected Newton
-radial     radial closed forms and eigenvalue shooting on balls
+radial     radial torsion and eigenpairs in closed form on balls
 flow       explicit normalized p-Laplacian evolution and decay rates
 viscosity  residuals of the limit equations; 1-D test-function checks
 cli        command-line driver with reproducible run manifests

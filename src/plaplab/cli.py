@@ -5,18 +5,19 @@ Subcommands
 solve      p-harmonic / p-torsion boundary-value solves
 eigen      first eigenpair at one exponent
 sweep      eigenvalue p-sweep with JSON report
-radial     radial closed forms, shooting and limits on balls
+radial     radial closed forms and limits on balls
 flow       explicit normalized p-Laplacian evolution traces
 cheeger    Cheeger constant and rounded Cheeger set
 check      limit-equation residuals and 1-D viscosity checks
 reproduce  canonical figure pipelines (fig4, fig5)
 
 Every successful run writes a manifest JSON recording the subcommand, the
-fully resolved configuration (defaults materialized), sha256 digests of
-input files, artifact paths, wall-clock duration, and the package
-version.  All randomness sits behind the global ``--seed`` flag, so a
-rerun with the manifest's configuration reproduces every CSV/JSON
-artifact bit-identically.
+options the run read (defaults materialized), sha256 digests of input
+files, artifact paths, wall-clock duration, and the package version.  An
+option that the chosen task, case or initial condition does not read is a
+configuration error.  All randomness sits behind the global ``--seed``
+flag, so a rerun with the manifest's configuration reproduces every
+CSV/JSON artifact bit-identically.
 
 Exit codes: 0 success; 2 configuration error (usage text on stderr);
 1 numerical failure (diagnostic JSON on stderr).
@@ -43,7 +44,6 @@ from .dirichlet import (
     torsion_infinity_gap,
 )
 from .eigen import (
-    EigenError,
     diagonal_profile,
     dirichlet_eigen_first,
     limit_target,
@@ -87,7 +87,7 @@ class CliConfigError(Exception):
 
 _CONFIG_ERRORS = (CliConfigError, GeometryError, GridError, FieldError,
                   json.JSONDecodeError, OSError)
-_NUMERIC_ERRORS = (SolverError, EigenError, RadialError, FlowError)
+_NUMERIC_ERRORS = (SolverError, RadialError, FlowError)  # EigenError is a SolverError
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +159,46 @@ def _engine_counts(res) -> dict:
             "stages": [dataclasses.asdict(s) for s in res.stages]}
 
 
+#: flag and manifest key of each option that only some cases of its
+#: subcommand read
+_OPTION_NAMES = {"p": ("--p", "p"), "k": ("--k", "k"), "rho": ("--rho", "rho"),
+                 "lam": ("--lambda", "lambda"), "p_list": ("--p-list", "pList"),
+                 "grid": ("--grid", "grid"), "init_file": ("--init-file", "initFile")}
+
+#: per case, the options of ``_OPTION_NAMES`` it reads and their defaults
+#: (None: no default); radial reads --n and --R in every task
+_RADIAL_READS = {"torsion": {"p": 2.0}, "eigen": {"p": 2.0, "k": 1},
+                 "gaussian": {"lam": 2.0, "p_list": (1.5, 1.2, 1.1)},
+                 "plateau": {"p": 2.0, "rho": None}}
+_CHECK_READS = {"kink": {"lam": 1.0}, "neumann-bc": {"lam": 1.0},
+                "aronsson": {"grid": 64}, "torsion-limit": {"grid": 64},
+                "eigen-limit-1d": {"grid": 64, "lam": 1.0},
+                "neumann-limit": {"grid": 64, "lam": 1.0}}
+_FLOW_READS = {"eigen": {}, "bump": {}, "file": {"init_file": None}}
+
+
+def _case_options(args, flag: str, case: str, table: dict) -> dict:
+    """Manifest entries of the options that ``case`` reads (``table[case]``),
+    defaults filled in, also on ``args``.  An option that only other cases
+    of ``table`` read must be unset, else ``CliConfigError``."""
+    reads = table[case]
+    config = {}
+    for dest in dict.fromkeys(d for options in table.values() for d in options):
+        name, key = _OPTION_NAMES[dest]
+        value = getattr(args, dest)
+        if dest in reads:
+            if value is None:
+                value = reads[dest]
+                setattr(args, dest, value)
+            config[key] = value
+        elif value is not None:
+            raise CliConfigError(f"{name} does not apply to {flag} {case}")
+    return config
+
+
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (config, inputs, artifacts, summary)
+# subcommand handlers: each returns (config, inputs, artifacts, report,
+# summary); main writes the report to --report, the last artifact
 
 
 def _cmd_solve(args):
@@ -191,15 +229,12 @@ def _cmd_solve(args):
     if args.out:
         _field_artifact(args.out, res.field)
         artifacts.append(args.out)
-    if args.report:
-        _write_json(args.report, report)
-        artifacts.append(args.report)
     config = {"problem": args.problem, "p": args.p, "domain": domain_to_json(dom),
               "grid": args.grid, "boundary": boundary}
     summary = (f"solve {args.problem} p={args.p:g}: iterations={res.iterations} "
                f"factorizations={res.factorizations} "
                f"residual={res.optimality_residual:.3e}")
-    return config, [args.domain], artifacts, summary
+    return config, [args.domain], artifacts, report, summary
 
 
 def _cmd_eigen(args):
@@ -223,14 +258,11 @@ def _cmd_eigen(args):
     if args.out:
         _field_artifact(args.out, res.field)
         artifacts.append(args.out)
-    if args.report:
-        _write_json(args.report, report)
-        artifacts.append(args.report)
     config = {"type": args.type, "p": args.p, "domain": domain_to_json(dom),
               "grid": args.grid}
     summary = (f"eigen {args.type} p={args.p:g}: root={res.root:.6f} "
                f"target={target:.6f} relativeGap={gap:.4f}")
-    return config, [args.domain], artifacts, summary
+    return config, [args.domain], artifacts, report, summary
 
 
 def _cmd_sweep(args):
@@ -239,28 +271,24 @@ def _cmd_sweep(args):
     rep = p_sweep(args.problem, dom, args.p_list, args.grid, seed=args.seed)
     payload = rep.to_dict()
     payload["domain"] = domain_to_json(dom)
-    artifacts = []
-    if args.report:
-        _write_json(args.report, payload)
-        artifacts.append(args.report)
     config = {"type": args.problem, "pList": list(args.p_list),
               "domain": domain_to_json(dom), "grid": args.grid}
     last = rep.entries[-1]
     summary = (f"sweep {args.problem} p={last.p:g}: root={last.root:.6f} "
                f"relativeGap={last.relative_gap:.4f} ({len(rep.entries)} entries)")
-    return config, [args.domain], artifacts, summary
+    return config, [args.domain], [], payload, summary
 
 
 def _cmd_radial(args):
     task = args.task
-    if args.R <= 0.0 or args.n < 1 or args.k < 1:
+    config = {"task": task, "n": args.n, "R": args.R,
+              **_case_options(args, "--task", task, _RADIAL_READS)}
+    if args.R <= 0.0 or args.n < 1 or (task == "eigen" and args.k < 1):
         raise CliConfigError("--R must be positive, --n and --k at least 1")
-    if task == "plateau" and args.rho is not None and not 0.0 < args.rho < args.R:
+    if task == "plateau" and args.rho is None:
+        raise CliConfigError("--rho is required for the plateau task")
+    if task == "plateau" and not 0.0 < args.rho < args.R:
         raise CliConfigError("--rho must lie strictly between 0 and --R")
-    artifacts = []
-    config = {"task": task, "p": args.p, "n": args.n, "R": args.R,
-              "k": args.k, "rho": args.rho, "lambda": args.lam,
-              "pList": list(args.p_list)}
     if task == "torsion":
         prof = normalized_torsion_radial(args.p, args.n, args.R)
         rows = zip(prof.r, prof.values, prof.residual)
@@ -303,8 +331,6 @@ def _cmd_radial(args):
                    f"{limit.boundary_ratio:.4f} supDist(p={closest.p:g})="
                    f"{closest.sup_distance_interior:.4f}")
     else:  # plateau
-        if args.rho is None:
-            raise CliConfigError("--rho is required for the plateau task")
         prof = plateau_family(args.p, args.n, args.R, args.rho)
         rows = zip(prof.r, prof.values, prof.residual_a)
         header = ["r", "value", "residual"]
@@ -315,11 +341,7 @@ def _cmd_radial(args):
                    f"gapToB={prof.gap_to_b:.6f}")
     if args.out:
         _write_csv(args.out, header, rows)
-        artifacts.append(args.out)
-    if args.report:
-        _write_json(args.report, report)
-        artifacts.append(args.report)
-    return config, [], artifacts, summary
+    return config, [], [args.out] if args.out else [], report, summary
 
 
 def _flow_initial(args, grid) -> ScalarField:
@@ -359,6 +381,7 @@ def _flow_initial(args, grid) -> ScalarField:
 
 
 def _cmd_flow(args):
+    init_options = _case_options(args, "--init", args.init, _FLOW_READS)
     dom = _load_domain_arg(args.domain)
     grid = build_grid(dom, args.grid)
     try:
@@ -386,16 +409,13 @@ def _cmd_flow(args):
               "finalTime": float(run.times[-1]),
               "steps": len(run.times) - 1, "init": args.init,
               "fittedRate": run.fitted_rate, "fitR2": run.fit_r2}
-    if args.report:
-        _write_json(args.report, report)
-        artifacts.append(args.report)
     config = {"p": report["p"], "bc": args.bc, "domain": domain_to_json(dom),
               "grid": args.grid, "tEnd": args.t_end, "init": args.init,
-              "dt": run.dt, "delta": run.delta, "initFile": args.init_file}
+              "dt": run.dt, "delta": run.delta, **init_options}
     rate = "n/a" if run.fitted_rate is None else f"{run.fitted_rate:.6f}"
     summary = f"flow p={p:g} {args.bc}: steps={report['steps']} fittedRate={rate}"
-    inputs = [args.domain] + ([args.init_file] if args.init_file else [])
-    return config, inputs, artifacts, summary
+    inputs = [args.domain] + list(init_options.values())
+    return config, inputs, artifacts, report, summary
 
 
 def _cmd_cheeger(args):
@@ -405,25 +425,22 @@ def _cmd_cheeger(args):
               "perimeter": res.perimeter,
               "verificationRatio": res.verification_ratio,
               "innerSet": domain_to_json(res.inner_set)}
-    artifacts = []
-    if args.report:
-        _write_json(args.report, report)
-        artifacts.append(args.report)
     config = {"domain": domain_to_json(dom)}
-    return config, [args.domain], artifacts, f"cheeger: h={res.h:.9f}"
+    return config, [args.domain], [], report, f"cheeger: h={res.h:.9f}"
 
 
 def _cmd_check(args):
     case = args.case
+    config = {"case": case, **_case_options(args, "--case", case, _CHECK_READS)}
     lam = args.lam
     report: dict
     if case == "kink":
-        rep = check_1d_kink(1.0 if lam is None else lam)
+        rep = check_1d_kink(lam)
         report = rep.to_dict()
         report["flaggedCount"] = 0
         summary = f"check kink lambda={rep.lam:g}: pass={rep.passed}"
     elif case == "neumann-bc":
-        rep = check_1d_neumann_bc(1.0 if lam is None else lam)
+        rep = check_1d_neumann_bc(lam)
         report = rep.to_dict()
         report["flaggedCount"] = 0
         summary = f"check neumann-bc lambda={rep.lam:g}: pass={rep.passed}"
@@ -448,14 +465,14 @@ def _cmd_check(args):
     elif case == "eigen-limit-1d":
         grid = build_grid(Domain.interval(-1.0, 1.0), args.grid)
         v = ScalarField.from_function(grid, lambda x: 1.0 - np.abs(x))
-        rep = residual_limit_eigen(v, 1.0 if lam is None else lam)
+        rep = residual_limit_eigen(v, lam)
         report = rep.to_dict()
         report.update({"case": case, "witnesses": []})
         summary = f"check eigen-limit-1d: supResidual={rep.sup_residual:.3e}"
     elif case == "neumann-limit":
         grid = build_grid(Domain.rectangle(-1.0, -1.0, 1.0, 1.0), args.grid)
         u = ScalarField.from_function(grid, lambda x, y: x)
-        rep = residual_neumann_system(u, 1.0 if lam is None else lam)
+        rep = residual_neumann_system(u, lam)
         report = rep.to_dict()
         report.update({"case": case, "witnesses": []})
         summary = (f"check neumann-limit lambda={rep.diagnostics['lambda']:g}: "
@@ -463,12 +480,7 @@ def _cmd_check(args):
                    f"minBranchFloor={rep.diagnostics['minBranchFloorPositive']:.4f}")
     else:  # pragma: no cover - argparse restricts choices
         raise CliConfigError(f"unknown check case {case!r}")
-    artifacts = []
-    if args.report:
-        _write_json(args.report, report)
-        artifacts.append(args.report)
-    config = {"case": case, "lambda": lam, "grid": args.grid}
-    return config, [], artifacts, summary
+    return config, [], [], report, summary
 
 
 def _cmd_reproduce(args):
@@ -507,7 +519,7 @@ def _cmd_reproduce(args):
         artifacts.append(summary_path)
         summary = f"reproduce fig5: maxDeviationFromLinear={prof.max_deviation:.4f}"
     config = {"figure": args.figure, "p": 15.0, "grid": args.grid}
-    return config, [], artifacts, summary
+    return config, [], artifacts, None, summary
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +570,15 @@ def _build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("radial", help="radial profiles on balls")
     pr.add_argument("--task", choices=("torsion", "eigen", "gaussian", "plateau"),
                     required=True)
-    pr.add_argument("--p", type=float, default=2.0)
+    pr.add_argument("--p", type=float, help="exponent: torsion, eigen, plateau (default 2)")
     pr.add_argument("--n", type=int, default=2)
     pr.add_argument("--R", type=float, default=1.0)
-    pr.add_argument("--k", type=int, default=1, help="eigenvalue index")
-    pr.add_argument("--rho", type=float, default=None, help="plateau radius")
-    pr.add_argument("--lambda", dest="lam", type=float, default=2.0,
-                    help="limit eigenvalue for the gaussian task")
+    pr.add_argument("--k", type=int, help="eigenvalue index: eigen (default 1)")
+    pr.add_argument("--rho", type=float, help="plateau radius: plateau (required)")
+    pr.add_argument("--lambda", dest="lam", type=float,
+                    help="limit eigenvalue: gaussian (default 2)")
     pr.add_argument("--p-list", type=_float_list, dest="p_list",
-                    default=(1.5, 1.2, 1.1), help="exponents for the gaussian task")
+                    help="exponents: gaussian (default 1.5,1.2,1.1)")
     pr.add_argument("--out", default=None, help="profile CSV path")
     pr.add_argument("--report", default=None, help="report JSON path")
     pr.set_defaults(handler=_cmd_radial)
@@ -578,7 +590,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--bc", choices=("dirichlet", "neumann"), default="dirichlet")
     pf.add_argument("--tEnd", dest="t_end", type=float, default=1.0)
     pf.add_argument("--init", choices=("eigen", "bump", "file"), default="eigen")
-    pf.add_argument("--init-file", dest="init_file", default=None)
+    pf.add_argument("--init-file", dest="init_file", help="x,y,value CSV: --init file")
     pf.add_argument("--dt", type=float, default=None)
     pf.add_argument("--delta", type=float, default=None)
     pf.add_argument("--trace", default=None, help="sup-norm trace CSV path")
@@ -594,8 +606,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--case", choices=("aronsson", "torsion-limit", "eigen-limit-1d",
                                        "neumann-limit", "kink", "neumann-bc"),
                     required=True)
-    pk.add_argument("--lambda", dest="lam", type=float, default=None)
-    pk.add_argument("--grid", type=int, default=64)
+    pk.add_argument("--lambda", dest="lam", type=float,
+                    help="eigenvalue: all but aronsson, torsion-limit (default 1)")
+    pk.add_argument("--grid", type=int, help="resolution: all but kink, neumann-bc (default 64)")
     pk.add_argument("--report", default=None, help="report JSON path")
     pk.set_defaults(handler=_cmd_check)
 
@@ -613,7 +626,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        config, inputs, artifacts, summary = args.handler(args)
+        config, inputs, artifacts, report, summary = args.handler(args)
+        if getattr(args, "report", None):
+            _write_json(args.report, report)
+            artifacts.append(args.report)
     except _CONFIG_ERRORS as exc:
         parser.print_usage(sys.stderr)
         print(f"plaplab {args.command}: configuration error: {exc}", file=sys.stderr)

@@ -500,8 +500,7 @@ def _solve(core: VariationalCore, p: float, boundary_values: np.ndarray,
     newton = _Newton(core, load)
     # p = 2 first: the energy is quadratic, so one Newton step is exact
     v, residual, target = newton.continuation(
-        v, (2.0,) + tuple(q for q in continuation_ladder(p) if q != 2.0),
-        predict=load is not None and not np.any(boundary_values))
+        v, continuation_ladder(p), predict=load is not None and not np.any(boundary_values))
     if p != 2.0:
         deltas = _polish_deltas(p)
         for delta in deltas:
@@ -621,13 +620,12 @@ class InfinityTorsionProfile:
     coefficient: float = INFINITY_TORSION_COEFFICIENT
 
 
-def infinity_torsion_ball(R: float, samples: int = 257) -> InfinityTorsionProfile:
+def infinity_torsion_ball(R: float) -> InfinityTorsionProfile:
+    """The profile on 257 equispaced radii of [0, R]."""
     if not (R > 0.0 and math.isfinite(R)):
         raise SolverError("ball radius must be positive and finite")
-    if samples < 2:
-        raise SolverError("need at least two samples")
     c = INFINITY_TORSION_COEFFICIENT
-    r = np.linspace(0.0, R, samples)
+    r = np.linspace(0.0, R, 257)
     values = c * (R ** (4.0 / 3.0) - r ** (4.0 / 3.0))
     pos = r > 0.0
     u_r = np.zeros_like(r)

@@ -40,7 +40,7 @@ from . import geometry
 from ._variational import VariationalCore, make_core
 from .dirichlet import (DELTA, SolverError, StageRecord, _Newton, check_exponent,
                         continuation_ladder)
-from .fields import FieldError, Grid, ScalarField, build_grid, sample_at
+from .fields import Grid, ScalarField, build_grid, sample_at
 
 __all__ = [
     "EigenError",
@@ -99,26 +99,22 @@ class EigenResult:
 # quotient and constraint primitives
 
 
-def rayleigh_quotient(v: ScalarField, p: float, bc: str = "dirichlet",
-                      check: bool = True) -> float:
+def rayleigh_quotient(v: ScalarField, p: float, bc: str = "dirichlet") -> float:
     """Discrete Rayleigh quotient ``N(v)/D(v)`` (element-midpoint gradients,
     lumped masses).
 
-    With ``check`` on, Dirichlet inputs must vanish on the boundary collar
-    and Neumann inputs must have (approximately) zero p-mean.
+    Dirichlet inputs must vanish on the boundary collar and Neumann inputs
+    must have (approximately) zero p-mean; others raise ``EigenError``.
     """
     core = make_core(v.grid, bc)
     vals = v.values
-    if check:
-        sup = max(v.sup_norm(), 1e-300)
-        if bc == "dirichlet":
-            bmask = v.grid.boundary
-            if np.any(np.abs(vals[bmask]) > 1e-9 * sup):
-                raise EigenError("Dirichlet quotient requires zero boundary values")
-        else:
-            bal = float(np.sum(_pmean_weights(vals, core.mass, p) * vals))
-            if abs(bal) > 1e-6 * (core.pnorm_term(vals, p - 1.0) + 1e-300):
-                raise EigenError("Neumann quotient requires zero p-mean")
+    if bc == "dirichlet":
+        if np.any(np.abs(vals[v.grid.boundary]) > 1e-9 * max(v.sup_norm(), 1e-300)):
+            raise EigenError("Dirichlet quotient requires zero boundary values")
+    else:
+        bal = float(np.sum(_pmean_weights(vals, core.mass, p) * vals))
+        if abs(bal) > 1e-6 * (core.pnorm_term(vals, p - 1.0) + 1e-300):
+            raise EigenError("Neumann quotient requires zero p-mean")
     return _quotient(core, vals, p)
 
 
@@ -315,16 +311,14 @@ def _result(newton: _QuotientNewton, v: np.ndarray) -> EigenResult:
                        pcg_iterations=newton.pcg_iterations, stages=list(newton.stages))
 
 
-def dirichlet_eigen_first(grid: Grid, p: float = 2.0,
-                          v0: np.ndarray | None = None) -> EigenResult:
-    """First Dirichlet eigenpair by continuation in p from ``v0`` or :func:`_start`.
+def dirichlet_eigen_first(grid: Grid, p: float = 2.0) -> EigenResult:
+    """First Dirichlet eigenpair by continuation in p from :func:`_start`.
 
     Raises ``EigenError`` on an exponent outside 1 < p < inf and on
     nonconvergence (diagnostics attached)."""
     p = check_exponent(p, EigenError)
     core = make_core(grid, "dirichlet")
-    v = _start(core) if v0 is None else np.where(grid.interior, np.asarray(v0, float), 0.0)
-    return _continue(core, v, p)[0]
+    return _continue(core, _start(core), p)[0]
 
 
 def _diameter_ramp(grid: Grid) -> np.ndarray:
@@ -338,15 +332,12 @@ def _diameter_ramp(grid: Grid) -> np.ndarray:
     return X * d[0] + Y * d[1]
 
 
-def neumann_eigen_first(grid: Grid, p: float = 2.0, seed: int = 0,
-                        v0: np.ndarray | None = None) -> EigenResult:
+def neumann_eigen_first(grid: Grid, p: float = 2.0, seed: int = 0) -> EigenResult:
     """First nontrivial Neumann eigenpair, as :func:`dirichlet_eigen_first`;
     ``seed`` seeds the start's kick (:func:`_start`)."""
     p = check_exponent(p, EigenError)
     core = make_core(grid, "neumann")
-    v = (_start(core, seed) if v0 is None
-         else np.where(grid.nonexterior, np.asarray(v0, float), 0.0))
-    return _continue(core, v, p)[0]
+    return _continue(core, _start(core, seed), p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +425,11 @@ def p_sweep(problem: str, domain: geometry.Domain, p_list, n: int,
 class DiagonalProfile:
     """Eigenfunction trace along a square's diagonal.
 
-    ``t`` is arclength normalized to [-1, 1]; ``values`` are normalized to
-    sup 1 along the trace.  ``max_deviation`` is the sup distance to the
-    straight line y = t, minimized over the trace's sign (the limit profile
-    is linear in the diameter direction).  ``diagonal`` records which
-    diagonal carried the larger value span.
+    ``t`` is arclength normalized to [-1, 1] at 513 equispaced points;
+    ``values`` are normalized to sup 1 along the trace.  ``max_deviation``
+    is the sup distance to the straight line y = t, minimized over the
+    trace's sign (the limit profile is linear in the diameter direction).
+    ``diagonal`` records which diagonal carried the larger value span.
     """
 
     t: np.ndarray
@@ -447,12 +438,12 @@ class DiagonalProfile:
     diagonal: str
 
 
-def diagonal_profile(u: ScalarField, samples: int = 513) -> DiagonalProfile:
+def diagonal_profile(u: ScalarField) -> DiagonalProfile:
     dom = u.grid.domain
     if not dom.is_square():
         raise EigenError("diagonal profile requires a square domain")
     v = dom.vertices
-    s = np.linspace(0.0, 1.0, samples)[:, None]
+    s = np.linspace(0.0, 1.0, 513)[:, None]
     traces = {}
     for name, (a, c) in (("main", (v[0], v[2])), ("anti", (v[1], v[3]))):
         pts = a[None, :] * (1.0 - s) + c[None, :] * s
@@ -468,7 +459,7 @@ def diagonal_profile(u: ScalarField, samples: int = 513) -> DiagonalProfile:
     return DiagonalProfile(t=t, values=vals, max_deviation=dev, diagonal=name)
 
 
-def nodal_distances(u: ScalarField, band: float = 0.0) -> tuple[float, float]:
+def nodal_distances(u: ScalarField) -> tuple[float, float]:
     """(d_plus, d_minus): largest distance from a positive (negative) node
     to the discrete nodal set (sign-change crossings, linearly interpolated).
     """
@@ -485,8 +476,8 @@ def nodal_distances(u: ScalarField, band: float = 0.0) -> tuple[float, float]:
         for i in np.flatnonzero(ok & (vals == 0.0)):
             pts_nodal.append((xs[i], 0.0))
         coords = np.column_stack([g.xs, np.zeros_like(g.xs)])
-        pos = ok & (vals > band)
-        neg = ok & (vals < -band)
+        pos = ok & (vals > 0.0)
+        neg = ok & (vals < 0.0)
         pos_pts = coords[pos]
         neg_pts = coords[neg]
     else:
@@ -503,8 +494,8 @@ def nodal_distances(u: ScalarField, band: float = 0.0) -> tuple[float, float]:
         pts_nodal.extend(zip(X[ii, jj], Y[ii, jj] + t * g.h))
         ii, jj = np.nonzero(ok & (vals == 0.0))
         pts_nodal.extend(zip(X[ii, jj], Y[ii, jj]))
-        pos = ok & (vals > band)
-        neg = ok & (vals < -band)
+        pos = ok & (vals > 0.0)
+        neg = ok & (vals < 0.0)
         pos_pts = np.column_stack([X[pos], Y[pos]])
         neg_pts = np.column_stack([X[neg], Y[neg]])
     if not pts_nodal:

@@ -31,11 +31,11 @@ excluded from residual suprema; the default floor is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, GeometryError, distance_to_boundary
+from .geometry import Domain, distance_to_boundary
 
 __all__ = [
     "GridError",
@@ -388,33 +388,32 @@ def _trilinear(d: dict[str, np.ndarray], dim: int) -> np.ndarray:
             + d["uy"] ** 2 * d["uyy"])
 
 
-def _flags(f: ScalarField, grad_sq: np.ndarray, grad_floor: float | None) -> tuple[np.ndarray, float]:
+def _flags(f: ScalarField, grad_sq: np.ndarray, grad_floor: float | None = None) -> np.ndarray:
+    """Interior nodes with ``|grad u|`` below ``grad_floor`` (default
+    :func:`default_grad_floor`)."""
     floor = default_grad_floor(f) if grad_floor is None else float(grad_floor)
-    flagged = f.grid.interior & (grad_sq < floor * floor)
-    return flagged, floor
+    return f.grid.interior & (grad_sq < floor * floor)
 
 
 def infinity_laplacian(f: ScalarField, grad_floor: float | None = None) -> ScalarField:
     """Trilinear form ``sum u_i u_ij u_j``; degenerate nodes flagged."""
     d = _derivs(f)
     g2 = _grad_sq(d, f.grid.dim)
-    flagged, _ = _flags(f, g2, grad_floor)
     return ScalarField(f.grid, _interior_only(f.grid, _trilinear(d, f.grid.dim)),
-                       flagged=flagged)
+                       flagged=_flags(f, g2, grad_floor))
 
 
-def p_laplacian(f: ScalarField, p: float, grad_floor: float | None = None) -> ScalarField:
+def p_laplacian(f: ScalarField, p: float) -> ScalarField:
     """Expanded p-Laplacian ``g^(p-4) (g^2 lap u + (p-2) lap_inf u)``, 1 < p < inf."""
     if not (1.0 < p < math.inf):
         raise FieldError("p_laplacian requires 1 < p < inf")
     d = _derivs(f)
     g2 = _grad_sq(d, f.grid.dim)
-    flagged, _ = _flags(f, g2, grad_floor)
     lap = d["uxx"] if f.grid.dim == 1 else d["uxx"] + d["uyy"]
     safe = np.where(g2 > 0.0, g2, 1.0)
     vals = safe ** ((p - 2.0) / 2.0) * (lap + (p - 2.0) * _trilinear(d, f.grid.dim) / safe)
     vals = np.where(g2 > 0.0, vals, 0.0)
-    return ScalarField(f.grid, _interior_only(f.grid, vals), flagged=flagged)
+    return ScalarField(f.grid, _interior_only(f.grid, vals), flagged=_flags(f, g2))
 
 
 def p_laplacian_divergence_form(f: ScalarField, p: float) -> ScalarField:
@@ -477,9 +476,8 @@ def normalized_p_laplacian(f: ScalarField, p: float, grad_floor: float | None = 
     steps = (1,) if f.grid.dim == 1 else (f.grid.shape[1], 1)
     diffs = [at(s) - at(-s) for s in steps]
     np.divide(sum(d * d for d in diffs), 4.0 * h * h, out=g2[span])
-    flagged, _ = _flags(f, g2.reshape(f.grid.shape), grad_floor)
     return ScalarField(f.grid, _interior_only(f.grid, vals.reshape(f.grid.shape)),
-                       flagged=flagged)
+                       flagged=_flags(f, g2.reshape(f.grid.shape), grad_floor))
 
 
 # ---------------------------------------------------------------------------
@@ -516,14 +514,13 @@ class OperatorSample:
         return float(np.max(np.abs(lhs - rhs)))
 
 
-def intrinsic_decomposition(f: ScalarField, grad_floor: float | None = None) -> OperatorSample:
+def intrinsic_decomposition(f: ScalarField) -> OperatorSample:
     """Assemble |grad u|, nu, u_nn and the mean-curvature term (2-D only)."""
     if f.grid.dim != 2:
         raise FieldError("intrinsic decomposition requires a 2-D grid")
     d = _derivs(f)
     g2 = _grad_sq(d, 2)
-    flagged, _ = _flags(f, g2, grad_floor)
-    usable = f.grid.interior & ~flagged
+    usable = f.grid.interior & ~_flags(f, g2)
     gnorm = np.sqrt(g2)
     safe = np.where(usable, np.maximum(gnorm, 1e-300), 1.0)
     nu_x = np.where(usable, -d["ux"] / safe, 0.0)

@@ -131,18 +131,19 @@ class Domain:
             return (cx - r, cy - r, cx + r, cy + r)
         return (self.a, 0.0, self.b, 0.0)
 
-    def is_square(self, tol: float = 1e-9) -> bool:
-        """True for a polygon with four equal sides and right angles."""
+    def is_square(self) -> bool:
+        """True for a polygon with four equal sides and right angles (to
+        1e-9 relative)."""
         if self.kind != "polygon" or len(self.vertices) != 4:
             return False
         v = self.vertices
         e = np.roll(v, -1, axis=0) - v
         lengths = np.hypot(e[:, 0], e[:, 1])
         side = lengths.mean()
-        if np.max(np.abs(lengths - side)) > tol * side:
+        if np.max(np.abs(lengths - side)) > 1e-9 * side:
             return False
         dots = np.abs(np.sum(e * np.roll(e, -1, axis=0), axis=1))
-        return bool(np.max(dots) <= tol * side * side)
+        return bool(np.max(dots) <= 1e-9 * side * side)
 
     def __repr__(self) -> str:  # compact, stable
         if self.kind == "polygon":
@@ -169,7 +170,6 @@ def _bbox_scale(pts: np.ndarray) -> float:
 
 def _check_convex(pts: np.ndarray, scale: float) -> None:
     """Require strictly convex CCW vertices (no repeats, no collinear runs)."""
-    m = len(pts)
     e = np.roll(pts, -1, axis=0) - pts
     lengths = np.hypot(e[:, 0], e[:, 1])
     if np.min(lengths) <= _CONVEXITY_TOL * scale:
@@ -181,8 +181,6 @@ def _check_convex(pts: np.ndarray, scale: float) -> None:
             "polygon is not strictly convex (reflex or collinear vertices); "
             f"worst turn {np.min(cross / norm):.3e}"
         )
-    if m != len(pts):  # pragma: no cover - defensive
-        raise GeometryError("vertex bookkeeping error")
 
 
 def _edge_normals(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -512,18 +510,15 @@ def cheeger_convex(d: Domain) -> CheegerResult:
 
 
 # ---------------------------------------------------------------------------
-# similarity transforms (used by scaling tests and the CLI)
+# similarity transforms (used by scaling tests)
 
 
-def scaled(d: Domain, t: float, origin=(0.0, 0.0)) -> Domain:
-    """Scale a domain by factor ``t > 0`` about ``origin``."""
+def scaled(d: Domain, t: float) -> Domain:
+    """Scale a domain by factor ``t > 0`` about the origin."""
     if not (t > 0.0 and math.isfinite(t)):
         raise GeometryError("scale factor must be positive and finite")
     if d.kind == "polygon":
-        o = np.asarray(origin, dtype=float)
-        return Domain.polygon(o + t * (d.vertices - o))
+        return Domain.polygon(t * d.vertices)
     if d.kind == "disc":
-        o = np.asarray(origin, dtype=float)
-        return Domain.disc(o + t * (d.center - o), t * d.radius)
-    o = float(origin[0]) if np.ndim(origin) else float(origin)
-    return Domain.interval(o + t * (d.a - o), o + t * (d.b - o))
+        return Domain.disc(t * d.center, t * d.radius)
+    return Domain.interval(t * d.a, t * d.b)

@@ -117,10 +117,10 @@ def torsion_coefficient(p: float, n: int) -> float:
     return p / (2.0 * (n - 2.0 + p))
 
 
-def normalized_torsion_radial(p: float, n: int, R: float,
-                              samples: int = 513) -> RadialProfile:
-    """Closed-form normalized torsion profile ``c(p,n)(R^2 - r^2)`` with the
-    per-sample residual of ``-(p-1)v'' - (n-1)/r v' - p``.
+def normalized_torsion_radial(p: float, n: int, R: float) -> RadialProfile:
+    """Closed-form normalized torsion profile ``c(p,n)(R^2 - r^2)`` on 513
+    equispaced radii of [0, R], with the per-sample residual of
+    ``-(p-1)v'' - (n-1)/r v' - p``.
 
     At r = 0 the drift term is evaluated by its symmetry limit
     ``(n-1) v''(0)``.  In two dimensions c = 1/2 for every p.
@@ -130,7 +130,7 @@ def normalized_torsion_radial(p: float, n: int, R: float,
     if R <= 0.0:
         raise RadialError("ball radius must be positive")
     c = torsion_coefficient(p, n)
-    r = np.linspace(0.0, R, samples)
+    r = np.linspace(0.0, R, 513)
     v = c * (R * R - r * r)
     dv = -2.0 * c * r
     d2v = np.full_like(r, -2.0 * c)
@@ -320,8 +320,8 @@ class PlateauResult:
         return float(np.max(np.abs(self.residual_a)))
 
 
-def plateau_family(p: float, n: int, R: float, rho: float,
-                   samples: int = 1025) -> PlateauResult:
+def plateau_family(p: float, n: int, R: float, rho: float) -> PlateauResult:
+    """The plateau profile of radius ``rho`` on 1025 equispaced radii of [0, R]."""
     if not p > 2.0:
         raise RadialError("the plateau family requires p > 2")
     if n < 1:
@@ -329,7 +329,7 @@ def plateau_family(p: float, n: int, R: float, rho: float,
     if not 0.0 < rho < R:
         raise RadialError("plateau radius must satisfy 0 < rho < R")
     c = torsion_coefficient(p, n)
-    r = np.linspace(0.0, R, samples)
+    r = np.linspace(0.0, R, 1025)
     flat = r <= rho
     v = np.where(flat, c * (R - rho) ** 2,
                  c * ((R - rho) ** 2 - (r - rho) ** 2))

@@ -33,12 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (
-    ScalarField,
-    default_grad_floor,
-    gradient,
-    infinity_laplacian,
-)
+from .fields import ScalarField, gradient, infinity_laplacian
 
 __all__ = [
     "TRILINEAR_CONVENTION",
@@ -89,9 +84,10 @@ class LimitResidualReport:
         }
 
 
-def _branch_parts(u: ScalarField, grad_floor):
-    """(|grad u|, trilinear values, flagged mask) on interior nodes."""
-    tri = infinity_laplacian(u, grad_floor)
+def _branch_parts(u: ScalarField):
+    """(|grad u|, trilinear values, flagged mask) on interior nodes, flagged
+    below the default gradient floor."""
+    tri = infinity_laplacian(u)
     comps = gradient(u)
     g2 = np.zeros(u.grid.shape)
     for c in comps:
@@ -112,14 +108,13 @@ def _region_sup(vals: np.ndarray, region: np.ndarray) -> float:
     return float(np.max(np.abs(vals[region])))
 
 
-def residual_limit_torsion(u: ScalarField, grad_floor: float | None = None,
-                           mask=None) -> LimitResidualReport:
+def residual_limit_torsion(u: ScalarField, mask=None) -> LimitResidualReport:
     """Residual of ``min{|grad u| - 1, -lap_inf u}`` for boundary-zero u.
 
     ``mask`` restricts evaluation (e.g. excluding the ridge where a
     distance function is not differentiable).
     """
-    g, tri, flagged = _branch_parts(u, grad_floor)
+    g, tri, flagged = _branch_parts(u)
     keep = _eval_mask(u, flagged, mask)
     residual = np.minimum(g - 1.0, -tri)
     sup = _region_sup(residual, keep)
@@ -133,11 +128,9 @@ def residual_limit_torsion(u: ScalarField, grad_floor: float | None = None,
     )
 
 
-def residual_limit_eigen(u: ScalarField, lam: float,
-                         grad_floor: float | None = None,
-                         mask=None) -> LimitResidualReport:
+def residual_limit_eigen(u: ScalarField, lam: float, mask=None) -> LimitResidualReport:
     """Residual of ``min{|grad u| - lam u, -lap_inf u}`` (Dirichlet limit)."""
-    g, tri, flagged = _branch_parts(u, grad_floor)
+    g, tri, flagged = _branch_parts(u)
     keep = _eval_mask(u, flagged, mask)
     residual = np.minimum(g - lam * u.values, -tri)
     sup = _region_sup(residual, keep)
@@ -152,9 +145,7 @@ def residual_limit_eigen(u: ScalarField, lam: float,
     )
 
 
-def residual_neumann_system(u: ScalarField, lam: float,
-                            grad_floor: float | None = None,
-                            mask=None) -> LimitResidualReport:
+def residual_neumann_system(u: ScalarField, lam: float) -> LimitResidualReport:
     """Three-branch residual of the Neumann infinity-eigenvalue system.
 
     min-branch ``min{|grad u| - Lam u, -lap_inf u}`` on {u > band},
@@ -168,8 +159,8 @@ def residual_neumann_system(u: ScalarField, lam: float,
     bounded away from zero when ``lam`` does not fit the profile), and
     ``maxBranchCeilNegative`` is the mirrored quantity.
     """
-    g, tri, flagged = _branch_parts(u, grad_floor)
-    keep = _eval_mask(u, flagged, mask)
+    g, tri, flagged = _branch_parts(u)
+    keep = u.grid.interior & ~flagged
     band = 2.0 * u.grid.h * _region_sup(g, u.grid.interior)
     vals = u.values
     pos = keep & (vals > band)
@@ -193,7 +184,7 @@ def residual_neumann_system(u: ScalarField, lam: float,
         equation="neumann-system",
         convention=TRILINEAR_CONVENTION,
         sup_residual=max(regions.values()),
-        flagged_count=int(np.count_nonzero(flagged & (mask if mask is not None else True) & u.grid.interior)),
+        flagged_count=int(np.count_nonzero(flagged)),  # interior nodes only
         evaluated_count=int(np.count_nonzero(keep)),
         region_residuals=regions,
         band=band,
@@ -254,13 +245,14 @@ class TouchingCheckReport:
         }
 
 
-def _coefficient_grid(samples: int, span: float):
-    axis = np.linspace(-span, span, samples)
+def _coefficient_grid():
+    """The sampled quadratics' ``(b, c)``: 200 x 200 equispaced in [-2, 2]^2."""
+    axis = np.linspace(-2.0, 2.0, 200)
     b, c = np.meshgrid(axis, axis, indexing="ij")
     return b.ravel(), c.ravel()
 
 
-def check_1d_kink(lam: float, samples: int = 200, span: float = 2.0) -> TouchingCheckReport:
+def check_1d_kink(lam: float) -> TouchingCheckReport:
     """Viscosity conditions for ``v = 1 - |x|`` at its kink ``x = 0``.
 
     Quadratics ``phi = 1 + b x + c x^2`` touch v from above at 0 exactly
@@ -279,7 +271,7 @@ def check_1d_kink(lam: float, samples: int = 200, span: float = 2.0) -> Touching
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    b, c = _coefficient_grid(samples, span)
+    b, c = _coefficient_grid()
     admissible = (np.abs(b) < 1.0) | ((np.abs(b) == 1.0) & (c >= 0.0))
     eigen_branch = np.abs(b) - lam
     infinity_branch = -(b * b) * (2.0 * c)
@@ -310,7 +302,7 @@ def check_1d_kink(lam: float, samples: int = 200, span: float = 2.0) -> Touching
     )
 
 
-def check_1d_neumann_bc(lam: float, samples: int = 200, span: float = 2.0) -> TouchingCheckReport:
+def check_1d_neumann_bc(lam: float) -> TouchingCheckReport:
     """Boundary viscosity conditions for ``u = x`` at ``x = 1``.
 
     Quadratics ``phi = 1 + b (x-1) + c (x-1)^2`` touching u from above on
@@ -332,7 +324,7 @@ def check_1d_neumann_bc(lam: float, samples: int = 200, span: float = 2.0) -> To
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    b, c = _coefficient_grid(samples, span)
+    b, c = _coefficient_grid()
 
     above = (b < 1.0) | ((b == 1.0) & (c >= 0.0))
     eigen_branch = np.abs(b) - lam

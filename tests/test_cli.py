@@ -267,6 +267,101 @@ def test_rerun_is_byte_identical(square_json, workdir):
     assert filecmp.cmp("a.json", "b.json", shallow=False)
 
 
+def test_reproduce_fig4_field_and_sideview(workdir):
+    prefix = str(workdir / "art-")
+    assert run(["reproduce", "fig4", "--grid", "24", "--out-prefix", prefix]) == 0
+    grid = build_grid(Domain.unit_square(), 24)
+    nodes = int(np.count_nonzero(grid.nonexterior))
+    field = np.loadtxt(prefix + "fig4-field.csv", delimiter=",", skiprows=1)
+    side = np.loadtxt(prefix + "fig4-diagonal-sideview.csv", delimiter=",", skiprows=1)
+    assert field.shape == (nodes, 3) and side.shape == (nodes, 2)
+    assert np.max(np.abs(field[:, 2])) == 1.0  # sup-normalized eigenfunction
+    assert np.all(np.diff(side[:, 0]) >= 0.0)  # sorted by diagonal coordinate
+    assert sorted(side[:, 1]) == sorted(field[:, 2])
+    manifest = read_json(prefix + "fig4-field.csv.manifest.json")
+    assert manifest["artifacts"] == [prefix + "fig4-field.csv",
+                                     prefix + "fig4-diagonal-sideview.csv"]
+    assert manifest["config"] == {"figure": "fig4", "p": 15.0, "grid": 24, "seed": 0}
+
+
+def _node_csv(path, rows):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("x,y,value\n")
+        fh.writelines(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+
+
+def test_flow_init_file(square_json, workdir):
+    grid = build_grid(Domain.unit_square(), 16)
+    X, Y = grid.coordinates()
+    u0 = np.sin(np.pi * X) * np.sin(np.pi * Y)
+    _node_csv("u0.csv", zip(X.ravel(), Y.ravel(), u0.ravel()))
+    argv = ["flow", "--domain", square_json, "--grid", "16", "--tEnd", "0.01",
+            "--init", "file", "--init-file", "u0.csv"]
+    assert run(argv + ["--trace", "t.csv"]) == 0
+    manifest = read_json("t.csv.manifest.json")
+    assert manifest["config"]["initFile"] == "u0.csv"
+    assert set(manifest["inputDigests"]) == {square_json, "u0.csv"}
+    t, sup = np.loadtxt("t.csv", delimiter=",", skiprows=1).T
+    assert (t[0], sup[0]) == (0.0, pytest.approx(1.0, abs=1e-15))  # u0 peaks at the centre
+    assert 0.0 < sup[-1] < sup[0]
+
+    _node_csv("off.csv", [(0.5, 0.5, 1.0), (2.0, 0.5, 1.0)])
+    _node_csv("cols.csv", [(0.5, 1.0)])
+    for bad in ("off.csv", "cols.csv", "missing.csv"):
+        assert run(argv[:-1] + [bad, "--report", "bad.json"]) == 2
+    assert run(argv[:-2]) == 2  # --init file without --init-file
+    assert not os.path.exists("bad.json")
+
+
+def test_radial_plateau_report(workdir):
+    assert run(["radial", "--task", "plateau", "--p", "3", "--rho", "0.5",
+                "--out", "pl.csv", "--report", "pl.json"]) == 0
+    report = read_json("pl.json")
+    assert report["gapToB"] == pytest.approx(0.375, rel=1e-12)  # c = 1/2, c rho (2R - rho)
+    assert report["maxResidualA"] > 0.0  # the family is spurious for n >= 2
+    assert len((workdir / "pl.csv").read_text().splitlines()) == 1026
+    config = read_json("pl.csv.manifest.json")["config"]
+    assert config == {"task": "plateau", "p": 3.0, "n": 2, "R": 1.0, "rho": 0.5,
+                      "seed": 0}
+
+
+@pytest.mark.parametrize("case, argv, bound", [
+    ("aronsson", ["--grid", "16"], 1e-3),
+    ("torsion-limit", ["--grid", "16"], 1e-9),
+    ("eigen-limit-1d", ["--grid", "16"], 1e-9),
+])
+def test_check_grid_cases(workdir, case, argv, bound):
+    assert run(["check", "--case", case, *argv, "--report", "c.json"]) == 0
+    report = read_json("c.json")
+    assert report["supResidual"] <= bound
+    config = read_json("c.json.manifest.json")["config"]
+    expected = {"case": case, "grid": 16, "seed": 0}
+    if case == "eigen-limit-1d":
+        expected["lambda"] = 1.0  # the default, recorded
+    assert config == expected
+
+
+def test_check_neumann_bc(workdir):
+    assert run(["check", "--case", "neumann-bc", "--report", "n.json"]) == 0
+    report = read_json("n.json")
+    assert report["pass"] is True and report["witnesses"] == []
+    assert read_json("n.json.manifest.json")["config"] == {
+        "case": "neumann-bc", "lambda": 1.0, "seed": 0}
+    assert run(["check", "--case", "neumann-bc", "--lambda", "0.5",
+                "--report", "n2.json"]) == 0
+    assert read_json("n2.json")["pass"] is False
+
+
+def test_solve_affine_boundary_is_reproduced(square_json, workdir):
+    assert run(["solve", "--problem", "harmonic", "--p", "2", "--domain", square_json,
+                "--grid", "16", "--boundary", "affine", "--out", "a.csv",
+                "--report", "a.json"]) == 0
+    x, y, u = np.loadtxt("a.csv", delimiter=",", skiprows=1).T
+    assert np.max(np.abs(u - (x - y))) < 1e-10  # P1 elements reproduce affine data
+    assert read_json("a.json")["boundary"] == "affine"
+    assert read_json("a.csv.manifest.json")["artifacts"] == ["a.csv", "a.json"]
+
+
 # ---------------------------------------------------------------------------
 # failure paths (exit code 2, no manifest)
 
@@ -318,6 +413,31 @@ def test_radial_validation_exits_2(workdir):
     assert run(["radial", "--task", "plateau", "--p", "3", "--rho", "1.5"]) == 2
     assert run(["radial", "--task", "plateau", "--p", "3"]) == 2
     assert run(["radial", "--task", "eigen", "--k", "0"]) == 2
+
+
+# each pair is an option and a case that does not read it
+@pytest.mark.parametrize("argv", [
+    *(["radial", "--task", "torsion", *opt] for opt in
+      (["--k", "5"], ["--rho", "0.3"], ["--lambda", "9"], ["--p-list", "1.3"])),
+    *(["radial", "--task", "eigen", *opt] for opt in
+      (["--rho", "0.3"], ["--lambda", "9"], ["--p-list", "1.3"])),
+    *(["radial", "--task", "gaussian", *opt] for opt in
+      (["--p", "7"], ["--k", "2"], ["--rho", "0.3"])),
+    *(["radial", "--task", "plateau", "--p", "3", "--rho", "0.5", *opt] for opt in
+      (["--k", "2"], ["--lambda", "9"], ["--p-list", "1.3"])),
+    *(["check", "--case", case, "--grid", "16"] for case in ("kink", "neumann-bc")),
+    *(["check", "--case", case, "--lambda", "2"] for case in ("aronsson", "torsion-limit")),
+    *(["flow", "--init", init, "--init-file", "u0.csv"] for init in ("eigen", "bump")),
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_option_that_the_case_ignores_exits_2(square_json, workdir, capsys, argv):
+    if argv[0] == "flow":
+        argv = argv + ["--domain", square_json, "--grid", "16", "--tEnd", "0.001",
+                       "--trace", "t.csv"]
+    elif argv[0] == "radial":
+        argv = argv + ["--out", "o.csv"]
+    assert run(argv + ["--report", "r.json"]) == 2
+    assert "does not apply to" in capsys.readouterr().err
+    assert sorted(os.listdir(workdir)) == ["square.json"]
 
 
 def test_argparse_rejects_bad_choice(square_json):

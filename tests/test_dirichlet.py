@@ -432,8 +432,6 @@ def test_infinity_torsion_profile_closed_form():
 def test_infinity_torsion_profile_errors():
     with pytest.raises(SolverError):
         infinity_torsion_ball(0.0)
-    with pytest.raises(SolverError):
-        infinity_torsion_ball(1.0, samples=1)
 
 
 # ---------------------------------------------------------------------------
