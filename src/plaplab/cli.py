@@ -152,6 +152,12 @@ def _eigen_first(kind: str, grid, p: float, seed: int):
     return neumann_eigen_first(grid, p, seed=seed)
 
 
+def _seed_read(args, bc: str | None) -> dict:
+    """The manifest entry of ``--seed`` if a run with boundary condition
+    ``bc`` reads it: only a Neumann eigen start does."""
+    return {"seed": args.seed} if bc == "neumann" else {}
+
+
 def _engine_counts(res) -> dict:
     """The Newton engine's counts and stage records of a solve or eigen result."""
     return {"iterations": res.iterations, "factorizations": res.factorizations,
@@ -169,7 +175,7 @@ _OPTION_NAMES = {"p": ("--p", "p"), "k": ("--k", "k"), "rho": ("--rho", "rho"),
 #: (None: no default); radial reads --n and --R in every task
 _RADIAL_READS = {"torsion": {"p": 2.0}, "eigen": {"p": 2.0, "k": 1},
                  "gaussian": {"lam": 2.0, "p_list": (1.5, 1.2, 1.1)},
-                 "plateau": {"p": 2.0, "rho": None}}
+                 "plateau": {"p": None, "rho": None}}
 _CHECK_READS = {"kink": {"lam": 1.0}, "neumann-bc": {"lam": 1.0},
                 "aronsson": {"grid": 64}, "torsion-limit": {"grid": 64},
                 "eigen-limit-1d": {"grid": 64, "lam": 1.0},
@@ -259,7 +265,7 @@ def _cmd_eigen(args):
         _field_artifact(args.out, res.field)
         artifacts.append(args.out)
     config = {"type": args.type, "p": args.p, "domain": domain_to_json(dom),
-              "grid": args.grid}
+              "grid": args.grid, **_seed_read(args, args.type)}
     summary = (f"eigen {args.type} p={args.p:g}: root={res.root:.6f} "
                f"target={target:.6f} relativeGap={gap:.4f}")
     return config, [args.domain], artifacts, report, summary
@@ -272,7 +278,8 @@ def _cmd_sweep(args):
     payload = rep.to_dict()
     payload["domain"] = domain_to_json(dom)
     config = {"type": args.problem, "pList": list(args.p_list),
-              "domain": domain_to_json(dom), "grid": args.grid}
+              "domain": domain_to_json(dom), "grid": args.grid,
+              **_seed_read(args, args.problem)}
     last = rep.entries[-1]
     summary = (f"sweep {args.problem} p={last.p:g}: root={last.root:.6f} "
                f"relativeGap={last.relative_gap:.4f} ({len(rep.entries)} entries)")
@@ -285,8 +292,8 @@ def _cmd_radial(args):
               **_case_options(args, "--task", task, _RADIAL_READS)}
     if args.R <= 0.0 or args.n < 1 or (task == "eigen" and args.k < 1):
         raise CliConfigError("--R must be positive, --n and --k at least 1")
-    if task == "plateau" and args.rho is None:
-        raise CliConfigError("--rho is required for the plateau task")
+    if task == "plateau" and (args.rho is None or args.p is None or not args.p > 2.0):
+        raise CliConfigError("the plateau task needs --rho and --p above 2")
     if task == "plateau" and not 0.0 < args.rho < args.R:
         raise CliConfigError("--rho must lie strictly between 0 and --R")
     if task == "torsion":
@@ -364,7 +371,10 @@ def _flow_initial(args, grid) -> ScalarField:
     # init == "file": rows x,y,value matching grid nodes
     if not args.init_file:
         raise CliConfigError("--init file requires --init-file PATH")
-    data = np.loadtxt(args.init_file, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(args.init_file, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:  # a cell that is not a number
+        raise CliConfigError(f"--init-file {args.init_file}: {exc}") from exc
     if data.shape[1] != 3:
         raise CliConfigError("--init-file must have columns x,y,value")
     vals = np.zeros(grid.shape)
@@ -411,7 +421,8 @@ def _cmd_flow(args):
               "fittedRate": run.fitted_rate, "fitR2": run.fit_r2}
     config = {"p": report["p"], "bc": args.bc, "domain": domain_to_json(dom),
               "grid": args.grid, "tEnd": args.t_end, "init": args.init,
-              "dt": run.dt, "delta": run.delta, **init_options}
+              "dt": run.dt, "delta": run.delta, **init_options,
+              **_seed_read(args, args.bc if args.init == "eigen" else None)}
     rate = "n/a" if run.fitted_rate is None else f"{run.fitted_rate:.6f}"
     summary = f"flow p={p:g} {args.bc}: steps={report['steps']} fittedRate={rate}"
     inputs = [args.domain] + list(init_options.values())
@@ -518,7 +529,7 @@ def _cmd_reproduce(args):
         })
         artifacts.append(summary_path)
         summary = f"reproduce fig5: maxDeviationFromLinear={prof.max_deviation:.4f}"
-    config = {"figure": args.figure, "p": 15.0, "grid": args.grid}
+    config = {"figure": args.figure, "p": 15.0, "grid": args.grid, "seed": args.seed}
     return config, [], artifacts, None, summary
 
 
@@ -534,7 +545,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the symmetry-breaking perturbation (default 0)")
+                        help="seed of the symmetry-breaking kick of a Neumann eigen start "
+                             "(default 0)")
     parser.add_argument("--manifest", default=None,
                         help="manifest path (default: derived from the first artifact)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -570,7 +582,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("radial", help="radial profiles on balls")
     pr.add_argument("--task", choices=("torsion", "eigen", "gaussian", "plateau"),
                     required=True)
-    pr.add_argument("--p", type=float, help="exponent: torsion, eigen, plateau (default 2)")
+    pr.add_argument("--p", type=float,
+                    help="exponent: torsion, eigen (default 2), plateau (required, above 2)")
     pr.add_argument("--n", type=int, default=2)
     pr.add_argument("--R", type=float, default=1.0)
     pr.add_argument("--k", type=int, help="eigenvalue index: eigen (default 1)")
@@ -640,7 +653,6 @@ def main(argv=None) -> int:
         print(file=sys.stderr)
         return 1
     duration = time.perf_counter() - start
-    config["seed"] = args.seed
     manifest = {
         "subcommand": args.command,
         "config": config,

@@ -110,11 +110,12 @@ def continuation_ladder(p: float) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class StageRecord:
     """One continuation stage or polish: its exponent and regularization,
-    its start's kind (``plain``: the previous end point; else see
+    its start's kind (``plain``: the previous end point; ``prolonged``: a
+    coarser lattice's end point, see ``eigen.neumann_eigen_first``; else see
     ``predict``), Newton steps, the LUs and PCG iterations since the previous
     stage ended (a tangent solve's included), stop target, final strong
-    residual and ``stop`` (``converged``, ``rounding``, ``stalled``,
-    ``no-descent`` or ``max-iterations``)."""
+    residual, ``stop`` (``converged``, ``rounding``, ``stalled``,
+    ``no-descent`` or ``max-iterations``) and the ``n`` of its grid."""
 
     p: float
     delta: float
@@ -125,6 +126,7 @@ class StageRecord:
     target: float
     residual: float
     stop: str
+    n: int
 
 
 @dataclass
@@ -394,7 +396,8 @@ class _Newton:
         pcg = self.pcg_iterations - sum(s.pcg_iterations for s in self.stages)
         self.stages.append(StageRecord(p=p, delta=delta, start=start, iterations=its,
                                        factorizations=lus, pcg_iterations=pcg,
-                                       target=target, residual=residual, stop=stop))
+                                       target=target, residual=residual, stop=stop,
+                                       n=core.grid.n))
         if strict and residual > max(target, floor):
             raise self.error(f"p = {p:g} descent stopped ({stop}) at strong residual "
                              f"{residual:.3e} above the tolerance {target:.3e} and the "

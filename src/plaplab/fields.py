@@ -12,7 +12,9 @@ The collar width is chosen so that every interior node has a full 9-point
 neighborhood of non-exterior nodes (a diagonal neighbor is at most
 ``sqrt(2) h`` away and distance is 1-Lipschitz), which every stencil below
 relies on.  On grid-aligned polygons the collar collapses onto the exact
-boundary nodes.
+boundary nodes.  :func:`coarse_grid` finds the half-resolution grid whose
+lattice nests in a grid's, and :func:`prolong` interpolates a field from it
+(P1, exactly).
 
 Operators use second-order central differences; the mixed derivative uses
 the four diagonal neighbors.  With ``g = |grad u|`` the family is tied
@@ -44,6 +46,8 @@ __all__ = [
     "ScalarField",
     "OperatorSample",
     "build_grid",
+    "coarse_grid",
+    "prolong",
     "default_grad_floor",
     "gradient",
     "laplacian",
@@ -162,6 +166,48 @@ def _classify(dist: np.ndarray, h: float, scale: float) -> np.ndarray:
     codes[dist > 0.5 * h - tol] = INTERIOR
     codes[dist < -(_EXTERIOR_BAND * h + tol)] = EXTERIOR
     return codes
+
+
+def coarse_grid(grid: Grid) -> Grid | None:
+    """The grid at ``n // 2`` whose lattice nests in ``grid``'s: its nodes
+    are every other node of ``grid`` along each axis (``codes[::2, ::2]``,
+    1-D ``[::2]``), each with the same classification.  None when n is odd,
+    the half grid cannot be built, or a shared node's class differs, as on
+    curved boundaries, where the collar scales with h.  Squares, rectangles
+    with an even number of cells along each side and intervals nest."""
+    if grid.n % 2:
+        return None
+    try:
+        coarse = build_grid(grid.domain, grid.n // 2)
+    except GridError:
+        return None
+    shared = grid.codes[(slice(None, None, 2),) * grid.dim]
+    if coarse.shape != shared.shape or not np.array_equal(coarse.codes, shared):
+        return None
+    return coarse
+
+
+def prolong(f: ScalarField, fine: Grid) -> ScalarField:
+    """The P1 interpolant of ``f``, a field on :func:`coarse_grid` of
+    ``fine``, at the nodes of ``fine``: shared nodes keep their values, edge
+    midpoints take the mean of the edge's ends, and cell centres the mean
+    along the diagonal (i, j)-(i+1, j+1) that splits every cell into its two
+    P1 triangles (``_variational._FAMILIES``).  Each coarse triangle is the
+    union of four fine ones, so the result is the same piecewise-linear
+    function."""
+    c = f.values
+    if fine.shape != tuple(2 * s - 1 for s in c.shape):
+        raise FieldError(f"grid shape {fine.shape} does not refine {c.shape}")
+    v = np.empty(fine.shape)
+    if fine.dim == 1:
+        v[::2] = c
+        v[1::2] = 0.5 * (c[:-1] + c[1:])
+    else:
+        v[::2, ::2] = c
+        v[1::2, ::2] = 0.5 * (c[:-1, :] + c[1:, :])
+        v[::2, 1::2] = 0.5 * (c[:, :-1] + c[:, 1:])
+        v[1::2, 1::2] = 0.5 * (c[:-1, :-1] + c[1:, 1:])
+    return ScalarField(fine, np.where(fine.nonexterior, v, 0.0))
 
 
 def _check_neighborhoods(grid: Grid) -> None:

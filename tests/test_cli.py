@@ -139,7 +139,7 @@ def test_solve_torsion_gap(square_json, workdir):
     with open("u.csv") as fh:
         assert fh.readline().rstrip() == "x,y,value"
     config = read_json("u.csv.manifest.json")["config"]
-    assert (config["p"], config["seed"]) == (4.0, 0)  # the only solver settings
+    assert config["p"] == 4.0 and "seed" not in config  # only a Neumann start reads it
 
 
 def test_solve_boundary_belongs_to_harmonic(square_json, workdir):
@@ -307,7 +307,8 @@ def test_flow_init_file(square_json, workdir):
 
     _node_csv("off.csv", [(0.5, 0.5, 1.0), (2.0, 0.5, 1.0)])
     _node_csv("cols.csv", [(0.5, 1.0)])
-    for bad in ("off.csv", "cols.csv", "missing.csv"):
+    (workdir / "text.csv").write_text("x,y,value\n0.5,0.5,one\n")
+    for bad in ("off.csv", "cols.csv", "missing.csv", "text.csv"):
         assert run(argv[:-1] + [bad, "--report", "bad.json"]) == 2
     assert run(argv[:-2]) == 2  # --init file without --init-file
     assert not os.path.exists("bad.json")
@@ -321,8 +322,7 @@ def test_radial_plateau_report(workdir):
     assert report["maxResidualA"] > 0.0  # the family is spurious for n >= 2
     assert len((workdir / "pl.csv").read_text().splitlines()) == 1026
     config = read_json("pl.csv.manifest.json")["config"]
-    assert config == {"task": "plateau", "p": 3.0, "n": 2, "R": 1.0, "rho": 0.5,
-                      "seed": 0}
+    assert config == {"task": "plateau", "p": 3.0, "n": 2, "R": 1.0, "rho": 0.5}
 
 
 @pytest.mark.parametrize("case, argv, bound", [
@@ -335,7 +335,7 @@ def test_check_grid_cases(workdir, case, argv, bound):
     report = read_json("c.json")
     assert report["supResidual"] <= bound
     config = read_json("c.json.manifest.json")["config"]
-    expected = {"case": case, "grid": 16, "seed": 0}
+    expected = {"case": case, "grid": 16}
     if case == "eigen-limit-1d":
         expected["lambda"] = 1.0  # the default, recorded
     assert config == expected
@@ -346,10 +346,26 @@ def test_check_neumann_bc(workdir):
     report = read_json("n.json")
     assert report["pass"] is True and report["witnesses"] == []
     assert read_json("n.json.manifest.json")["config"] == {
-        "case": "neumann-bc", "lambda": 1.0, "seed": 0}
+        "case": "neumann-bc", "lambda": 1.0}
     assert run(["check", "--case", "neumann-bc", "--lambda", "0.5",
                 "--report", "n2.json"]) == 0
     assert read_json("n2.json")["pass"] is False
+
+
+@pytest.mark.parametrize("argv, reads_seed", [
+    (["eigen", "--type", "neumann", "--p", "2", "--out", "o.csv"], True),
+    (["eigen", "--type", "dirichlet", "--p", "2", "--out", "o.csv"], False),
+    (["sweep", "--problem", "neumann", "--p-list", "2", "--report", "o.csv"], True),
+    (["sweep", "--problem", "dirichlet", "--p-list", "2", "--report", "o.csv"], False),
+    (["flow", "--bc", "neumann", "--tEnd", "0.001", "--trace", "o.csv"], True),
+    (["flow", "--bc", "dirichlet", "--tEnd", "0.001", "--trace", "o.csv"], False),
+    (["flow", "--bc", "neumann", "--init", "bump", "--tEnd", "0.001", "--trace", "o.csv"],
+     False),
+], ids=lambda a: "-".join(x.lstrip("-") for x in a) if isinstance(a, list) else str(a))
+def test_manifest_records_seed_only_where_read(square_json, workdir, argv, reads_seed):
+    assert run(["--seed", "3", *argv, "--domain", square_json, "--grid", "16"]) == 0
+    config = read_json("o.csv.manifest.json")["config"]
+    assert config.get("seed") == (3 if reads_seed else None)
 
 
 def test_solve_affine_boundary_is_reproduced(square_json, workdir):
@@ -412,6 +428,9 @@ def test_flow_neumann_needs_lattice_filling_domain(workdir):
 def test_radial_validation_exits_2(workdir):
     assert run(["radial", "--task", "plateau", "--p", "3", "--rho", "1.5"]) == 2
     assert run(["radial", "--task", "plateau", "--p", "3"]) == 2
+    # the family needs p > 2, so neither an omitted --p nor p <= 2 is numerical
+    for p in ([], ["--p", "2"], ["--p", "1.5"]):
+        assert run(["radial", "--task", "plateau", "--rho", "0.5", *p]) == 2
     assert run(["radial", "--task", "eigen", "--k", "0"]) == 2
 
 

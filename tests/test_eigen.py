@@ -18,6 +18,7 @@ import pytest
 
 import oracles
 from plaplab import eigen
+from plaplab._variational import make_core
 from plaplab.eigen import (
     EigenError,
     diagonal_profile,
@@ -137,6 +138,60 @@ def test_p12_neumann_square_converges():
     res = neumann_eigen_first(build_grid(Domain.unit_square(), 64), p=1.2, seed=0)
     assert res.stages[-1].stop in ("converged", "rounding")
     assert oracles.square_neumann_lower(1.2) <= res.root <= oracles.square_neumann_upper(1.2)
+
+
+# ---------------------------------------------------------------------------
+# Neumann nested iteration
+
+
+def _direct(grid, p, seed=0):
+    """The Neumann pair by continuation on ``grid`` alone, from the kicked ramp."""
+    core = make_core(grid, "neumann")
+    return eigen._continue(core, eigen._start(core, seed), p)[0]
+
+
+@pytest.mark.parametrize("domain, n", [(Domain.disc((0.0, 0.0), 1.0), 64),
+                                       (Domain.unit_square(), 63)], ids=["disc", "odd-n"])
+def test_neumann_lattices_that_do_not_nest_take_the_direct_ladder(domain, n):
+    grid = build_grid(domain, n)
+    res = neumann_eigen_first(grid, p=4.0)
+    assert [(s.n, s.p) for s in res.stages] == [(n, 2.0), (n, 4.0)]
+    assert "prolonged" not in {s.start for s in res.stages}
+    ref = _direct(grid, 4.0)
+    assert (res.root, res.residual, res.iterations) == (ref.root, ref.residual, ref.iterations)
+    assert np.array_equal(res.field.values, ref.field.values)
+
+
+NESTED_DOMAINS = {"square": Domain.unit_square(),
+                  "rectangle": Domain.rectangle(0.0, 0.0, 2.0, 1.0),
+                  "interval": Domain.interval(-1.0, 1.0)}
+
+
+@pytest.mark.parametrize("name, p", [*(("square", p) for p in (1.5, 4.0, 15.0, 30.0)),
+                                     *(("rectangle", p) for p in (8.0, 15.0)),
+                                     *(("interval", p) for p in (3.5, 15.0))])
+def test_nested_neumann_root_matches_the_direct_ladder(name, p, monkeypatch):
+    domain = NESTED_DOMAINS[name]
+    grid = build_grid(domain, 64)
+    nested = neumann_eigen_first(grid, p=p)
+    assert [s.n for s in nested.stages[-2:]] == [32, 64]
+    monkeypatch.setattr(eigen, "coarse_grid", lambda grid: None)
+    direct = neumann_eigen_first(build_grid(domain, 64), p=p)
+    assert {s.n for s in direct.stages} == {64}
+    assert nested.root == pytest.approx(direct.root, rel=1e-10)
+
+
+def test_nested_neumann_records_every_level():
+    res = neumann_eigen_first(build_grid(Domain.unit_square(), 64), p=8.0)
+    assert [(s.n, s.p) for s in res.stages] == [(32, 2.0), (32, 4.0), (32, 8.0), (64, 8.0)]
+    fine, coarse = res.stages[-1], res.stages[-2]
+    assert fine.start == "prolonged" and fine.delta == 1e-6
+    assert fine.stop == "converged" and fine.residual <= fine.target <= coarse.target
+    assert sum(s.iterations for s in res.stages) == res.iterations
+    assert sum(s.factorizations for s in res.stages) == res.factorizations
+    assert sum(s.pcg_iterations for s in res.stages) == res.pcg_iterations
+    assert len(res.history) == fine.iterations
+    assert res.field.grid.n == 64 and res.residual < 1e-6
 
 
 # ---------------------------------------------------------------------------

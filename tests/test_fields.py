@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
+from plaplab._variational import make_core
 from plaplab.fields import (
     _derivs,
     _normalized_stencil,
@@ -21,6 +22,7 @@ from plaplab.fields import (
     GridError,
     ScalarField,
     build_grid,
+    coarse_grid,
     default_grad_floor,
     field_csv_rows,
     gradient,
@@ -30,6 +32,7 @@ from plaplab.fields import (
     normalized_p_laplacian,
     p_laplacian,
     p_laplacian_divergence_form,
+    prolong,
     sample_at,
 )
 from plaplab.geometry import Domain
@@ -115,6 +118,67 @@ def test_sample_at_reproduces_linear_fields():
     pts = np.array([[0.21, 0.37], [0.5, 0.5], [0.93, 0.08]])
     assert np.allclose(sample_at(u, pts), 2.0 * pts[:, 0] + 3.0 * pts[:, 1] - 1.0,
                        atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# nested lattices
+
+
+NESTING = {"square": (Domain.unit_square(), 32),
+           "rectangle": (Domain.rectangle(0.0, 0.0, 2.0, 1.0), 32),
+           "interval": (Domain.interval(-1.0, 1.0), 32)}
+
+
+@pytest.mark.parametrize("name", sorted(NESTING))
+def test_coarse_grid_takes_every_other_node(name):
+    domain, n = NESTING[name]
+    fine = build_grid(domain, n)
+    coarse = coarse_grid(fine)
+    assert coarse.n == n // 2 and coarse.h == pytest.approx(2.0 * fine.h, rel=1e-15)
+    every_other = (slice(None, None, 2),) * fine.dim
+    assert np.array_equal(coarse.codes, fine.codes[every_other])
+    assert np.allclose(coarse.xs, fine.xs[::2], rtol=0.0, atol=1e-15)
+
+
+def test_lattices_that_do_not_nest():
+    assert coarse_grid(build_grid(Domain.unit_square(), 33)) is None  # odd n
+    assert coarse_grid(build_grid(Domain.unit_square(), 14)) is None  # n/2 < 8
+    # 2 x 1 with 25 cells across the short side: the half lattice overshoots it
+    assert coarse_grid(build_grid(Domain.rectangle(0.0, 0.0, 2.0, 1.0), 50)) is None
+    # the disc's collar scales with h, so shared nodes change class
+    for n in (32, 64, 128):
+        assert coarse_grid(build_grid(Domain.disc((0.0, 0.0), 1.0), n)) is None
+
+
+@pytest.mark.parametrize("name", sorted(NESTING))
+@pytest.mark.parametrize("p", [1.5, 2.0, 15.0])
+def test_prolongation_keeps_the_p1_energy(name, p):
+    # V_2h lies in V_h: the fine P1 energy of the prolonged field is the
+    # coarse energy, summed over four times as many elements
+    domain, n = NESTING[name]
+    fine = build_grid(domain, n)
+    coarse = coarse_grid(fine)
+    rng = np.random.default_rng(int(10 * p) + len(name))
+    u = ScalarField(coarse, rng.standard_normal(coarse.shape))
+    v = prolong(u, fine)
+    assert np.array_equal(v.values[(slice(None, None, 2),) * fine.dim], u.values)
+    e_coarse = make_core(coarse, "neumann").energy(u.values, p, 0.0)
+    e_fine = make_core(fine, "neumann").energy(v.values, p, 0.0)
+    assert e_fine == pytest.approx(e_coarse, rel=1e-13)
+
+
+def test_prolongation_is_exact_on_affine_fields():
+    fine = build_grid(Domain.rectangle(0.0, 0.0, 2.0, 1.0), 32)
+    coarse = coarse_grid(fine)
+
+    def affine(x, y):
+        return 2.0 * x - 3.0 * y + 0.5
+
+    v = prolong(ScalarField.from_function(coarse, affine), fine)
+    assert np.allclose(v.values, ScalarField.from_function(fine, affine).values,
+                       rtol=0.0, atol=1e-14)
+    with pytest.raises(FieldError):
+        prolong(ScalarField.from_function(coarse, affine), build_grid(Domain.unit_square(), 32))
 
 
 def test_field_csv_rows_cover_nonexterior():
