@@ -17,18 +17,32 @@ an Eisenstat-Walker forcing term, and each LU serves at most
 residual of its plain start (the previous stage's end point) at its own
 exponent, or to the level that rounding the iterate leaves
 (``ROUNDING_EPSILONS`` machine epsilons of ``|H||v|`` per unit mass), and
-makes at most ``_Newton.max_iterations`` Newton steps.  A final polish of at
-most ``POLISH_ITERATIONS`` steps at the target exponent removes the
-regularization (for p < 2, where the unregularized weight is singular,
-delta is lowered by factors of 100 to 1e-12, each with its own polish).  A
-target stage or polish that ends above both raises ``SolverError``.  Torsion
-stages after the first start from a predictor (Allgower & Georg's
-predictor-corrector continuation): the lowest-energy of the plain start, its
-minimizer along its own ray (the torsion energy with zero boundary data is
-homogeneous along rays), and that rescaling of the Euler tangent step.
-``SolveResult.stages`` records each stage's start, steps, LUs, PCG
-iterations, target, residual and stop reason.  The eigensolver runs on the same engine
-(``eigen._QuotientNewton``).
+makes at most ``_Newton.max_iterations`` Newton steps.  A final polish at
+the target exponent removes the regularization.  For p > 2 it takes full
+delta = 0 Newton steps, the first even below the rounding level, then more
+while each at least halves the strong residual, at most
+``POLISH_ITERATIONS``, keeping a step only if it lowers the residual
+(``_Newton.polish``); for p < 2, where the unregularized weight is singular,
+delta is lowered by factors of 100 to 1e-12, each a stage of at most
+``POLISH_ITERATIONS`` steps.  A target stage or polish that ends above both
+raises ``SolverError``.  Torsion stages after the first start from a
+predictor (Allgower & Georg's predictor-corrector continuation): the
+lowest-energy of the plain start, its minimizer along its own ray (the
+torsion energy with zero boundary data is homogeneous along rays), and that
+rescaling of the Euler tangent step.
+
+For p != 2, p-torsion is solved by nested iteration (Hackbusch, 1985;
+``_nested``, which the Neumann eigenpair shares): on a lattice that nests in
+the half-resolution one (``fields.coarse_grid``) the problem is first solved
+at n/2 up to its target stage, recursively down to ``NESTED_MIN_CELLS``
+cells, and the finer lattice runs only the target stage from the exact P1
+prolongation of that end point or its rescaling along its ray, and the
+polish only on the finest, so that the ladder's LUs are paid on the coarse
+lattices.  Dirichlet p-harmonic solves,
+lattices that do not nest (the disc, odd n) and p = 2 (one exact step) run
+on their own lattice.  ``SolveResult.stages`` records each stage's start,
+steps, LUs, PCG iterations, target, residual, stop reason and lattice ``n``.
+The eigensolver runs on the same engine (``eigen._QuotientNewton``).
 
 As p grows the torsion solution approaches the boundary distance function;
 ``torsion_infinity_gap`` measures that gap.  ``infinity_torsion_ball``
@@ -47,7 +61,7 @@ import scipy.sparse as sp
 
 from . import geometry
 from ._variational import VariationalCore, make_core
-from .fields import Grid, ScalarField
+from .fields import Grid, ScalarField, coarse_grid, prolong
 
 __all__ = [
     "SolverError",
@@ -111,11 +125,14 @@ def continuation_ladder(p: float) -> tuple[float, ...]:
 class StageRecord:
     """One continuation stage or polish: its exponent and regularization,
     its start's kind (``plain``: the previous end point; ``prolonged``: a
-    coarser lattice's end point, see ``eigen.neumann_eigen_first``; else see
-    ``predict``), Newton steps, the LUs and PCG iterations since the previous
-    stage ended (a tangent solve's included), stop target, final strong
-    residual, ``stop`` (``converged``, ``rounding``, ``stalled``,
-    ``no-descent`` or ``max-iterations``) and the ``n`` of its grid."""
+    coarser lattice's end point, P1-prolonged by the nested solves of
+    :func:`solve_p_torsion` and ``eigen.neumann_eigen_first``; ``rescaled``:
+    either of these rescaled along its ray; ``tangent`` and
+    ``half-tangent``: see ``predict``), Newton steps, the LUs and PCG
+    iterations since the previous stage ended (a tangent solve's included),
+    stop target, final strong residual, ``stop`` (``converged``,
+    ``rounding``, ``stalled``, ``no-descent`` or ``max-iterations``) and the
+    ``n`` of its grid."""
 
     p: float
     delta: float
@@ -138,7 +155,8 @@ class SolveResult:
     the units of the load.  ``iterations`` counts Newton steps over all
     stages, ``factorizations`` the sparse LUs they made and
     ``pcg_iterations`` the PCG iterations they ran; ``stages`` holds
-    one :class:`StageRecord` per stage and polish, in order.
+    one :class:`StageRecord` per stage and polish, in order, over every
+    lattice of a nested solve (:func:`solve_p_torsion`).
     """
 
     field: ScalarField
@@ -184,6 +202,10 @@ STALL_WINDOW = 8
 POLISH_ITERATIONS = 100
 #: gradient-norm regularization of the stages away from p = 2
 DELTA = 1e-6
+#: a nested solve (:func:`_nested`) goes down to lattices of at least this
+#: many cells along the longest side; on the Neumann pair of fig5 (p = 15,
+#: n = 128) floors of 16, 32 and 64 took 0.32-0.34 s, medians of 5 solves
+NESTED_MIN_CELLS = 32
 
 
 def _forcing(residual: float, r_old: float, eta_old: float) -> float:
@@ -270,25 +292,28 @@ class _Newton:
     Subclasses override :meth:`objective`, :meth:`hessian`,
     :meth:`constraints` (normals of linear constraints on the direction),
     :meth:`retract` (onto the constraint set, after each trial step),
-    :meth:`factorize`, :meth:`predict` and ``error``.  For a constrained
-    direction the LU is a preconditioner only: a fresh one reruns PCG.
-    ``max_iterations`` caps the Newton steps of each continuation stage."""
+    :meth:`factorize`, :meth:`predict`, :meth:`prolonged_start` and
+    ``error``.  For a constrained direction the LU is a preconditioner only:
+    a fresh one reruns PCG.  ``max_iterations`` caps the Newton steps of each
+    continuation stage.  ``prior``: the stage records of a nested solve's
+    coarser lattices, which this engine's records and counts continue."""
 
     error = SolverError
     max_iterations = 2000
 
-    def __init__(self, core: VariationalCore, load):
+    def __init__(self, core: VariationalCore, load, prior=()):
         self.core = core
         self.load = load
         self.factor = None
         self.factor_pcg = 0  # PCG iterations the live LU has served
-        self.iterations = 0
-        self.factorizations = 0
-        self.pcg_iterations = 0
         self.energy = math.nan
         self.end_hessian = None  # at the end point of the last stage
         self.history: list[float] = []  # energy after each accepted step
-        self.stages: list[StageRecord] = []
+        # a nested solve's records and counts start with its coarser lattices'
+        self.stages: list[StageRecord] = list(prior)
+        self.iterations = sum(s.iterations for s in prior)
+        self.factorizations = sum(s.factorizations for s in prior)
+        self.pcg_iterations = sum(s.pcg_iterations for s in prior)
 
     def objective(self, v, p, delta):
         e, g = self.core.energy_grad(v, p, delta)
@@ -387,6 +412,52 @@ class _Newton:
             H = self.hessian(v, p, delta)
             tau = min(t * 2.0, 1.0)
             stall = stall + 1 if rel_drop < STALL_RTOL and residual >= r_old else 0
+        self._record(e, H, p, delta, start, its, target, residual, floor, stop, strict)
+        return v, residual
+
+    def polish(self, v, p, target):
+        """Newton steps at ``(p, 0)`` from ``v`` that remove the
+        regularization where the unregularized Hessian is not singular (p >
+        2): a first step even below the rounding level, then more while each
+        at least halves the strong residual, at most ``POLISH_ITERATIONS``.
+        A step is a full one, kept only if it lowers the strong residual.
+        Appends a :class:`StageRecord` (``stop``: ``converged`` or
+        ``rounding`` when it ends at or below ``target`` or the rounding
+        level, else ``stalled`` or ``max-iterations``), raises ``error`` if
+        it ends above both, and returns ``(v, residual)``."""
+        core = self.core
+        e, g = self.objective(v, p, 0.0)
+        residual = _strong_residual(core, g)
+        H = self.hessian(v, p, 0.0)
+        eta = NEWTON_RTOL
+        its = 0
+        stop = "stalled"
+        while its < POLISH_ITERATIONS:
+            its += 1
+            v_try = v - self.direction(v, g, H, eta)
+            e_try, g_try = self.objective(v_try, p, 0.0)
+            r_try = _strong_residual(core, g_try)
+            if not r_try < residual:
+                break
+            v, e, g = v_try, e_try, g_try
+            self.history.append(e)
+            r_old, residual = residual, r_try
+            H = self.hessian(v, p, 0.0)
+            if residual > 0.5 * r_old:
+                break
+            eta = _forcing(residual, r_old, eta)
+        else:
+            stop = "max-iterations"
+        floor = _rounding_residual(core, H, v)
+        stop = "converged" if residual <= target else "rounding" if residual <= floor else stop
+        self._record(e, H, p, 0.0, "plain", its, target, residual, floor, stop, strict=True)
+        return v, residual
+
+    def _record(self, e, H, p, delta, start, its, target, residual, floor, stop, strict):
+        """Close a stage that ended at objective ``e`` and Hessian ``H``:
+        count its steps, append its :class:`StageRecord` and, if ``strict``,
+        raise ``error`` when it ended above ``target`` and the rounding
+        level ``floor``."""
         self.iterations += its
         self.energy = e
         self.end_hessian = H
@@ -397,13 +468,12 @@ class _Newton:
         self.stages.append(StageRecord(p=p, delta=delta, start=start, iterations=its,
                                        factorizations=lus, pcg_iterations=pcg,
                                        target=target, residual=residual, stop=stop,
-                                       n=core.grid.n))
+                                       n=self.core.grid.n))
         if strict and residual > max(target, floor):
             raise self.error(f"p = {p:g} descent stopped ({stop}) at strong residual "
                              f"{residual:.3e} above the tolerance {target:.3e} and the "
                              f"rounding level {floor:.3e}", iterations=self.iterations,
                              residual=residual, stage=self.stages[-1])
-        return v, residual
 
     def continuation(self, v, ladder, predict=True):
         """A stage at each exponent of ``ladder`` (delta = 0 at p = 2, else
@@ -420,6 +490,30 @@ class _Newton:
             v, residual = self.stage(v, p, delta, self.max_iterations, target, start,
                                      strict=p == ladder[-1])
         return v, residual, target
+
+    def refine(self, v, p):
+        """The target stage at ``p`` (delta = 0 at p = 2, else ``DELTA``)
+        from ``v``, a coarser lattice's end point prolonged onto this one,
+        whose stage records this engine's ``stages`` end with.  It stops at
+        ``RESIDUAL_RTOL`` of the strong residual of ``v`` (retracted), but
+        never looser than the coarse level's final target, and starts from
+        :meth:`prolonged_start`.  Returns ``(v, residual, target)``."""
+        delta = 0.0 if p == 2.0 else DELTA
+        v = self.retract(v, p)
+        target = min(RESIDUAL_RTOL * _strong_residual(self.core, self.objective(v, p, delta)[1]),
+                     self.stages[-1].target)
+        v, start = self.prolonged_start(v, p, delta)
+        v, residual = self.stage(v, p, delta, self.max_iterations, target, start, strict=True)
+        return v, residual, target
+
+    def prolonged_start(self, v, p, delta):
+        """Start of :meth:`refine`'s stage from the prolonged ``v`` of a
+        zero-boundary torsion solve: ``v`` (``prolonged``) or its rescaling
+        along its ray (:meth:`rescale`, ``rescaled``), whichever has the
+        lower objective at ``(p, delta)``, with its kind."""
+        starts = [(v, "prolonged"), (self.rescale(v, p), "rescaled")]
+        return min((start for start in starts if start[0] is not None),
+                   key=lambda start: self.objective(start[0], p, delta)[0])
 
     def predict(self, v, p, delta):
         """Start of the stage at ``(p, delta)`` from ``v``, the end point of
@@ -470,11 +564,9 @@ def _strong_residual(core: VariationalCore, g: np.ndarray) -> float:
 
 
 def _polish_deltas(p: float) -> tuple[float, ...]:
-    """Regularizations of the final polish: none for p >= 2; for p < 2, where
-    the unregularized weight is singular, factors of 100 below ``DELTA``
-    down to 1e-12, so that each Newton solve starts near its solution."""
-    if p >= 2.0:
-        return (0.0,)
+    """Regularizations of the final polish for p < 2, where the
+    unregularized weight is singular: factors of 100 below ``DELTA`` down to
+    1e-12, so that each Newton solve starts near its solution."""
     steps = [1e-12]
     while steps[-1] * 100.0 < DELTA:
         steps.append(steps[-1] * 100.0)
@@ -482,29 +574,40 @@ def _polish_deltas(p: float) -> tuple[float, ...]:
 
 
 def _solve(core: VariationalCore, p: float, boundary_values: np.ndarray,
-           load: np.ndarray | None) -> SolveResult:
+           load: np.ndarray | None, start=None, polish=True) -> SolveResult:
     """Continuation over the stages p = 2 (delta = 0), then the exponents of
-    ``continuation_ladder(p)`` (``DELTA``), then the polish at ``p``.
+    ``continuation_ladder(p)`` (``DELTA``), then the polish at ``p`` if
+    ``polish``; with ``start``, a coarser lattice's ``(v, stages)`` from
+    :func:`_nested`, only the target stage (:meth:`_Newton.refine`) and the
+    polish.
 
     Every stage stops at ``RESIDUAL_RTOL`` times the strong residual of its
     plain start, the end point of the previous stage, at its own ``(p,
     delta)``, or at its rounding level, and makes at most
     ``_Newton.max_iterations`` Newton steps.  The polish keeps the last
-    stage's target, makes at most ``POLISH_ITERATIONS`` steps and removes
-    the regularization; for p < 2, where the unregularized weight is
+    stage's target and removes the regularization.  For p > 2 it is
+    :meth:`_Newton.polish`; for p < 2, where the unregularized weight is
     singular, it lowers delta by factors of 100 to 1e-12
-    (:func:`_polish_deltas`), each with its own polish.  For torsion (a load
-    and zero boundary data, where the energy is homogeneous along rays) each
-    stage after the first starts from :meth:`_Newton.predict` instead.
+    (:func:`_polish_deltas`), each a stage of at most ``POLISH_ITERATIONS``
+    steps.  For torsion (a load and zero boundary data, where the energy is
+    homogeneous along rays) each stage after the first starts from
+    :meth:`_Newton.predict` instead.
     """
     grid = core.grid
-    v = boundary_values.copy()
-    v[core.dof_mask] = 0.0
-    newton = _Newton(core, load)
-    # p = 2 first: the energy is quadratic, so one Newton step is exact
-    v, residual, target = newton.continuation(
-        v, continuation_ladder(p), predict=load is not None and not np.any(boundary_values))
-    if p != 2.0:
+    if start is None:
+        newton = _Newton(core, load)
+        v = boundary_values.copy()
+        v[core.dof_mask] = 0.0
+        # p = 2 first: the energy is quadratic, so one Newton step is exact
+        v, residual, target = newton.continuation(
+            v, continuation_ladder(p), predict=load is not None and not np.any(boundary_values))
+    else:
+        v, prior = start
+        newton = _Newton(core, load, prior)
+        v, residual, target = newton.refine(v, p)
+    if polish and p > 2.0:
+        v, residual = newton.polish(v, p, target)
+    elif polish and p < 2.0:
         deltas = _polish_deltas(p)
         for delta in deltas:
             v, residual = newton.stage(v, p, delta, POLISH_ITERATIONS, target,
@@ -517,6 +620,24 @@ def _solve(core: VariationalCore, p: float, boundary_values: np.ndarray,
                        optimality_residual=residual,
                        energy_history=np.asarray(newton.history),
                        stages=newton.stages)
+
+
+def _nested(grid: Grid, solve):
+    """Nested iteration (Hackbusch, *Multi-Grid Methods and Applications*,
+    1985): ``solve(grid, None)`` when ``grid``'s lattice does not nest in the
+    half-resolution one (:func:`coarse_grid`) or that one has fewer than
+    ``NESTED_MIN_CELLS`` cells; otherwise ``solve(grid, (v, stages))``, where
+    ``v`` is the P1 prolongation (:func:`prolong`, exact: the coarse P1
+    space lies in the fine one) of the field of ``_nested(coarse, solve)``
+    and ``stages`` are that result's stage records.  The coarse grid, and its
+    cores, die before the fine solve."""
+    coarse = coarse_grid(grid) if grid.n // 2 >= NESTED_MIN_CELLS else None
+    if coarse is None:
+        return solve(grid, None)
+    prior = _nested(coarse, solve)
+    start = prolong(prior.field, grid).values, prior.stages
+    del coarse, prior
+    return solve(grid, start)
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +675,31 @@ def solve_p_harmonic(grid: Grid, g, p: float = 2.0) -> SolveResult:
 
 
 def solve_p_torsion(grid: Grid, p: float = 2.0) -> SolveResult:
-    """Solve the p-torsion problem (unit load, zero boundary values)."""
+    """Solve the p-torsion problem (unit load, zero boundary values).
+
+    For p != 2, when the lattice nests in the half-resolution one
+    (:func:`coarse_grid`: n even and every shared node classified alike, as
+    on squares, rectangles and intervals, not on the disc) and that one
+    keeps at least ``NESTED_MIN_CELLS`` cells, the problem is first solved
+    at n/2, likewise recursively and without the polish, and the fine
+    lattice runs only the target stage from the P1 prolongation of that end
+    point or its rescaling along its ray (:meth:`_Newton.refine`), then the
+    polish.  ``stages`` then
+    spans every level, coarsest first (each record's ``n`` names its
+    lattice), and ``iterations``, ``factorizations`` and ``pcg_iterations``
+    count over all levels.  At p = 2 one exact step on the grid itself
+    solves it.  Raises as :func:`solve_p_harmonic`.
+    """
     p = check_exponent(p)
-    core = make_core(grid, "dirichlet")
-    load = np.ones(grid.shape)
-    return _solve(core, p, np.zeros(grid.shape), load=load)
+
+    def solve(lattice, start):
+        # a coarser lattice hands on its end point at (p, DELTA), the
+        # regularization of the finer target stage, which would undo a polish
+        core = make_core(lattice, "dirichlet")
+        return _solve(core, p, np.zeros(lattice.shape), np.ones(lattice.shape), start,
+                      polish=lattice is grid)
+
+    return solve(grid, None) if p == 2.0 else _nested(grid, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +729,9 @@ class TorsionGap:
 
 
 def torsion_infinity_gap(grid: Grid, p: float) -> TorsionGap:
-    """Solve the p-torsion problem and compare with the distance function.
+    """Solve the p-torsion problem (:func:`solve_p_torsion`, nested where the
+    lattice nests, so ``torsion.stages`` may span several lattices) and
+    compare with the distance function.
 
     ``sup_gap`` is ``max |u_p - d|`` over non-exterior nodes; the nodal gap
     field is returned for inspection and for the limit-equation residual

@@ -16,10 +16,11 @@ safeguarded Newton solve of ``sum m_i |v_i - c|^(p-2) (v_i - c) = 0`` and
 renormalized in L^p.  Dirichlet problems fix v = 0 on the boundary collar
 and keep the first eigenfunction nonnegative.
 
-The Neumann pair is solved by nested iteration (Hackbusch, 1985): on a
-lattice that nests in the half-resolution one (``fields.coarse_grid``) the
-continuation runs at n/2, recursively down to ``NESTED_MIN_CELLS`` cells,
-and the finer lattice starts from the exact P1 prolongation of that
+The Neumann pair is solved by nested iteration (Hackbusch, 1985), on the
+recursion that p-torsion shares (``dirichlet._nested``): on a lattice that
+nests in the half-resolution one (``fields.coarse_grid``) the continuation
+runs at n/2, recursively down to ``dirichlet.NESTED_MIN_CELLS`` cells, and
+the finer lattice starts from the exact P1 prolongation of that
 eigenfunction with one stage at the target exponent, so that the ladder's
 LUs are paid on the coarse lattices, where they are cheap.  Its ``stages``
 span every level, each record naming its lattice's ``n``.  The Dirichlet
@@ -47,9 +48,9 @@ import scipy.sparse as sp
 
 from . import geometry
 from ._variational import VariationalCore, make_core
-from .dirichlet import (DELTA, RESIDUAL_RTOL, SolverError, StageRecord, _Newton,
-                        _strong_residual, check_exponent, continuation_ladder)
-from .fields import Grid, ScalarField, build_grid, coarse_grid, prolong, sample_at
+from .dirichlet import (DELTA, SolverError, StageRecord, _nested, _Newton, check_exponent,
+                        continuation_ladder)
+from .fields import Grid, ScalarField, build_grid, sample_at
 
 __all__ = [
     "EigenError",
@@ -80,11 +81,6 @@ class EigenError(SolverError):
 #: relative amplitude of the seeded random kick added once to Neumann starts,
 #: which breaks the constant trap and orientation symmetries
 PERTURBATION = 1e-3
-
-#: a nested Neumann solve (:func:`neumann_eigen_first`) goes down to lattices
-#: of at least this many cells along the longest side; on fig5 (p = 15,
-#: n = 128) floors of 16, 32 and 64 took 0.32-0.34 s, medians of 5 solves
-NESTED_MIN_CELLS = 32
 
 
 @dataclass
@@ -231,13 +227,8 @@ class _QuotientNewton(_Newton):
     max_iterations = 4000
 
     def __init__(self, core: VariationalCore, p: float, prior=()):
-        super().__init__(core, load=None)
+        super().__init__(core, None, prior)
         self.at = (p, DELTA)  # (p, delta) of the last Hessian
-        # a nested solve's records and counts start with its coarser lattices'
-        self.stages = list(prior)
-        self.iterations = sum(s.iterations for s in prior)
-        self.factorizations = sum(s.factorizations for s in prior)
-        self.pcg_iterations = sum(s.pcg_iterations for s in prior)
 
     def objective(self, v, p, delta):
         q, grad_e, flux = _quotient_grad(self.core, v, p, delta)
@@ -266,6 +257,11 @@ class _QuotientNewton(_Newton):
 
     def factorize(self, v, H):
         return self.core.weighted_factor(v, *self.at)
+
+    def prolonged_start(self, v, p, delta):
+        """The prolonged eigenfunction itself: the quotient does not see its
+        scale."""
+        return v, "prolonged"
 
     def predict(self, v, p, delta):
         """Whichever of ``v - s (p - p0) w``, retracted, for s = 0
@@ -357,51 +353,35 @@ def _diameter_ramp(grid: Grid) -> np.ndarray:
 def neumann_eigen_first(grid: Grid, p: float = 2.0, seed: int = 0) -> EigenResult:
     """First nontrivial Neumann eigenpair by nested iteration.
 
-    When the lattice nests in the half-resolution one (:func:`coarse_grid`:
-    n even and every shared node classified alike, as on squares,
-    rectangles and intervals, not on the disc) and that one keeps at least
-    ``NESTED_MIN_CELLS`` cells, the pair is first solved at n/2, likewise
-    recursively.  The fine lattice then starts from the P1 prolongation of
-    the coarse eigenfunction (:func:`prolong`, exact: the coarse P1 space
-    lies in the fine one) and runs only the target stage at ``p``; its stop
-    target is the engine's (``RESIDUAL_RTOL`` of its start's residual), but
-    never looser than the coarse level's final one.  The coarsest lattice,
-    and one that does not nest, runs the continuation of
-    :func:`dirichlet_eigen_first` from :func:`_start`, whose kick ``seed``
-    seeds.  ``stages`` then spans every level, coarsest first (each record's
-    ``n`` names its lattice), and ``iterations``, ``factorizations`` and
-    ``pcg_iterations`` count over all levels; ``history`` is the fine
-    stage's.  Raises as :func:`dirichlet_eigen_first`."""
+    When the lattice nests in the half-resolution one
+    (``fields.coarse_grid``: n even and every shared node classified alike,
+    as on squares, rectangles and intervals, not on the disc) and that one
+    keeps at least ``dirichlet.NESTED_MIN_CELLS`` cells, the pair is first
+    solved at n/2, likewise recursively (``dirichlet._nested``, which torsion
+    shares).  The fine lattice then starts from the P1 prolongation of the
+    coarse eigenfunction (``fields.prolong``, exact: the coarse P1 space lies
+    in the fine one) and runs only the target stage at ``p``
+    (``_Newton.refine``); its stop target is the engine's (``RESIDUAL_RTOL``
+    of its start's residual), but never looser than the coarse level's
+    final one.  The coarsest lattice, and one that does not nest, runs the
+    continuation of :func:`dirichlet_eigen_first` from :func:`_start`, whose
+    kick ``seed`` seeds.  ``stages`` then spans every level, coarsest first
+    (each record's ``n`` names its lattice), and ``iterations``,
+    ``factorizations`` and ``pcg_iterations`` count over all levels;
+    ``history`` is the fine stage's.  Raises as
+    :func:`dirichlet_eigen_first`."""
     p = check_exponent(p, EigenError)
-    return _neumann_nested(grid, p, seed)
 
+    def solve(grid, start):
+        core = make_core(grid, "neumann")
+        if start is None:
+            return _continue(core, _start(core, seed), p)[0]
+        v, prior = start
+        newton = _QuotientNewton(core, p, prior)
+        v, _, _ = newton.refine(v, p)
+        return _result(newton, v)
 
-def _neumann_nested(grid: Grid, p: float, seed: int) -> EigenResult:
-    coarse = _coarse_start(grid, p, seed)
-    core = make_core(grid, "neumann")
-    if coarse is None:
-        return _continue(core, _start(core, seed), p)[0]
-    v, stages = coarse
-    newton = _QuotientNewton(core, p, prior=stages)
-    delta = 0.0 if p == 2.0 else DELTA
-    v = newton.retract(v, p)
-    target = min(RESIDUAL_RTOL * _strong_residual(core, newton.objective(v, p, delta)[1]),
-                 stages[-1].target)
-    v, _ = newton.stage(v, p, delta, newton.max_iterations, target, "prolonged", strict=True)
-    return _result(newton, v)
-
-
-def _coarse_start(grid: Grid, p: float, seed: int):
-    """``(v, stages)``: the P1 prolongation onto ``grid`` of the eigenfunction
-    at n/2 and that solve's stage records, or None when ``grid`` does not
-    nest (:func:`coarse_grid`) or the half lattice has fewer than
-    ``NESTED_MIN_CELLS`` cells.  The coarse grid, and its cores, die on
-    return."""
-    coarse = coarse_grid(grid) if grid.n // 2 >= NESTED_MIN_CELLS else None
-    if coarse is None:
-        return None
-    prior = _neumann_nested(coarse, p, seed)
-    return prolong(prior.field, grid).values, prior.stages
+    return _nested(grid, solve)
 
 
 # ---------------------------------------------------------------------------

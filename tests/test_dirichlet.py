@@ -12,6 +12,10 @@ is that Hessian plus, for Neumann, the weight-lumped mass shift (the plain
 mass shift at p = 2, bit for bit); the gradient's derivative in p
 is a central difference in p of an element-loop gradient, and predicted
 torsion stage starts keep the plain start's stop target and final field.
+Nested torsion (n/2 first, where the lattice nests) reaches the direct
+ladder's field, records every level coarsest first and stops no looser than
+the coarse level; the delta = 0 polish steps at least once and never ends
+above its start.
 Eisenstat-Walker forcing with a per-LU PCG budget reaches the field of fixed
 forcing, keeps every LU within its budget, starts each stage and tangent
 solve at ``NEWTON_RTOL`` and decides nothing by timing.
@@ -165,11 +169,11 @@ def test_torsion_final_residual_contract(name, p):
 
 @pytest.mark.parametrize("name", list(RESIDUAL_DOMAINS))
 def test_harmonic_final_residual_contract(name):
-    # measured 3.6e-7 (square) and 5.6e-7 (disc); energy-stall stops read
-    # 3.4e-4 and 7.7e-5.  The solver's own stop target for these cases is
-    # 2.14e-6 (square) and 5.13e-6 (disc), above this bound: the test passes
-    # on Newton's overshoot of the target, which is why p-harmonic solves
-    # keep the plain start of each stage
+    # measured 4.8e-11 (square) and 7.8e-12 (disc), after 2 and 3 delta = 0
+    # polish steps; the p = 4 stage ends at 3.0e-10 and 3.8e-7.  The stop
+    # target of these cases is 2.14e-6 (square) and 5.13e-6 (disc), so the
+    # bound holds because the polish steps on while each step halves the
+    # residual, not on where the last p = 4 step landed
     grid = build_grid(RESIDUAL_DOMAINS[name], 64)
     res = solve_p_harmonic(grid, lambda x, y: np.sin(3 * x) + y, p=4.0)
     assert res.optimality_residual <= 2e-6
@@ -199,7 +203,14 @@ def test_predicted_stage_starts_keep_the_plain_start_target(name, p, monkeypatch
         calls.append((v.copy(), p_stage, delta, target, start, out[0].copy()))
         return out
 
+    def polish_spy(self, v, p_stage, target):
+        out = polish(self, v, p_stage, target)
+        calls.append((v.copy(), p_stage, 0.0, target, "plain", out[0].copy()))
+        return out
+
+    polish = dirichlet._Newton.polish
     monkeypatch.setattr(dirichlet._Newton, "stage", spy)
+    monkeypatch.setattr(dirichlet._Newton, "polish", polish_spy)
     res = solve_p_torsion(grid, p=p)
     ladder = len(continuation_ladder(p))
     assert [c[4] for c in calls] == [s.start for s in res.stages]
@@ -217,6 +228,8 @@ def test_predicted_stage_starts_keep_the_plain_start_target(name, p, monkeypatch
 @pytest.mark.parametrize("name", list(RESIDUAL_DOMAINS))
 @pytest.mark.parametrize("p", [1.2, 1.5, 4.0, 8.0, 32.0])
 def test_predicted_starts_reach_the_plain_start_field(name, p, monkeypatch):
+    # the direct ladder on the grid itself: the nested start is not a prediction
+    monkeypatch.setattr(dirichlet, "coarse_grid", lambda grid: None)
     grid = build_grid(RESIDUAL_DOMAINS[name], 64)
     predicted = solve_p_torsion(grid, p=p).field.values
     monkeypatch.setattr(dirichlet._Newton, "predict", lambda self, v, *args: (v, "plain"))
@@ -226,11 +239,87 @@ def test_predicted_starts_reach_the_plain_start_field(name, p, monkeypatch):
 
 
 def test_predicted_starts_halve_the_lus_at_p32():
-    # 6 LUs with the predictor, 13 from plain starts
-    res = solve_p_torsion(build_grid(Domain.unit_square(), 64), p=32.0)
+    # the disc does not nest, so the whole ladder runs on this lattice: 7 LUs
+    # with the predictor, 13 from plain starts
+    res = solve_p_torsion(build_grid(RESIDUAL_DOMAINS["disc"], 64), p=32.0)
+    assert {s.n for s in res.stages} == {64}
     assert res.factorizations <= 8
     assert sum(s.factorizations for s in res.stages) == res.factorizations
     assert sum(s.iterations for s in res.stages) == res.iterations
+
+
+# ---------------------------------------------------------------------------
+# nested torsion and the delta = 0 polish
+
+NESTED_DOMAINS = {"square": Domain.unit_square(),
+                  "rectangle": Domain.rectangle(0.0, 0.0, 2.0, 1.0),
+                  "interval": Domain.interval(0.0, 1.0)}
+
+
+@pytest.mark.parametrize("name, p", [*(("square", p) for p in (1.5, 4.0, 8.0, 32.0)),
+                                     *(("rectangle", p) for p in (1.5, 32.0)),
+                                     *(("interval", p) for p in (1.5, 32.0))])
+def test_nested_torsion_matches_the_direct_ladder(name, p, monkeypatch):
+    nested = solve_p_torsion(build_grid(NESTED_DOMAINS[name], 64), p=p)
+    assert {s.n for s in nested.stages} == {32, 64}
+    monkeypatch.setattr(dirichlet, "coarse_grid", lambda grid: None)
+    direct = solve_p_torsion(build_grid(NESTED_DOMAINS[name], 64), p=p)
+    assert {s.n for s in direct.stages} == {64}
+    scale = np.max(np.abs(direct.field.values))
+    assert np.max(np.abs(nested.field.values - direct.field.values)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("domain, n, p", [(Domain.disc((0.0, 0.0), 1.0), 64, 8.0),
+                                          (Domain.unit_square(), 63, 8.0),
+                                          (Domain.unit_square(), 64, 2.0)],
+                         ids=["disc", "odd-n", "p2"])
+def test_torsion_that_does_not_nest_takes_the_direct_ladder(domain, n, p):
+    # a one-rung ladder (p = 2, one exact step) has nothing to move to n/2
+    res = solve_p_torsion(build_grid(domain, n), p=p)
+    assert [s.p for s in res.stages] == [*continuation_ladder(p), *([p] if p != 2.0 else [])]
+    assert all(s.n == n for s in res.stages)
+    assert "prolonged" not in {s.start for s in res.stages}
+
+
+def test_nested_torsion_records_every_level():
+    res = solve_p_torsion(build_grid(Domain.unit_square(), 128), p=8.0)
+    ns = [s.n for s in res.stages]
+    assert ns == sorted(ns) and ns[0] == 32
+    # the coarse lattices hand on their end point at delta = 1e-6 unpolished
+    assert [(s.n, s.p, s.delta) for s in res.stages if s.n > 32] == [
+        (64, 8.0, 1e-6), (128, 8.0, 1e-6), (128, 8.0, 0.0)]
+    assert [(s.p, s.delta) for s in res.stages if s.n == 32] == [
+        (p, 0.0 if p == 2.0 else 1e-6) for p in continuation_ladder(8.0)]
+    for n in (64, 128):
+        coarse = [s for s in res.stages if s.n == n // 2][-1]
+        fine = [s for s in res.stages if s.n == n][0]
+        assert fine.start in ("prolonged", "rescaled") and fine.stop == "converged"
+        assert fine.residual <= fine.target <= coarse.target
+    assert res.stages[-1].target == res.stages[-2].target
+    assert sum(s.iterations for s in res.stages) == res.iterations
+    assert sum(s.factorizations for s in res.stages) == res.factorizations
+    assert sum(s.pcg_iterations for s in res.stages) == res.pcg_iterations
+    assert res.field.grid.n == 128 and res.optimality_residual == res.stages[-1].residual
+
+
+@pytest.mark.parametrize("name", list(RESIDUAL_DOMAINS))
+@pytest.mark.parametrize("p", [3.0, 32.0])
+def test_polish_steps_and_never_ends_above_its_start(name, p, monkeypatch):
+    starts = []
+    polish = dirichlet._Newton.polish
+
+    def spy(self, v, p_stage, target):
+        starts.append(_plain_start_residual(self.core, v, p_stage, 0.0))
+        return polish(self, v, p_stage, target)
+
+    monkeypatch.setattr(dirichlet._Newton, "polish", spy)
+    res = solve_p_torsion(build_grid(RESIDUAL_DOMAINS[name], 64), p=p)
+    # one polish, on the grid itself, after a ladder on its own lattice
+    # (disc) or on n/2 (square)
+    [polish] = [s for s in res.stages if s.delta == 0.0 and s.p == p]
+    assert res.stages[-1] == polish and polish.n == 64 and len(starts) == 1
+    assert polish.iterations >= 1 and polish.start == "plain"
+    assert polish.residual <= starts[0]
 
 
 @pytest.mark.parametrize("name", list(RESIDUAL_DOMAINS))

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
-from plaplab import eigen
+from plaplab import dirichlet, eigen
 from plaplab._variational import make_core
 from plaplab.eigen import (
     EigenError,
@@ -175,7 +175,7 @@ def test_nested_neumann_root_matches_the_direct_ladder(name, p, monkeypatch):
     grid = build_grid(domain, 64)
     nested = neumann_eigen_first(grid, p=p)
     assert [s.n for s in nested.stages[-2:]] == [32, 64]
-    monkeypatch.setattr(eigen, "coarse_grid", lambda grid: None)
+    monkeypatch.setattr(dirichlet, "coarse_grid", lambda grid: None)
     direct = neumann_eigen_first(build_grid(domain, 64), p=p)
     assert {s.n for s in direct.stages} == {64}
     assert nested.root == pytest.approx(direct.root, rel=1e-10)
