@@ -31,7 +31,10 @@ problems shifted by a multiple of the weight-lumped mass (each element gives
 its Hessian weight times its measure over its corner count to each corner),
 which follows the Hessian's local scale where the gradient vanishes.  The
 pattern, and the map from element stamps to CSC data slots, are computed
-once per core.
+once per core.  :meth:`VariationalCore.sweep` minimizes the energy less a
+load node by node, one colour at a time: colouring nodes by their lattice
+index sum mod dim + 1 gives every element one corner of each colour, so the
+nodes of a colour are independent; its tables are also built once per core.
 
 Degrees of freedom are the interior nodes for Dirichlet boundary conditions
 and every mass-carrying node for natural (Neumann) conditions.  They are
@@ -71,6 +74,9 @@ _FAMILIES = {
 #: lattice boxes of at most this many nodes are leaves of the nested
 #: dissection, numbered in natural order
 _DISSECTION_LEAF = 16
+
+#: Newton iterations per colour of :meth:`VariationalCore.sweep`
+_SWEEP_ITERATIONS = 6
 
 
 def _dissection_order(shape: tuple[int, int]) -> np.ndarray:
@@ -153,6 +159,8 @@ class VariationalCore:
                 B[k, plus], B[k, minus] = 1.0, -1.0
                 pairs[k].append(np.stack([nodes[plus], nodes[minus]], axis=1))
             self._families.append((nodes, B))
+        # every family's B columns side by side (the corners' gradients)
+        self._columns = np.concatenate([B for _, B in self._families], axis=1)
         self._volume = self.h ** grid.dim / math.factorial(grid.dim)  # element measure
         elements = sum(len(nodes[0]) for nodes, _ in self._families)
         self.mass = self._lumped(np.ones(elements)).reshape(ok.shape)
@@ -169,6 +177,7 @@ class VariationalCore:
         order = _dissection_order(ok.shape) if grid.dim > 1 else np.arange(ok.size)
         self.dof_index = order[self.dof_mask.ravel()[order]]
         self._csc_pattern = None
+        self._colour_tables = None
 
     @property
     def grid(self) -> Grid:
@@ -225,6 +234,96 @@ class VariationalCore:
         flux = coef * (self._volume / self.h) * g
         grad = (self._D.T @ flux.ravel()).reshape(v.shape)
         return np.where(self.dof_mask, grad, 0.0)
+
+    # -- nodal relaxation -----------------------------------------------
+
+    def _colouring(self):
+        """Per colour, the tables of :meth:`sweep`, computed once per core.
+
+        A node's colour is its lattice index sum mod ``dim + 1``: (i + j)
+        mod 3 in 2-D, i mod 2 in 1-D.  Each family's corner offsets sum to
+        0, 1, ..., dim, so every element has one corner of each colour.
+        Returns one ``(dofs, elements, column, owner)`` per colour, int32:
+        the colour's dofs (flat indices); every admissible element with a
+        corner among them (its column in ``_slopes``); that corner's column
+        of ``_columns``; and the corner's position in ``dofs``."""
+        if self._colour_tables is not None:
+            return self._colour_tables
+        grid = self.grid
+        colour = (np.indices(grid.shape).sum(axis=0) % (grid.dim + 1)).ravel()
+        dof = self.dof_mask.ravel()
+        tables = []
+        for c in range(grid.dim + 1):
+            elements, column, node = [], [], []
+            start = first_column = 0
+            for nodes, _ in self._families:
+                for k, corner in enumerate(nodes):
+                    hit = np.flatnonzero((colour[corner] == c) & dof[corner])
+                    elements.append(start + hit)
+                    column.append(np.full(len(hit), first_column + k))
+                    node.append(corner[hit])
+                start += len(nodes[0])
+                first_column += len(nodes)
+            dofs, owner = np.unique(np.concatenate(node), return_inverse=True)
+            tables.append(tuple(a.astype(np.int32) for a in (
+                dofs, np.concatenate(elements), np.concatenate(column), owner)))
+        self._colour_tables = tables
+        return tables
+
+    def sweep(self, v: np.ndarray, p: float, delta: float, rhs: np.ndarray) -> np.ndarray:
+        """One sweep of nodal minimization of ``energy(v, p, delta) - sum
+        rhs v`` over the dofs, one colour at a time (:meth:`_colouring`),
+        for p > 2 and delta > 0; returns the new array.
+
+        The objective is separable in one colour's values, and each of a
+        node's elements has a gradient affine in that value, ``g + t b``.
+        Every node of the colour solves ``F(t) = rhs_i``, ``F`` the flux
+        ``sum_T |T| s^(p/2-1) (g + t b).b``, at once by
+        ``_SWEEP_ITERATIONS`` steps of a bracketed Newton method on the
+        (p-1)-th root of both sides, which is close to affine where one
+        element dominates; a step out of the bracket bisects it.  The root
+        has an infinite slope where ``F`` vanishes, so a node without flux
+        (a flat neighbourhood) does not move.  A node keeps its update only
+        if its local energy falls, so the objective never rises (up to the
+        rounding of the local sums), and the minimizer is resolved to about
+        the square root of machine epsilon."""
+        v = v.copy()
+        flat = v.reshape(-1)
+        rhs = rhs.ravel()
+        columns = self._columns / self.h
+        root = 1.0 / (p - 1.0)
+        floor = delta * delta
+        for dofs, elements, column, owner in self._colouring():
+            g, s = self._slopes(v, delta)
+            b = columns[:, column]
+            gb = np.einsum("ij,ij->j", g[:, elements], b)
+            bb = np.einsum("ij,ij->j", b, b)
+            s = s[elements]
+            k = len(dofs)
+            goal = rhs[dofs]
+            goal_root = np.sign(goal) * np.abs(goal) ** root
+            t, lo, hi = np.zeros(k), np.full(k, -np.inf), np.full(k, np.inf)
+            for _ in range(_SWEEP_ITERATIONS):
+                te = t[owner]
+                gt = gb + te * bb  # (g + t b).b
+                st = np.maximum(s + te * (gb + gt), floor)  # |g + t b|^2 + delta^2
+                w = st ** (p / 2.0 - 1.0)
+                flux = np.bincount(owner, w * gt, k) * self._volume
+                slope = np.bincount(owner, w * (bb + (p - 2.0) * gt * gt / st), k) * self._volume
+                below = flux < goal
+                lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+                phi = np.sign(flux) * np.abs(flux) ** root
+                # d phi / dt = slope / ((p - 1) |phi|^(p-2))
+                step = t + np.divide((goal_root - phi) * (p - 1.0) * np.abs(phi) ** (p - 2.0),
+                                     slope, out=np.zeros(k), where=slope > 0.0)
+                bisect = np.isfinite(lo) & np.isfinite(hi) & ((step < lo) | (step > hi))
+                t = np.where(bisect, 0.5 * (lo + hi), step)
+            te = t[owner]
+            st = np.maximum(s + te * (2.0 * gb + te * bb), floor)
+            after = np.bincount(owner, st ** (p / 2.0), k) * (self._volume / p) - goal * t
+            before = np.bincount(owner, s ** (p / 2.0), k) * (self._volume / p)
+            flat[dofs] += np.where(after < before, t, 0.0)
+        return v
 
     # -- masses and p-norms ----------------------------------------------
 

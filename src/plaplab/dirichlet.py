@@ -19,9 +19,8 @@ exponent, or to the level that rounding the iterate leaves
 (``ROUNDING_EPSILONS`` machine epsilons of ``|H||v|`` per unit mass), and
 makes at most ``_Newton.max_iterations`` Newton steps.  A final polish at
 the target exponent removes the regularization.  For p > 2 it takes full
-delta = 0 Newton steps, the first even below the rounding level, then more
-while each at least halves the strong residual, at most
-``POLISH_ITERATIONS``, keeping a step only if it lowers the residual
+delta = 0 Newton steps, the first even below the rounding level, for as long
+as each lowers the strong residual, at most ``POLISH_ITERATIONS``
 (``_Newton.polish``); for p < 2, where the unregularized weight is singular,
 delta is lowered by factors of 100 to 1e-12, each a stage of at most
 ``POLISH_ITERATIONS`` steps.  A target stage or polish that ends above both
@@ -38,10 +37,16 @@ at n/2 up to its target stage, recursively down to ``NESTED_MIN_CELLS``
 cells, and the finer lattice runs only the target stage from the exact P1
 prolongation of that end point or its rescaling along its ray, and the
 polish only on the finest, so that the ladder's LUs are paid on the coarse
-lattices.  Dirichlet p-harmonic solves,
-lattices that do not nest (the disc, odd n) and p = 2 (one exact step) run
-on their own lattice.  ``SolveResult.stages`` records each stage's start,
-steps, LUs, PCG iterations, target, residual, stop reason and lattice ``n``.
+lattices.  On a 2-D lattice at p >= ``SMOOTHING_MIN_P`` that start is first
+smoothed by ``SMOOTHING_SWEEPS`` sweeps of colour-wise nodal minimization
+(``VariationalCore.sweep``, a nonlinear Gauss-Seidel smoother as in Brandt's
+FAS, Math. Comp. 31, 1977): the prolongation leaves a high-frequency
+residual of 7 to 10 times the load, which a Newton step on the
+``|grad v|^(p-2)`` flux removes worst at high p.  Dirichlet
+p-harmonic solves, lattices that do not nest (the disc, odd n) and p = 2
+(one exact step) run on their own lattice.  ``SolveResult.stages`` records
+each stage's start, steps, LUs, PCG iterations, target, residual, stop
+reason and lattice ``n``.
 The eigensolver runs on the same engine (``eigen._QuotientNewton``).
 
 As p grows the torsion solution approaches the boundary distance function;
@@ -127,7 +132,8 @@ class StageRecord:
     its start's kind (``plain``: the previous end point; ``prolonged``: a
     coarser lattice's end point, P1-prolonged by the nested solves of
     :func:`solve_p_torsion` and ``eigen.neumann_eigen_first``; ``rescaled``:
-    either of these rescaled along its ray; ``tangent`` and
+    either of these rescaled along its ray, which a high-p torsion stage
+    smooths first, see :meth:`_Newton.refine`; ``tangent`` and
     ``half-tangent``: see ``predict``), Newton steps, the LUs and PCG
     iterations since the previous stage ended (a tangent solve's included),
     stop target, final strong residual, ``stop`` (``converged``,
@@ -200,6 +206,13 @@ STALL_RTOL = 1e-12
 STALL_WINDOW = 8
 #: Newton steps of each polish stage
 POLISH_ITERATIONS = 100
+#: colour-wise nodal minimization sweeps (``VariationalCore.sweep``) that
+#: smooth the prolonged start of a nested torsion stage on a 2-D lattice
+SMOOTHING_SWEEPS = 2
+#: the lowest exponent at which they run: below it the stage from the
+#: unsmoothed start takes at most 11 Newton steps and the sweeps cost more
+#: than the steps they save (measured break-even between p = 12 and 16)
+SMOOTHING_MIN_P = 16.0
 #: gradient-norm regularization of the stages away from p = 2
 DELTA = 1e-6
 #: a nested solve (:func:`_nested`) goes down to lattices of at least this
@@ -360,15 +373,18 @@ class _Newton:
         d[core.dof_index] = x
         return d.reshape(v.shape)
 
-    def stage(self, v, p, delta, max_iterations, target, start="plain", strict=False):
+    def stage(self, v, p, delta, max_iterations, target, start="plain", strict=False,
+              evaluated=None):
         """Descend at exponent ``p`` from ``v`` until the strong residual is
         at most ``target`` or the gradient's rounding level, or on a stall
         (``STALL_WINDOW``) or a step that no backtrack makes decrease the
         objective; append a :class:`StageRecord` (``start``: the start's
         kind) and return ``(v, residual)``; ``strict`` raises ``error`` if
-        unconverged.  The end point's Hessian stays in ``end_hessian``."""
+        unconverged.  ``evaluated``: the objective ``(e, g)`` at ``(v, p,
+        delta)`` when the caller has it.  The end point's Hessian stays in
+        ``end_hessian``."""
         core = self.core
-        e, g = self.objective(v, p, delta)
+        e, g = self.objective(v, p, delta) if evaluated is None else evaluated
         residual = _strong_residual(core, g)
         H = self.hessian(v, p, delta)
         tau = 1.0
@@ -418,9 +434,10 @@ class _Newton:
     def polish(self, v, p, target):
         """Newton steps at ``(p, 0)`` from ``v`` that remove the
         regularization where the unregularized Hessian is not singular (p >
-        2): a first step even below the rounding level, then more while each
-        at least halves the strong residual, at most ``POLISH_ITERATIONS``.
-        A step is a full one, kept only if it lowers the strong residual.
+        2): full steps, the first even below the rounding level, for as long
+        as each lowers the strong residual, at most ``POLISH_ITERATIONS``; a
+        step that does not is discarded and ends the polish, so where it
+        ends does not depend on how fast the steps before converged.
         Appends a :class:`StageRecord` (``stop``: ``converged`` or
         ``rounding`` when it ends at or below ``target`` or the rounding
         level, else ``stalled`` or ``max-iterations``), raises ``error`` if
@@ -443,8 +460,6 @@ class _Newton:
             self.history.append(e)
             r_old, residual = residual, r_try
             H = self.hessian(v, p, 0.0)
-            if residual > 0.5 * r_old:
-                break
             eta = _forcing(residual, r_old, eta)
         else:
             stop = "max-iterations"
@@ -484,11 +499,14 @@ class _Newton:
         for p in ladder:
             delta = 0.0 if p == 2.0 else DELTA
             plain = self.retract(v, p)
-            target = RESIDUAL_RTOL * _strong_residual(self.core,
-                                                      self.objective(plain, p, delta)[1])
-            v, start = self.predict(v, p, delta) if predict and self.stages else (plain, "plain")
+            evaluated = self.objective(plain, p, delta)
+            target = RESIDUAL_RTOL * _strong_residual(self.core, evaluated[1])
+            if predict and self.stages:
+                v, start, evaluated = self.predict(v, p, delta, evaluated)
+            else:
+                v, start = plain, "plain"
             v, residual = self.stage(v, p, delta, self.max_iterations, target, start,
-                                     strict=p == ladder[-1])
+                                     strict=p == ladder[-1], evaluated=evaluated)
         return v, residual, target
 
     def refine(self, v, p):
@@ -497,39 +515,70 @@ class _Newton:
         whose stage records this engine's ``stages`` end with.  It stops at
         ``RESIDUAL_RTOL`` of the strong residual of ``v`` (retracted), but
         never looser than the coarse level's final target, and starts from
-        :meth:`prolonged_start`.  Returns ``(v, residual, target)``."""
+        :meth:`prolonged_start`.  For torsion on a 2-D lattice at p >=
+        ``SMOOTHING_MIN_P`` that start is first smoothed by
+        ``SMOOTHING_SWEEPS`` colour-wise nodal minimization sweeps
+        (``VariationalCore.sweep``; Brandt's nonlinear Gauss-Seidel smoother
+        of nested iteration): prolongation leaves a high-frequency residual
+        that a Newton step on the ``|grad v|^(p-2)`` flux overshoots from
+        below and removes only slowly from above.  On an interval the coarse
+        solution is nodally exact, so its prolongation's residual is at most
+        the load and the stage is short without them.  Returns ``(v,
+        residual, target)``."""
         delta = 0.0 if p == 2.0 else DELTA
         v = self.retract(v, p)
-        target = min(RESIDUAL_RTOL * _strong_residual(self.core, self.objective(v, p, delta)[1]),
+        evaluated = self.objective(v, p, delta)
+        target = min(RESIDUAL_RTOL * _strong_residual(self.core, evaluated[1]),
                      self.stages[-1].target)
-        v, start = self.prolonged_start(v, p, delta)
-        v, residual = self.stage(v, p, delta, self.max_iterations, target, start, strict=True)
+        v, start, evaluated = self.prolonged_start(v, p, delta, evaluated)
+        if self.load is not None and p >= SMOOTHING_MIN_P and self.core.grid.dim == 2:
+            rhs = self.core.mass * self.load
+            for _ in range(SMOOTHING_SWEEPS):
+                v = self.core.sweep(v, p, delta, rhs)
+            evaluated = None
+        v, residual = self.stage(v, p, delta, self.max_iterations, target, start, strict=True,
+                                 evaluated=evaluated)
         return v, residual, target
 
-    def prolonged_start(self, v, p, delta):
+    def prolonged_start(self, v, p, delta, evaluated):
         """Start of :meth:`refine`'s stage from the prolonged ``v`` of a
-        zero-boundary torsion solve: ``v`` (``prolonged``) or its rescaling
-        along its ray (:meth:`rescale`, ``rescaled``), whichever has the
-        lower objective at ``(p, delta)``, with its kind."""
-        starts = [(v, "prolonged"), (self.rescale(v, p), "rescaled")]
-        return min((start for start in starts if start[0] is not None),
-                   key=lambda start: self.objective(start[0], p, delta)[0])
+        zero-boundary torsion solve, whose objective at ``(p, delta)`` is
+        ``evaluated``: ``v`` (``prolonged``) or its rescaling along its ray
+        (:meth:`rescale`, ``rescaled``), whichever has the lower objective,
+        with its kind and its objective."""
+        return self._lowest([(v, "prolonged", evaluated), (self.rescale(v, p), "rescaled", None)],
+                            p, delta)
 
-    def predict(self, v, p, delta):
+    def predict(self, v, p, delta, evaluated):
         """Start of the stage at ``(p, delta)`` from ``v``, the end point of
         the last stage (at ``(p0, delta0)``) of a zero-boundary torsion
-        solve: whichever of ``v``, ``v`` rescaled along its ray
-        (:meth:`rescale`) and the rescaled Euler tangent prediction ``v - (p
-        - p0) w`` has the lowest objective, with its kind (``plain``,
-        ``rescaled`` or ``tangent``).  ``-w`` is the tangent ``dv/dp``: ``H w
-        = d/dp grad E(v; p0, delta0)`` with the end point's Hessian, solved
-        by :meth:`direction`."""
+        solve, whose objective at ``(p, delta)`` is ``evaluated``: whichever
+        of ``v``, ``v`` rescaled along its ray (:meth:`rescale`) and the
+        rescaled Euler tangent prediction ``v - (p - p0) w`` has the lowest
+        objective, with its kind (``plain``, ``rescaled`` or ``tangent``)
+        and its objective.  ``-w`` is the tangent ``dv/dp``: ``H w = d/dp
+        grad E(v; p0, delta0)`` with the end point's Hessian, solved by
+        :meth:`direction`."""
         p0, delta0 = self.stages[-1].p, self.stages[-1].delta
         w = self.direction(v, self.core.energy_grad_dp(v, p0, delta0), self.end_hessian)
-        starts = [(v, "plain"), (self.rescale(v, p), "rescaled"),
-                  (self.rescale(v - (p - p0) * w, p), "tangent")]
-        return min((start for start in starts if start[0] is not None),
-                   key=lambda start: self.objective(start[0], p, delta)[0])
+        starts = [(v, "plain", evaluated), (self.rescale(v, p), "rescaled", None),
+                  (self.rescale(v - (p - p0) * w, p), "tangent", None)]
+        return self._lowest(starts, p, delta)
+
+    def _lowest(self, starts, p, delta):
+        """The ``(v, kind, (e, g))`` of lowest objective ``e`` at ``(p,
+        delta)``, the first on a tie, among ``starts``: ``(v, kind,
+        evaluated)`` triples, ``v`` None for a start that does not exist and
+        ``evaluated`` None where the objective at ``v`` is not yet known."""
+        best = None
+        for v, kind, evaluated in starts:
+            if v is None:
+                continue
+            if evaluated is None:
+                evaluated = self.objective(v, p, delta)
+            if best is None or evaluated[0] < best[2][0]:
+                best = (v, kind, evaluated)
+        return best
 
     def rescale(self, v, p):
         """``s* v`` with ``s* = (B/A)^(1/(p-1))``, the minimizer of the
@@ -683,11 +732,12 @@ def solve_p_torsion(grid: Grid, p: float = 2.0) -> SolveResult:
     keeps at least ``NESTED_MIN_CELLS`` cells, the problem is first solved
     at n/2, likewise recursively and without the polish, and the fine
     lattice runs only the target stage from the P1 prolongation of that end
-    point or its rescaling along its ray (:meth:`_Newton.refine`), then the
-    polish.  ``stages`` then
-    spans every level, coarsest first (each record's ``n`` names its
-    lattice), and ``iterations``, ``factorizations`` and ``pcg_iterations``
-    count over all levels.  At p = 2 one exact step on the grid itself
+    point or its rescaling along its ray, in 2-D at p >= ``SMOOTHING_MIN_P``
+    smoothed by ``SMOOTHING_SWEEPS`` nodal minimization sweeps
+    (:meth:`_Newton.refine`), then the polish.  ``stages`` then spans every
+    level, coarsest first (each record's ``n`` names its lattice), and
+    ``iterations``, ``factorizations`` and ``pcg_iterations`` count over all
+    levels.  At p = 2 one exact step on the grid itself
     solves it.  Raises as :func:`solve_p_harmonic`.
     """
     p = check_exponent(p)

@@ -258,18 +258,19 @@ class _QuotientNewton(_Newton):
     def factorize(self, v, H):
         return self.core.weighted_factor(v, *self.at)
 
-    def prolonged_start(self, v, p, delta):
-        """The prolonged eigenfunction itself: the quotient does not see its
-        scale."""
-        return v, "prolonged"
+    def prolonged_start(self, v, p, delta, evaluated):
+        """The prolonged eigenfunction itself, with its objective
+        ``evaluated``: the quotient does not see its scale."""
+        return v, "prolonged", evaluated
 
-    def predict(self, v, p, delta):
+    def predict(self, v, p, delta, evaluated):
         """Whichever of ``v - s (p - p0) w``, retracted, for s = 0
-        (``plain``), 1/2 (``half-tangent``) and 1 (``tangent``) has the
-        lowest quotient at ``(p, delta)``, with its kind; ``v`` is the end
-        point of the last stage (at ``p0``).  ``-w`` is the tangent
-        ``dv/dp``: ``H w = d/dp g``, solved by :meth:`direction` subject to
-        the end point's constraints, which absorb ``dR/dp``."""
+        (``plain``, whose objective at ``(p, delta)`` is ``evaluated``), 1/2
+        (``half-tangent``) and 1 (``tangent``) has the lowest quotient at
+        ``(p, delta)``, with its kind and objective; ``v`` is the end point
+        of the last stage (at ``p0``).  ``-w`` is the tangent ``dv/dp``:
+        ``H w = d/dp g``, solved by :meth:`direction` subject to the end
+        point's constraints, which absorb ``dR/dp``."""
         core = self.core
         p0, delta0 = self.stages[-1].p, self.stages[-1].delta
         av = np.abs(v)
@@ -277,9 +278,9 @@ class _QuotientNewton(_Newton):
         dp = (core.energy_grad_dp(v, p0, delta0)
               - self.energy * log * _pmean_weights(v, core.mass, p0) * v)
         w = self.direction(v, dp, self.end_hessian)
-        starts = [(self.retract(v - s * (p - p0) * w, p), kind)
+        starts = [(self.retract(v - s * (p - p0) * w, p), kind, evaluated if s == 0.0 else None)
                   for kind, s in (("plain", 0.0), ("half-tangent", 0.5), ("tangent", 1.0))]
-        return min(starts, key=lambda start: self.objective(start[0], p, delta)[0])
+        return self._lowest(starts, p, delta)
 
 
 def _start(core: VariationalCore, seed: int = 0) -> np.ndarray:

@@ -11,11 +11,16 @@ stiffness of an element-by-element P1 assembly; the factored descent metric
 is that Hessian plus, for Neumann, the weight-lumped mass shift (the plain
 mass shift at p = 2, bit for bit); the gradient's derivative in p
 is a central difference in p of an element-loop gradient, and predicted
-torsion stage starts keep the plain start's stop target and final field.
+torsion stage starts keep the plain start's stop target and final field;
+the objective that chose a stage's start is handed to the stage, not
+computed again.
 Nested torsion (n/2 first, where the lattice nests) reaches the direct
 ladder's field, records every level coarsest first and stops no looser than
-the coarse level; the delta = 0 polish steps at least once and never ends
-above its start.
+the coarse level; the colour-wise nodal minimization sweep that smooths a
+prolonged high-p start never raises the objective, alone converges to the
+torsion solution, runs on nested 2-D torsion at p >= ``SMOOTHING_MIN_P``
+only and leaves the fine p = 32 stages short; the delta = 0 polish steps at least once, never
+ends above its start and ends where a step stops lowering the residual.
 Eisenstat-Walker forcing with a per-LU PCG budget reaches the field of fixed
 forcing, keeps every LU within its budget, starts each stage and tangent
 solve at ``NEWTON_RTOL`` and decides nothing by timing.
@@ -48,7 +53,8 @@ from plaplab.dirichlet import (
     solve_p_torsion,
     torsion_infinity_gap,
 )
-from plaplab.fields import ScalarField, build_grid
+from plaplab.eigen import neumann_eigen_first
+from plaplab.fields import ScalarField, build_grid, coarse_grid, prolong
 from plaplab.geometry import Domain
 
 
@@ -172,7 +178,7 @@ def test_harmonic_final_residual_contract(name):
     # measured 4.8e-11 (square) and 7.8e-12 (disc), after 2 and 3 delta = 0
     # polish steps; the p = 4 stage ends at 3.0e-10 and 3.8e-7.  The stop
     # target of these cases is 2.14e-6 (square) and 5.13e-6 (disc), so the
-    # bound holds because the polish steps on while each step halves the
+    # bound holds because the polish steps on while each step lowers the
     # residual, not on where the last p = 4 step landed
     grid = build_grid(RESIDUAL_DOMAINS[name], 64)
     res = solve_p_harmonic(grid, lambda x, y: np.sin(3 * x) + y, p=4.0)
@@ -198,8 +204,9 @@ def test_predicted_stage_starts_keep_the_plain_start_target(name, p, monkeypatch
     calls = []
     stage = dirichlet._Newton.stage
 
-    def spy(self, v, p_stage, delta, max_iterations, target, start="plain", strict=False):
-        out = stage(self, v, p_stage, delta, max_iterations, target, start, strict)
+    def spy(self, v, p_stage, delta, max_iterations, target, start="plain", strict=False,
+            evaluated=None):
+        out = stage(self, v, p_stage, delta, max_iterations, target, start, strict, evaluated)
         calls.append((v.copy(), p_stage, delta, target, start, out[0].copy()))
         return out
 
@@ -225,6 +232,34 @@ def test_predicted_stage_starts_keep_the_plain_start_target(name, p, monkeypatch
     assert all(c[3] == calls[ladder - 1][3] for c in calls[ladder:])
 
 
+@pytest.mark.parametrize("problem, p", [("torsion", 1.5), ("torsion", 32.0), ("neumann", 8.0)])
+@pytest.mark.parametrize("n", [32, 64], ids=["direct", "nested"])
+def test_stages_are_handed_their_start_objective(problem, p, n, monkeypatch):
+    # the objective computed to choose a stage's start is handed to the
+    # stage, not computed again: it must be that start's own, bit for bit
+    handed = []
+    stage = dirichlet._Newton.stage
+
+    def spy(self, v, p_stage, delta, max_iterations, target, start="plain", strict=False,
+            evaluated=None):
+        if evaluated is not None:
+            e, g = self.objective(v, p_stage, delta)
+            assert evaluated[0] == e and np.array_equal(evaluated[1], g)
+            handed.append(start)
+        return stage(self, v, p_stage, delta, max_iterations, target, start, strict, evaluated)
+
+    monkeypatch.setattr(dirichlet._Newton, "stage", spy)
+    grid = build_grid(Domain.unit_square(), n)
+    res = solve_p_torsion(grid, p=p) if problem == "torsion" else neumann_eigen_first(grid, p=p)
+    # every continuation and prolonged stage is handed its start's objective,
+    # but for a smoothed (high-p torsion) start; no polish is
+    rungs = [s for s in res.stages if s.delta == dirichlet.DELTA or s.p == 2.0]
+    smoothing = problem == "torsion" and p >= dirichlet.SMOOTHING_MIN_P
+    smoothed = [s for s in rungs if smoothing and s.n != rungs[0].n]
+    assert handed == [s.start for s in rungs if s not in smoothed]
+    assert len(smoothed) == (n == 64 and smoothing)
+
+
 @pytest.mark.parametrize("name", list(RESIDUAL_DOMAINS))
 @pytest.mark.parametrize("p", [1.2, 1.5, 4.0, 8.0, 32.0])
 def test_predicted_starts_reach_the_plain_start_field(name, p, monkeypatch):
@@ -232,7 +267,8 @@ def test_predicted_starts_reach_the_plain_start_field(name, p, monkeypatch):
     monkeypatch.setattr(dirichlet, "coarse_grid", lambda grid: None)
     grid = build_grid(RESIDUAL_DOMAINS[name], 64)
     predicted = solve_p_torsion(grid, p=p).field.values
-    monkeypatch.setattr(dirichlet._Newton, "predict", lambda self, v, *args: (v, "plain"))
+    monkeypatch.setattr(dirichlet._Newton, "predict",
+                        lambda self, v, p, delta, evaluated: (v, "plain", evaluated))
     plain = solve_p_torsion(grid, p=p)
     assert all(s.start == "plain" for s in plain.stages)
     assert np.max(np.abs(predicted - plain.field.values)) <= 1e-9 * np.max(np.abs(plain.field.values))
@@ -256,8 +292,8 @@ NESTED_DOMAINS = {"square": Domain.unit_square(),
                   "interval": Domain.interval(0.0, 1.0)}
 
 
-@pytest.mark.parametrize("name, p", [*(("square", p) for p in (1.5, 4.0, 8.0, 32.0)),
-                                     *(("rectangle", p) for p in (1.5, 32.0)),
+@pytest.mark.parametrize("name, p", [*(("square", p) for p in (1.5, 4.0, 8.0, 16.0, 32.0)),
+                                     *(("rectangle", p) for p in (1.5, 8.0, 32.0)),
                                      *(("interval", p) for p in (1.5, 32.0))])
 def test_nested_torsion_matches_the_direct_ladder(name, p, monkeypatch):
     nested = solve_p_torsion(build_grid(NESTED_DOMAINS[name], 64), p=p)
@@ -302,6 +338,107 @@ def test_nested_torsion_records_every_level():
     assert res.field.grid.n == 128 and res.optimality_residual == res.stages[-1].residual
 
 
+@pytest.mark.parametrize("name", list(NESTED_DOMAINS))
+@pytest.mark.parametrize("p", [4.0, 32.0])
+def test_sweep_never_raises_the_objective(name, p):
+    # from the n/2 solution, P1-prolonged: the start of a nested stage
+    grid = build_grid(NESTED_DOMAINS[name], 64)
+    core = make_core(grid, "dirichlet")
+    v = prolong(solve_p_torsion(coarse_grid(grid), p=p).field, grid).values
+    rhs = core.mass * np.ones(v.shape)
+    delta = dirichlet.DELTA
+    swept = core.sweep(v, p, delta, rhs)
+    # only the dofs move, and the prolonged start's energy falls
+    assert np.array_equal(swept[~core.dof_mask], v[~core.dof_mask])
+    assert _torsion_energy(core, swept, p, delta) < _torsion_energy(core, v, p, delta)
+    # from the converged field a sweep can only make tiny moves, each kept
+    # only where its local energy falls: the objective summed over the whole
+    # lattice may differ in its last bits (measured: 1 ulp higher)
+    solved = solve_p_torsion(grid, p=p).field.values
+    again = core.sweep(solved, p, delta, rhs)
+    before = _torsion_energy(core, solved, p, delta)
+    assert _torsion_energy(core, again, p, delta) <= before + dirichlet.ENERGY_ROUNDING * abs(before)
+    assert np.max(np.abs(again - solved)) <= 1e-6 * np.max(np.abs(solved))
+    # far above the solution, where a Newton step on the root of the flux
+    # overshoots below zero, the bracket still finds lower energies (without
+    # it the 2 x 1 rectangle at p = 32 kept no update)
+    high = 3.0 * solved
+    assert (_torsion_energy(core, core.sweep(high, p, delta, rhs), p, delta)
+            < _torsion_energy(core, high, p, delta))
+
+
+@pytest.mark.parametrize("name", [*NESTED_DOMAINS, "disc"])
+def test_colouring_gives_each_element_one_corner_of_each_colour(name):
+    grid = build_grid({**NESTED_DOMAINS, "disc": Domain.disc((0.0, 0.0), 1.0)}[name], 16)
+    core = make_core(grid, "dirichlet")
+    # the core's elements in its own numbering, named by their node sets
+    named = [frozenset(int(corner[i]) for corner in nodes)
+             for nodes, _ in core._families for i in range(len(nodes[0]))]
+    found = {}
+    for dofs, elements, columns, owner in core._colouring():
+        # one corner of an element per colour: its nodes are independent
+        assert len(np.unique(elements)) == len(elements)
+        for e, column, node in zip(elements, columns, dofs[owner]):
+            found[named[e], int(node)] = core._columns[:, column] / grid.h
+    # together the colours hold every (element, dof corner) pair once, with
+    # that corner's hat-function gradient
+    dof = core.dof_mask.ravel()
+    expected = {(frozenset(nodes), node): gradient
+                for nodes, grads, _ in oracles.p1_elements(grid)
+                for node, gradient in zip(nodes, grads) if dof[node]}
+    assert found.keys() == expected.keys()
+    assert sum(len(t[1]) for t in core._colouring()) == len(expected)
+    assert all(np.allclose(found[key], expected[key], rtol=1e-12, atol=0.0) for key in expected)
+
+
+@pytest.mark.parametrize("name", list(NESTED_DOMAINS))
+def test_sweeps_alone_reach_the_torsion_solution(name):
+    # nonlinear Gauss-Seidel converges to the minimizer of the objective it
+    # sweeps: a wrong flux, bracket or colouring would stop elsewhere.  It
+    # starts from the p = 2 solution: a node with no flux at all does not
+    # move.  A move is kept only where the local energy falls, which resolves
+    # the minimizer to about the square root of machine epsilon: the sweeps
+    # stall at 4.4e-9 (interval) and 3.9e-9 (square) relative
+    grid = build_grid(NESTED_DOMAINS[name], 8)
+    core = make_core(grid, "dirichlet")
+    v, rhs = solve_p_torsion(grid, p=2.0).field.values, core.mass * np.ones(grid.shape)
+    for _ in range(400):
+        v = core.sweep(v, 4.0, dirichlet.DELTA, rhs)
+    solved = solve_p_torsion(grid, p=4.0).field.values
+    assert np.max(np.abs(v - solved)) <= 1e-7 * np.max(np.abs(solved))
+
+
+def test_smoothed_fine_stages_take_few_newton_steps():
+    # measured 8 (n = 64) and 9 (n = 128) steps from the smoothed start,
+    # against 25 and 22 from the prolonged start alone
+    res = solve_p_torsion(build_grid(Domain.unit_square(), 128), p=32.0)
+    fine = [s for s in res.stages if s.n > 32 and s.delta > 0.0]
+    assert [s.n for s in fine] == [64, 128]
+    assert all(s.iterations <= 12 and s.stop == "converged" for s in fine)
+
+
+@pytest.mark.parametrize("domain, n, p, sweeps", [
+    (Domain.unit_square(), 64, 32.0, 2), (Domain.rectangle(0.0, 0.0, 2.0, 1.0), 128, 16.0, 4),
+    (Domain.unit_square(), 64, 8.0, 0), (Domain.interval(0.0, 1.0), 128, 32.0, 0),
+    (Domain.unit_square(), 64, 1.5, 0), (Domain.disc((0.0, 0.0), 1.0), 64, 32.0, 0)],
+    ids=["square-p32", "rectangle-p16", "square-p8", "interval-p32", "square-p1.5", "disc-p32"])
+def test_sweeps_smooth_only_nested_2d_torsion_at_high_p(domain, n, p, sweeps, monkeypatch):
+    # SMOOTHING_SWEEPS on each finer lattice of a nested 2-D solve at p >=
+    # SMOOTHING_MIN_P; below it, on an interval and on lattices that do not
+    # nest no sweep runs, so those solves are the ones without the smoother
+    calls = []
+    sweep = VariationalCore.sweep
+
+    def spy(self, *args):
+        calls.append(self.grid.n)
+        return sweep(self, *args)
+
+    monkeypatch.setattr(VariationalCore, "sweep", spy)
+    res = solve_p_torsion(build_grid(domain, n), p=p)
+    assert len(calls) == sweeps
+    assert calls == sorted(calls) and set(calls) <= {s.n for s in res.stages} - {32}
+
+
 @pytest.mark.parametrize("name", list(RESIDUAL_DOMAINS))
 @pytest.mark.parametrize("p", [3.0, 32.0])
 def test_polish_steps_and_never_ends_above_its_start(name, p, monkeypatch):
@@ -320,6 +457,20 @@ def test_polish_steps_and_never_ends_above_its_start(name, p, monkeypatch):
     assert res.stages[-1] == polish and polish.n == 64 and len(starts) == 1
     assert polish.iterations >= 1 and polish.start == "plain"
     assert polish.residual <= starts[0]
+
+
+@pytest.mark.parametrize("name", ["square", "rectangle"])
+def test_polish_ends_where_a_step_stops_lowering_the_residual(name):
+    # a second polish from the end point keeps it: its one step is discarded.
+    # A polish that stopped once a step failed to halve the residual ended
+    # here (n = 64, p = 8) after 1 step at 8.6e-12 (square) and 6.4e-12
+    # (rectangle), where further steps reach 4.0e-13 and 1.6e-13
+    grid = build_grid(NESTED_DOMAINS[name], 64)
+    res = solve_p_torsion(grid, p=8.0)
+    newton = dirichlet._Newton(make_core(grid, "dirichlet"), np.ones(grid.shape), res.stages)
+    v, residual = newton.polish(res.field.values, 8.0, res.stages[-1].target)
+    assert np.array_equal(v, res.field.values) and residual == res.optimality_residual
+    assert newton.stages[-1].iterations == 1
 
 
 @pytest.mark.parametrize("name", list(RESIDUAL_DOMAINS))
