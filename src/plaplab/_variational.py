@@ -483,16 +483,19 @@ class VariationalCore:
         """
         return self._metric(v, p, delta, shifted=False)
 
+    def weighted_metric(self, v: np.ndarray, p: float, delta: float) -> sp.csc_matrix:
+        """:meth:`hessian` at ``v`` plus, for Neumann, ``_neumann_sigma()``
+        times the weight-lumped mass: each element gives ``w_T |T| / (d+1)``
+        to each corner, with the floored weights of the Hessian.  The shift
+        makes the matrix positive definite on the constants and follows the
+        local scale of the Hessian, where one global weight would swamp it at
+        the degenerate corners of a high-p iterate; at p = 2 (``w_T = 1``) it
+        is ``_neumann_sigma() * M``, ``M`` the lumped mass."""
+        return self._metric(v, p, delta, shifted=True)
+
     def weighted_factor(self, v: np.ndarray, p: float, delta: float):
-        """LU of :meth:`hessian` at ``v`` plus, for Neumann,
-        ``_neumann_sigma()`` times the weight-lumped mass: each element gives
-        ``w_T |T| / (d+1)`` to each corner, with the floored weights of the
-        Hessian.  The shift makes the matrix positive definite on the
-        constants and follows the local scale of the Hessian, where one
-        global weight would swamp it at the degenerate corners of a high-p
-        iterate; at p = 2 (``w_T = 1``) it is ``_neumann_sigma() * M``, ``M``
-        the lumped mass.  :meth:`precond_solve` applies it."""
-        return self.factor(self._metric(v, p, delta, shifted=True))
+        """LU of :meth:`weighted_metric`; :meth:`precond_solve` applies it."""
+        return self.factor(self.weighted_metric(v, p, delta))
 
     def precond_solve(self, grad: np.ndarray, factor) -> np.ndarray:
         """Apply the inverse metric ``factor`` (from :meth:`weighted_factor`)

@@ -202,6 +202,15 @@ def _case_options(args, flag: str, case: str, table: dict) -> dict:
     return config
 
 
+def _require_finite(config: dict) -> None:
+    """``CliConfigError`` unless every number of the manifest entries
+    ``config``, and of each list among them, is finite."""
+    for key, value in config.items():
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise CliConfigError(f"{key} must be finite, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (config, inputs, artifacts, report,
 # summary); main writes the report to --report, the last artifact
@@ -290,6 +299,7 @@ def _cmd_radial(args):
     task = args.task
     config = {"task": task, "n": args.n, "R": args.R,
               **_case_options(args, "--task", task, _RADIAL_READS)}
+    _require_finite(config)
     if args.R <= 0.0 or args.n < 1 or (task == "eigen" and args.k < 1):
         raise CliConfigError("--R must be positive, --n and --k at least 1")
     if task == "plateau" and (args.rho is None or args.p is None or not args.p > 2.0):
@@ -443,7 +453,10 @@ def _cmd_cheeger(args):
 def _cmd_check(args):
     case = args.case
     config = {"case": case, **_case_options(args, "--case", case, _CHECK_READS)}
+    _require_finite(config)
     lam = args.lam
+    if case in ("kink", "neumann-bc") and not lam > 0.0:
+        raise CliConfigError(f"--lambda must be positive for --case {case}")
     report: dict
     if case == "kink":
         rep = check_1d_kink(lam)

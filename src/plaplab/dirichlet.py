@@ -10,14 +10,15 @@ setting: every solver takes 1 < p < inf (``check_exponent``).  Minimization
 is a damped inexact Newton method (``_Newton``) with p-continuation: the
 exponents of ``continuation_ladder(p)`` warm-start each stage, after an exact
 p = 2 step, and stages away from p = 2 run at delta = ``DELTA``.
-Each direction solves the Newton system by PCG on the last LU of a Hessian to
-an Eisenstat-Walker forcing term, and each LU serves at most
-``LU_PCG_BUDGET`` PCG iterations.  A stage stops once the strong residual
-(``SolveResult.optimality_residual``) falls to ``RESIDUAL_RTOL`` of the
-residual of its plain start (the previous stage's end point) at its own
-exponent, or to the level that rounding the iterate leaves
-(``ROUNDING_EPSILONS`` machine epsilons of ``|H||v|`` per unit mass), and
-makes at most ``_Newton.max_iterations`` Newton steps.  A final polish at
+Each direction solves the Newton system by PCG to an Eisenstat-Walker
+forcing term, on the last LU of a Hessian (each LU serves at most
+``LU_PCG_BUDGET`` PCG iterations) or, on the finest lattice of a nested
+solve (below), on a two-grid cycle (``_TwoGrid``).  A stage stops once the
+strong residual (``SolveResult.optimality_residual``) falls to
+``RESIDUAL_RTOL`` of the residual of its plain start (the previous stage's
+end point) at its own exponent, or to the level that rounding the iterate
+leaves (``ROUNDING_EPSILONS`` machine epsilons of ``|H||v|`` per unit mass),
+and makes at most ``_Newton.max_iterations`` Newton steps.  A final polish at
 the target exponent removes the regularization.  For p > 2 it takes full
 delta = 0 Newton steps, the first even below the rounding level, for as long
 as each lowers the strong residual, at most ``POLISH_ITERATIONS``
@@ -42,11 +43,16 @@ smoothed by ``SMOOTHING_SWEEPS`` sweeps of colour-wise nodal minimization
 (``VariationalCore.sweep``, a nonlinear Gauss-Seidel smoother as in Brandt's
 FAS, Math. Comp. 31, 1977): the prolongation leaves a high-frequency
 residual of 7 to 10 times the load, which a Newton step on the
-``|grad v|^(p-2)`` flux removes worst at high p.  Dirichlet
-p-harmonic solves, lattices that do not nest (the disc, odd n) and p = 2
-(one exact step) run on their own lattice.  ``SolveResult.stages`` records
-each stage's start, steps, LUs, PCG iterations, target, residual, stop
-reason and lattice ``n``.
+``|grad v|^(p-2)`` flux removes worst at high p.  The finest lattice makes
+no LU unless a two-grid PCG misses its forcing term within
+``TWO_GRID_MAX_ITERATIONS``: its Newton systems are preconditioned by damped
+Jacobi sweeps on its own matrix around a coarse-grid correction (Brandt,
+ibid.) that solves with the last LU of the lattice below, handed on by
+``_nested`` with the P1 prolongation as a matrix (``_prolongation``).
+Dirichlet p-harmonic solves, lattices that do not nest (the disc, odd n)
+and p = 2 (one exact step) run on their own lattice.  ``SolveResult.stages``
+records each stage's start, steps, LUs, PCG iterations, target, residual,
+stop reason and lattice ``n``.
 The eigensolver runs on the same engine (``eigen._QuotientNewton``).
 
 As p grows the torsion solution approaches the boundary distance function;
@@ -196,7 +202,9 @@ PCG_MAX_ITERATIONS = 8
 #: PCG iterations one LU serves, counted from its factorization, before the
 #: next direction refactors: one Hessian LU costs about as much as 15-28
 #: triangular solves at n = 32-192 (one thread of a 2-core x86-64 VM).  A
-#: count, not a timer, so that no result depends on timing
+#: count, not a timer, so that no result depends on timing.  It governs
+#: LU-preconditioned PCG only: a two-grid PCG has its own cap,
+#: ``TWO_GRID_MAX_ITERATIONS``
 LU_PCG_BUDGET = 20
 #: relative energy change below which trial energies are rounding noise
 ENERGY_ROUNDING = 1e-13
@@ -219,6 +227,19 @@ DELTA = 1e-6
 #: many cells along the longest side; on the Neumann pair of fig5 (p = 15,
 #: n = 128) floors of 16, 32 and 64 took 0.32-0.34 s, medians of 5 solves
 NESTED_MIN_CELLS = 32
+#: the two-grid cycle (:class:`_TwoGrid`) of a nested solve's finest lattice:
+#: damped Jacobi sweeps before and after its coarse correction, and their
+#: damping.  An element matrix is at most its corner count (d + 1) times its
+#: diagonal (Cauchy-Schwarz), so any damping below 2/3 keeps the sweeps
+#: contracting in the energy norm and the cycle positive definite
+TWO_GRID_SWEEPS = 4
+TWO_GRID_DAMPING = 0.6
+#: PCG iterations per Newton system on the two-grid cycle; a system that
+#: misses its forcing term within them sends the lattice back to LUs.  One
+#: fine LU costs about 16 cycles at n = 128 and 34 at n = 256, and the last
+#: system of the p = 32 torsion stage on the n = 128 square and 2 x 1
+#: rectangle (forcing 2e-8 and 3e-9) takes 23 and 25
+TWO_GRID_MAX_ITERATIONS = 30
 
 
 def _forcing(residual: float, r_old: float, eta_old: float) -> float:
@@ -231,6 +252,57 @@ def _forcing(residual: float, r_old: float, eta_old: float) -> float:
     if floor > NEWTON_RTOL:
         eta = max(eta, floor)
     return min(eta, FORCING_MAX)
+
+
+class _TwoGrid:
+    """Symmetric two-grid preconditioner of a nested solve's finest lattice
+    (Brandt, Math. Comp. 31, 1977): ``TWO_GRID_SWEEPS`` damped Jacobi sweeps
+    on the fine matrix set by :meth:`on` (damping ``TWO_GRID_DAMPING``), the
+    coarse correction ``P F_c^-1 P^T`` with ``prolongation`` ``P`` (coarse
+    dofs to fine dofs, :func:`_prolongation`) and ``coarse_lu`` ``F_c``, the
+    last LU of the coarse lattice, then the same sweeps again.  ``solve``
+    takes 1-D and 2-D right-hand sides, as a SuperLU factor does."""
+
+    def __init__(self, prolongation: sp.csr_matrix, coarse_lu):
+        self.prolongation = prolongation
+        self.restriction = prolongation.T.tocsr()
+        self.coarse_lu = coarse_lu
+        self.matrix = self.jacobi = None
+
+    def on(self, matrix: sp.csc_matrix) -> _TwoGrid:
+        """Smooth with ``matrix`` from now on; returns the cycle."""
+        self.matrix = matrix
+        self.jacobi = TWO_GRID_DAMPING / matrix.diagonal()
+        return self
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        jacobi = self.jacobi if b.ndim == 1 else self.jacobi[:, None]
+        x = jacobi * b
+        for _ in range(TWO_GRID_SWEEPS - 1):
+            x += jacobi * (b - self.matrix @ x)
+        x += self.prolongation @ self.coarse_lu.solve(self.restriction @ (b - self.matrix @ x))
+        for _ in range(TWO_GRID_SWEEPS):
+            x += jacobi * (b - self.matrix @ x)
+        return x
+
+
+def _prolongation(coarse: VariationalCore, fine: VariationalCore) -> sp.csr_matrix:
+    """The P1 prolongation of :func:`prolong` as a matrix from ``coarse``'s
+    dofs to ``fine``'s (both in ``dof_index`` order), ``coarse`` on the
+    :func:`coarse_grid` of ``fine``'s grid.  Along each axis a fine node's
+    parents are the coarse nodes ``i // 2`` and ``(i + 1) // 2``, each with
+    weight 1/2: a shared node twice, an edge midpoint its ends, a cell centre
+    the ends of the cell's diagonal.  Coarse nodes that are not dofs carry
+    zero (Dirichlet) values and drop out."""
+    fine_nodes = np.indices(fine.grid.shape).reshape(fine.grid.dim, -1)[:, fine.dof_index]
+    column = np.full(coarse.mass.size, -1)
+    column[coarse.dof_index] = np.arange(len(coarse.dof_index))
+    parents = np.concatenate([column[np.ravel_multi_index(tuple(nodes), coarse.grid.shape)]
+                              for nodes in (fine_nodes // 2, (fine_nodes + 1) // 2)])
+    rows = np.tile(np.arange(len(fine.dof_index)), 2)
+    keep = parents >= 0
+    return sp.csr_matrix((np.full(int(keep.sum()), 0.5), (rows[keep], parents[keep])),
+                         shape=(len(fine.dof_index), len(coarse.dof_index)))
 
 
 def _pcg(H, b: np.ndarray, factor, rtol: float, max_iterations: int, constraints=None,
@@ -293,30 +365,36 @@ class _Newton:
     """Damped inexact Newton descent on the regularized p-energy.
 
     The direction solves ``H d = grad E`` with the exact Hessian ``H`` of
-    the current stage by PCG preconditioned with the last LU of a Hessian,
-    to the forcing term ``eta`` (:func:`_forcing`; ``NEWTON_RTOL`` for a
-    stage's first direction and for a tangent solve), in at most
-    ``PCG_MAX_ITERATIONS`` iterations and no more than the LU has left of
-    its ``LU_PCG_BUDGET``.  When no LU is alive, its budget is spent, or
-    PCG ends above ``NEWTON_RTOL``, a fresh LU of ``H`` solves it.  The LU
-    carries over from stage to stage, and at most one is alive.  Steps are
-    capped and backtracked to a strict energy decrease.
+    the current stage by PCG to the forcing term ``eta`` (:func:`_forcing`;
+    ``NEWTON_RTOL`` for a stage's first direction and for a tangent solve).
+    With a ``two_grid`` cycle (:class:`_TwoGrid`, on the finest lattice of a
+    nested solve) PCG is preconditioned by it, smoothing with
+    :meth:`metric`, and must meet ``eta`` within ``TWO_GRID_MAX_ITERATIONS``;
+    on its first miss the cycle is dropped and the engine goes on with LUs.
+    Otherwise PCG is preconditioned with the last LU of a Hessian, in at
+    most ``PCG_MAX_ITERATIONS`` iterations and no more than the LU has left
+    of its ``LU_PCG_BUDGET``.  When no LU is alive, its budget is spent, or
+    PCG ends above ``NEWTON_RTOL``, a fresh LU of :meth:`metric` solves it.
+    The LU carries over from stage to stage, and at most one is alive.
+    Steps are capped and backtracked to a strict energy decrease.
 
     Subclasses override :meth:`objective`, :meth:`hessian`,
     :meth:`constraints` (normals of linear constraints on the direction),
     :meth:`retract` (onto the constraint set, after each trial step),
-    :meth:`factorize`, :meth:`predict`, :meth:`prolonged_start` and
-    ``error``.  For a constrained direction the LU is a preconditioner only:
-    a fresh one reruns PCG.  ``max_iterations`` caps the Newton steps of each
-    continuation stage.  ``prior``: the stage records of a nested solve's
-    coarser lattices, which this engine's records and counts continue."""
+    :meth:`metric`, :meth:`factorize`, :meth:`predict`,
+    :meth:`prolonged_start` and ``error``.  For a constrained direction the
+    LU is a preconditioner only: a fresh one reruns PCG.  ``max_iterations``
+    caps the Newton steps of each continuation stage.  ``prior``: the stage
+    records of a nested solve's coarser lattices, which this engine's
+    records and counts continue."""
 
     error = SolverError
     max_iterations = 2000
 
-    def __init__(self, core: VariationalCore, load, prior=()):
+    def __init__(self, core: VariationalCore, load, prior=(), two_grid: _TwoGrid | None = None):
         self.core = core
         self.load = load
+        self.two_grid = two_grid
         self.factor = None
         self.factor_pcg = 0  # PCG iterations the live LU has served
         self.energy = math.nan
@@ -344,7 +422,12 @@ class _Newton:
     def retract(self, v, p):
         return v
 
+    def metric(self, v, H):
+        """The positive definite matrix that preconditions ``H`` at ``v``."""
+        return H
+
     def factorize(self, v, H):
+        """The LU of :meth:`metric`."""
         return self.core.factor(H)
 
     def direction(self, v, g, H, eta=NEWTON_RTOL) -> np.ndarray:
@@ -354,7 +437,13 @@ class _Newton:
         constrained = () if A is None else (A,)
         x = None
         budget = LU_PCG_BUDGET - self.factor_pcg
-        if self.factor is not None and budget > 0:
+        if self.two_grid is not None:
+            x, its = _pcg(H, b, self.two_grid.on(self.metric(v, H)), eta,
+                          TWO_GRID_MAX_ITERATIONS, *constrained, accept=eta)
+            self.pcg_iterations += its
+            if x is None:  # the first miss: LUs for the rest of this engine's solve
+                self.two_grid = None
+        elif self.factor is not None and budget > 0:
             x, its = _pcg(H, b, self.factor, eta, min(PCG_MAX_ITERATIONS, budget), *constrained)
             self.factor_pcg += its
             self.pcg_iterations += its
@@ -623,12 +712,13 @@ def _polish_deltas(p: float) -> tuple[float, ...]:
 
 
 def _solve(core: VariationalCore, p: float, boundary_values: np.ndarray,
-           load: np.ndarray | None, start=None, polish=True) -> SolveResult:
+           load: np.ndarray | None, start=None, polish=True):
     """Continuation over the stages p = 2 (delta = 0), then the exponents of
     ``continuation_ladder(p)`` (``DELTA``), then the polish at ``p`` if
-    ``polish``; with ``start``, a coarser lattice's ``(v, stages)`` from
-    :func:`_nested`, only the target stage (:meth:`_Newton.refine`) and the
-    polish.
+    ``polish``; with ``start``, a coarser lattice's ``(v, stages, two_grid)``
+    from :func:`_nested`, only the target stage (:meth:`_Newton.refine`) and
+    the polish, preconditioned by ``two_grid`` if it is not None.  Returns
+    the :class:`SolveResult` and its engine.
 
     Every stage stops at ``RESIDUAL_RTOL`` times the strong residual of its
     plain start, the end point of the previous stage, at its own ``(p,
@@ -651,8 +741,8 @@ def _solve(core: VariationalCore, p: float, boundary_values: np.ndarray,
         v, residual, target = newton.continuation(
             v, continuation_ladder(p), predict=load is not None and not np.any(boundary_values))
     else:
-        v, prior = start
-        newton = _Newton(core, load, prior)
+        v, prior, two_grid = start
+        newton = _Newton(core, load, prior, two_grid)
         v, residual, target = newton.refine(v, p)
     if polish and p > 2.0:
         v, residual = newton.polish(v, p, target)
@@ -668,24 +758,34 @@ def _solve(core: VariationalCore, p: float, boundary_values: np.ndarray,
                        final_energy=newton.energy,
                        optimality_residual=residual,
                        energy_history=np.asarray(newton.history),
-                       stages=newton.stages)
+                       stages=newton.stages), newton
 
 
-def _nested(grid: Grid, solve):
+def _nested(grid: Grid, solve, finest=True):
     """Nested iteration (Hackbusch, *Multi-Grid Methods and Applications*,
     1985): ``solve(grid, None)`` when ``grid``'s lattice does not nest in the
     half-resolution one (:func:`coarse_grid`) or that one has fewer than
-    ``NESTED_MIN_CELLS`` cells; otherwise ``solve(grid, (v, stages))``, where
-    ``v`` is the P1 prolongation (:func:`prolong`, exact: the coarse P1
-    space lies in the fine one) of the field of ``_nested(coarse, solve)``
-    and ``stages`` are that result's stage records.  The coarse grid, and its
-    cores, die before the fine solve."""
+    ``NESTED_MIN_CELLS`` cells; otherwise ``solve(grid, (v, stages,
+    two_grid))``, where ``v`` is the P1 prolongation (:func:`prolong`,
+    exact: the coarse P1 space lies in the fine one) of the field of
+    ``_nested(coarse, solve, False)`` and ``stages`` are that result's stage
+    records.  ``solve`` returns ``(result, engine)``, and so does this.
+
+    On the ``finest`` lattice ``two_grid`` is the :class:`_TwoGrid` of the
+    coarse engine's last live LU and the :func:`_prolongation` between the
+    two (None when the coarse engine ended without an LU), elsewhere None.
+    Only that LU and the prolongation outlive the coarse level: its grid,
+    cores and engine die before the fine solve."""
     coarse = coarse_grid(grid) if grid.n // 2 >= NESTED_MIN_CELLS else None
     if coarse is None:
         return solve(grid, None)
-    prior = _nested(coarse, solve)
-    start = prolong(prior.field, grid).values, prior.stages
-    del coarse, prior
+    prior, below = _nested(coarse, solve, False)
+    two_grid = None
+    if finest and below.factor is not None:
+        fine = make_core(grid, below.core.bc)
+        two_grid = _TwoGrid(_prolongation(below.core, fine), below.factor)
+    start = prolong(prior.field, grid).values, prior.stages, two_grid
+    del coarse, prior, below
     return solve(grid, start)
 
 
@@ -720,7 +820,7 @@ def solve_p_harmonic(grid: Grid, g, p: float = 2.0) -> SolveResult:
     """
     p = check_exponent(p)
     core = make_core(grid, "dirichlet")
-    return _solve(core, p, _boundary_array(grid, g), load=None)
+    return _solve(core, p, _boundary_array(grid, g), load=None)[0]
 
 
 def solve_p_torsion(grid: Grid, p: float = 2.0) -> SolveResult:
@@ -734,11 +834,14 @@ def solve_p_torsion(grid: Grid, p: float = 2.0) -> SolveResult:
     lattice runs only the target stage from the P1 prolongation of that end
     point or its rescaling along its ray, in 2-D at p >= ``SMOOTHING_MIN_P``
     smoothed by ``SMOOTHING_SWEEPS`` nodal minimization sweeps
-    (:meth:`_Newton.refine`), then the polish.  ``stages`` then spans every
-    level, coarsest first (each record's ``n`` names its lattice), and
-    ``iterations``, ``factorizations`` and ``pcg_iterations`` count over all
-    levels.  At p = 2 one exact step on the grid itself
-    solves it.  Raises as :func:`solve_p_harmonic`.
+    (:meth:`_Newton.refine`), then the polish; the grid's own Newton systems
+    are preconditioned by the two-grid cycle on the n/2 lattice's last LU
+    (:class:`_TwoGrid`), and it factors only after a PCG on it misses its
+    forcing term.  ``stages`` then spans every level, coarsest first (each
+    record's ``n`` names its lattice), and ``iterations``,
+    ``factorizations`` and ``pcg_iterations`` count over all levels.  At
+    p = 2 one exact step on the grid itself solves it.  Raises as
+    :func:`solve_p_harmonic`.
     """
     p = check_exponent(p)
 
@@ -749,7 +852,7 @@ def solve_p_torsion(grid: Grid, p: float = 2.0) -> SolveResult:
         return _solve(core, p, np.zeros(lattice.shape), np.ones(lattice.shape), start,
                       polish=lattice is grid)
 
-    return solve(grid, None) if p == 2.0 else _nested(grid, solve)
+    return (solve(grid, None) if p == 2.0 else _nested(grid, solve))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ over affine elements and the denominator over lumped nodal masses:
 Each continuation stage minimizes ``R = p E_delta / D`` on ``D = 1`` (for
 Neumann problems also zero p-mean, ``sum m_i |v_i|^(p-2) v_i = 0``) by
 projected Newton (Absil, Mahony & Sepulchre, 2008) on the torsion solver's
-engine (``dirichlet._Newton``, with its forcing terms, LU budget, stop rule
-and ``EigenError`` on an unconverged target stage); see
+engine (``dirichlet._Newton``, with its forcing terms, LU budget, two-grid
+cycle, stop rule and ``EigenError`` on an unconverged target stage); see
 :class:`_QuotientNewton`.  Trial points are re-projected to zero p-mean by a
 safeguarded Newton solve of ``sum m_i |v_i - c|^(p-2) (v_i - c) = 0`` and
 renormalized in L^p.  Dirichlet problems fix v = 0 on the boundary collar
@@ -22,7 +22,10 @@ nests in the half-resolution one (``fields.coarse_grid``) the continuation
 runs at n/2, recursively down to ``dirichlet.NESTED_MIN_CELLS`` cells, and
 the finer lattice starts from the exact P1 prolongation of that
 eigenfunction with one stage at the target exponent, so that the ladder's
-LUs are paid on the coarse lattices, where they are cheap.  Its ``stages``
+LUs are paid on the coarse lattices, where they are cheap.  The finest
+lattice factors nothing unless a PCG misses: it preconditions with the
+two-grid cycle (``dirichlet._TwoGrid``) on the last LU of the lattice
+below.  Its ``stages``
 span every level, each record naming its lattice's ``n``.  The Dirichlet
 pairs and ``p_sweep`` run the continuation on their own lattice.
 
@@ -217,17 +220,18 @@ class _QuotientNewton(_Newton):
     Hessian is the Lagrangian's, the energy Hessian less the diagonal ``R
     (p-1) m |v|^(p-2)``.  Directions keep the linearized constraints
     (normals ``m |v|^(p-2) v``, for Neumann also ``m |v|^(p-2)``),
-    preconditioned with the LU of ``weighted_factor``: the energy Hessian,
-    for Neumann plus a multiple of the weight-lumped mass, which keeps to the
-    Hessian's scale at the corners where a high-p eigenfunction's gradient
-    vanishes; trial points are shifted to zero p-mean (Neumann) and
+    preconditioned with the LU of ``weighted_factor``, or on the finest
+    lattice of a nested solve with the two-grid cycle smoothing on
+    ``weighted_metric``: the energy Hessian, for Neumann plus a multiple of
+    the weight-lumped mass, which keeps to the Hessian's scale at the
+    corners where a high-p eigenfunction's gradient vanishes; trial points are shifted to zero p-mean (Neumann) and
     normalized to ``D = 1``."""
 
     error = EigenError
     max_iterations = 4000
 
-    def __init__(self, core: VariationalCore, p: float, prior=()):
-        super().__init__(core, None, prior)
+    def __init__(self, core: VariationalCore, p: float, prior=(), two_grid=None):
+        super().__init__(core, None, prior, two_grid)
         self.at = (p, DELTA)  # (p, delta) of the last Hessian
 
     def objective(self, v, p, delta):
@@ -254,6 +258,9 @@ class _QuotientNewton(_Newton):
         if den <= 0.0:
             raise EigenError("eigen iterate collapsed to zero")
         return v / den ** (1.0 / p)
+
+    def metric(self, v, H):
+        return self.core.weighted_metric(v, *self.at)
 
     def factorize(self, v, H):
         return self.core.weighted_factor(v, *self.at)
@@ -364,7 +371,12 @@ def neumann_eigen_first(grid: Grid, p: float = 2.0, seed: int = 0) -> EigenResul
     in the fine one) and runs only the target stage at ``p``
     (``_Newton.refine``); its stop target is the engine's (``RESIDUAL_RTOL``
     of its start's residual), but never looser than the coarse level's
-    final one.  The coarsest lattice, and one that does not nest, runs the
+    final one.  The finest lattice preconditions its projected PCG with the
+    two-grid cycle (``dirichlet._TwoGrid``: damped Jacobi sweeps on its
+    shifted metric around a correction by the last LU of the lattice
+    below), so it makes no LU unless a PCG misses its forcing term within
+    ``dirichlet.TWO_GRID_MAX_ITERATIONS``, after which it goes on with LUs;
+    intermediate lattices run on LUs.  The coarsest lattice, and one that does not nest, runs the
     continuation of :func:`dirichlet_eigen_first` from :func:`_start`, whose
     kick ``seed`` seeds.  ``stages`` then spans every level, coarsest first
     (each record's ``n`` names its lattice), and ``iterations``,
@@ -376,13 +388,15 @@ def neumann_eigen_first(grid: Grid, p: float = 2.0, seed: int = 0) -> EigenResul
     def solve(grid, start):
         core = make_core(grid, "neumann")
         if start is None:
-            return _continue(core, _start(core, seed), p)[0]
-        v, prior = start
-        newton = _QuotientNewton(core, p, prior)
-        v, _, _ = newton.refine(v, p)
-        return _result(newton, v)
+            newton = _QuotientNewton(core, p)
+            v, _, _ = newton.continuation(_start(core, seed), continuation_ladder(p))
+        else:
+            v, prior, two_grid = start
+            newton = _QuotientNewton(core, p, prior, two_grid)
+            v, _, _ = newton.refine(v, p)
+        return _result(newton, v), newton
 
-    return _nested(grid, solve)
+    return _nested(grid, solve)[0]
 
 
 # ---------------------------------------------------------------------------

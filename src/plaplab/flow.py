@@ -88,12 +88,12 @@ class FlowConfig:
             raise FlowError(f"unknown boundary condition {self.bc!r}")
         if not 1.0 <= self.p:
             raise FlowError("flow requires 1 <= p <= inf")
-        if self.dt is not None and self.dt <= 0.0:
-            raise FlowError("dt must be positive")
-        if self.delta is not None and self.delta < 0.0:
-            raise FlowError("delta must be nonnegative")
-        if self.t_end <= 0.0:
-            raise FlowError("t_end must be positive")
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise FlowError("dt must be positive and finite")
+        if self.delta is not None and not 0.0 <= self.delta < math.inf:
+            raise FlowError("delta must be nonnegative and finite")
+        if not 0.0 < self.t_end < math.inf:
+            raise FlowError("t_end must be positive and finite")
 
     def resolve_dt(self, grid: Grid) -> float:
         limit = cfl_limit(grid, self.p)

@@ -112,8 +112,8 @@ class ShootingResult:
 
 def torsion_coefficient(p: float, n: int) -> float:
     """``c(p, n) = p / (2(n - 2 + p))``; nondecreasing in p for n >= 2."""
-    if p < 1.0 or n < 1 or n - 2 + p <= 0.0:
-        raise RadialError("torsion coefficient requires p >= 1 and n - 2 + p > 0")
+    if not 1.0 <= p < math.inf or n < 1 or n - 2 + p <= 0.0:
+        raise RadialError("torsion coefficient requires 1 <= p < inf and n - 2 + p > 0")
     return p / (2.0 * (n - 2.0 + p))
 
 
@@ -127,8 +127,8 @@ def normalized_torsion_radial(p: float, n: int, R: float) -> RadialProfile:
     """
     if n < 2:
         raise RadialError("radial torsion requires dimension n >= 2")
-    if R <= 0.0:
-        raise RadialError("ball radius must be positive")
+    if not 0.0 < R < math.inf:
+        raise RadialError("ball radius must be positive and finite")
     c = torsion_coefficient(p, n)
     r = np.linspace(0.0, R, 513)
     v = c * (R * R - r * r)
@@ -213,8 +213,8 @@ def radial_eigen_shoot(p: float, n: int, R: float, k: int = 1) -> ShootingResult
     """
     if not (p > 1.0 and math.isfinite(p)):
         raise RadialError("radial eigenpairs require 1 < p < inf")
-    if n < 2 or R <= 0.0 or k < 1:
-        raise RadialError("need dimension n >= 2, radius R > 0 and index k >= 1")
+    if n < 2 or not 0.0 < R < math.inf or k < 1:
+        raise RadialError("need dimension n >= 2, finite radius R > 0 and index k >= 1")
     nu = (n - p) / (2.0 * (p - 1.0))
     kappa = _bessel_zero(nu, k) / R
     r = np.linspace(0.0, R, 2049)
@@ -262,8 +262,8 @@ class GaussianLimitReport:
 
 
 def gaussian_limit_p1(lam: float, n: int, R: float, p_list) -> GaussianLimitReport:
-    if n < 2 or R <= 0.0 or lam <= 0.0:
-        raise RadialError("need n >= 2, R > 0 and lam > 0")
+    if n < 2 or not 0.0 < R < math.inf or not 0.0 < lam < math.inf:
+        raise RadialError("need n >= 2 and finite R > 0 and lam > 0")
     r = np.linspace(0.0, R, 2049)[1:]
     g = np.exp(-lam * r * r / (2.0 * (n - 1.0)))
     gp = -lam * r / (n - 1.0) * g

@@ -130,6 +130,8 @@ def residual_limit_torsion(u: ScalarField, mask=None) -> LimitResidualReport:
 
 def residual_limit_eigen(u: ScalarField, lam: float, mask=None) -> LimitResidualReport:
     """Residual of ``min{|grad u| - lam u, -lap_inf u}`` (Dirichlet limit)."""
+    if not math.isfinite(lam):
+        raise ValueError("lam must be finite")
     g, tri, flagged = _branch_parts(u)
     keep = _eval_mask(u, flagged, mask)
     residual = np.minimum(g - lam * u.values, -tri)
@@ -159,6 +161,8 @@ def residual_neumann_system(u: ScalarField, lam: float) -> LimitResidualReport:
     bounded away from zero when ``lam`` does not fit the profile), and
     ``maxBranchCeilNegative`` is the mirrored quantity.
     """
+    if not math.isfinite(lam):
+        raise ValueError("lam must be finite")
     g, tri, flagged = _branch_parts(u)
     keep = u.grid.interior & ~flagged
     band = 2.0 * u.grid.h * _region_sup(g, u.grid.interior)
@@ -269,8 +273,8 @@ def check_1d_kink(lam: float) -> TouchingCheckReport:
     condition holds vacuously; the check confirms no sampled quadratic
     stays below v on either side of 0.
     """
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     b, c = _coefficient_grid()
     admissible = (np.abs(b) < 1.0) | ((np.abs(b) == 1.0) & (c >= 0.0))
     eigen_branch = np.abs(b) - lam
@@ -322,8 +326,8 @@ def check_1d_neumann_bc(lam: float) -> TouchingCheckReport:
     those quadratics are returned as witnesses — this is how a candidate
     eigenvalue smaller than 1 is rejected for this profile.
     """
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     b, c = _coefficient_grid()
 
     above = (b < 1.0) | ((b == 1.0) & (c >= 0.0))

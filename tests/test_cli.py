@@ -432,6 +432,23 @@ def test_radial_validation_exits_2(workdir):
     for p in ([], ["--p", "2"], ["--p", "1.5"]):
         assert run(["radial", "--task", "plateau", "--rho", "0.5", *p]) == 2
     assert run(["radial", "--task", "eigen", "--k", "0"]) == 2
+    # NaN and inf pass sign tests: a parameter that is not finite is a
+    # configuration error, not a NaN report or a numerical failure
+    for argv in (["--task", "torsion", "--p", "nan"], ["--task", "torsion", "--R", "nan"],
+                 ["--task", "gaussian", "--lambda", "nan"], ["--task", "eigen", "--R", "inf"],
+                 ["--task", "gaussian", "--p-list", "1.5,nan"]):
+        assert run(["radial", *argv]) == 2
+    for case, lam in (("kink", "nan"), ("neumann-bc", "nan"), ("eigen-limit-1d", "nan"),
+                      ("neumann-limit", "inf"), ("kink", "-1")):
+        assert run(["check", "--case", case, "--lambda", lam]) == 2
+
+
+@pytest.mark.parametrize("option, value", [("--tEnd", "nan"), ("--tEnd", "inf"),
+                                           ("--dt", "nan"), ("--delta", "inf")])
+def test_flow_option_that_is_not_finite_exits_2(square_json, workdir, option, value):
+    argv = ["flow", "--p", "2", "--domain", square_json, "--grid", "8", "--init", "bump"]
+    t_end = [] if option == "--tEnd" else ["--tEnd", "0.001"]
+    assert run([*argv, *t_end, option, value]) == 2
 
 
 # each pair is an option and a case that does not read it

@@ -500,9 +500,13 @@ def test_newton_solves_follow_the_forcing_and_budget_rules(name, p, monkeypatch)
     direction, stage, predict = (dirichlet._Newton.direction, dirichlet._Newton.stage,
                                  dirichlet._Newton.predict)
 
-    def pcg_spy(H, b, lu, rtol, max_iterations):
-        x, its = pcg(H, b, lu, rtol, max_iterations)
-        events.append(("pcg", its, max_iterations))
+    def pcg_spy(H, b, preconditioner, rtol, max_iterations, **kwargs):
+        x, its = pcg(H, b, preconditioner, rtol, max_iterations, **kwargs)
+        if isinstance(preconditioner, dirichlet._TwoGrid):
+            reached = None if x is None else np.linalg.norm(H @ x - b) / np.linalg.norm(b)
+            events.append(("two-grid", its, max_iterations, rtol, kwargs, reached))
+        else:
+            events.append(("pcg", its, max_iterations))
         return x, its
 
     def factor_spy(matrix):
@@ -528,16 +532,30 @@ def test_newton_solves_follow_the_forcing_and_budget_rules(name, p, monkeypatch)
     monkeypatch.setattr(dirichlet._Newton, "predict", predict_spy)
     res = solve_p_torsion(build_grid(RESIDUAL_DOMAINS[name], 64), p=p)
 
-    # no LU serves more than the budget, and no PCG is allowed past it; each
-    # stage's first direction and each tangent solve run at NEWTON_RTOL
-    served, first, etas = None, False, []
-    for event in events:
+    # no LU serves more than the budget, and no LU-preconditioned PCG is
+    # allowed past it; a two-grid PCG (the finest lattice of the nested
+    # square) runs to its own cap and must meet its forcing term, and its
+    # first miss is followed by one LU and no more two-grid PCG; each stage's
+    # first direction and each tangent solve run at NEWTON_RTOL
+    served, first, etas, missed = None, False, [], False
+    for event, after in zip(events, events[1:] + [None]):
         if event[0] == "lu":
             served = 0
         elif event[0] == "pcg":
             assert event[2] == min(dirichlet.PCG_MAX_ITERATIONS, dirichlet.LU_PCG_BUDGET - served)
             served += event[1]
             assert served <= dirichlet.LU_PCG_BUDGET
+        elif event[0] == "two-grid":
+            _, its, cap, rtol, kwargs, reached = event
+            assert not missed
+            assert cap == dirichlet.TWO_GRID_MAX_ITERATIONS and its <= cap
+            assert kwargs == {"accept": rtol}
+            if reached is None:
+                missed = True
+                assert after == ("lu",)
+            else:
+                # PCG's updated residual against the true one, to rounding
+                assert reached <= rtol * (1.0 + 1e-6)
         elif event[0] in ("stage", "predict"):
             first = True
         elif event[0] == "direction":
@@ -546,9 +564,121 @@ def test_newton_solves_follow_the_forcing_and_budget_rules(name, p, monkeypatch)
             etas.append(event[1])
     assert all(0.0 < eta <= dirichlet.FORCING_MAX for eta in etas)
     assert any(eta != dirichlet.NEWTON_RTOL for eta in etas)
-    assert res.pcg_iterations == sum(e[1] for e in events if e[0] == "pcg")
+    assert any(e[0] == "two-grid" for e in events) == (name == "square")
+    assert res.pcg_iterations == sum(e[1] for e in events if e[0] in ("pcg", "two-grid"))
     assert res.pcg_iterations == sum(s.pcg_iterations for s in res.stages)
     assert res.factorizations == sum(e[0] == "lu" for e in events)
+
+
+TWO_GRID_CASES = {"torsion": ("dirichlet", lambda grid: solve_p_torsion(grid, p=8.0).field),
+                  "neumann": ("neumann", lambda grid: neumann_eigen_first(grid, p=8.0).field)}
+
+
+def _two_grid_case(problem, domain, n):
+    """The finest lattice's preconditioning matrix at a p = 8 solution
+    (torsion: its Hessian; Neumann: its shifted metric) and the two-grid
+    cycle on the coarse lattice's LU of the same matrix at the coarse
+    solution, as a nested solve hands it on."""
+    bc, solve = TWO_GRID_CASES[problem]
+    grid = build_grid(domain, n)
+    coarse = coarse_grid(grid)
+    fine_core, coarse_core = make_core(grid, bc), make_core(coarse, bc)
+    matrix = fine_core.weighted_metric(solve(grid).values, 8.0, dirichlet.DELTA)
+    lu = coarse_core.weighted_factor(solve(coarse).values, 8.0, dirichlet.DELTA)
+    cycle = dirichlet._TwoGrid(dirichlet._prolongation(coarse_core, fine_core), lu).on(matrix)
+    return grid, coarse, matrix, cycle  # the cores hold their grids only weakly
+
+
+@pytest.mark.parametrize("name", list(NESTED_DOMAINS))
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_prolongation_matrix_is_the_p1_prolongation(name, bc):
+    grid = build_grid(NESTED_DOMAINS[name], 16)
+    coarse = coarse_grid(grid)
+    fine_core, coarse_core = make_core(grid, bc), make_core(coarse, bc)
+    values = np.random.default_rng(3).standard_normal(coarse.shape)
+    values = np.where(coarse_core.dof_mask, values, 0.0)  # zero Dirichlet data
+    expected = prolong(ScalarField(coarse, values), grid).values.ravel()[fine_core.dof_index]
+    got = dirichlet._prolongation(coarse_core, fine_core) @ values.ravel()[coarse_core.dof_index]
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("problem", list(TWO_GRID_CASES))
+@pytest.mark.parametrize("name", list(NESTED_DOMAINS))
+def test_two_grid_cycle_is_symmetric_and_positive_definite(problem, name):
+    grid, coarse, matrix, cycle = _two_grid_case(problem, NESTED_DOMAINS[name], 16)
+    m = matrix.shape[0]
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal(m), rng.standard_normal(m)
+    sx, sy = cycle.solve(x), cycle.solve(y)
+    assert abs(x @ sy - sx @ y) <= 1e-13 * np.linalg.norm(x) * np.linalg.norm(sy)
+    # the preconditioned matrix L^T S L (M = L L^T) has a positive spectrum
+    # near 1: measured from 0.63-0.98 to 1.00-1.20
+    dense = cycle.solve(np.eye(m))
+    low = np.linalg.cholesky(matrix.toarray())
+    spectrum = np.linalg.eigvalsh(low.T @ (0.5 * (dense + dense.T)) @ low)
+    assert 0.3 < spectrum[0] and spectrum[-1] < 1.5
+    # a 2-D right-hand side is its columns solved one by one
+    block = rng.standard_normal((m, 3))
+    assert np.array_equal(cycle.solve(block),
+                          np.column_stack([cycle.solve(block[:, k]) for k in range(3)]))
+
+
+def test_two_grid_miss_falls_back_to_one_lu_that_meets_the_forcing_term(monkeypatch):
+    monkeypatch.setattr(dirichlet, "TWO_GRID_MAX_ITERATIONS", 1)
+    grid, coarse, _, cycle = _two_grid_case("torsion", Domain.unit_square(), 64)
+    core = make_core(grid, "dirichlet")
+    v = prolong(solve_p_torsion(coarse, p=8.0).field, grid).values
+    newton = dirichlet._Newton(core, np.ones(grid.shape), two_grid=cycle)
+    H = core.hessian(v, 8.0, dirichlet.DELTA)
+    g = newton.objective(v, 8.0, dirichlet.DELTA)[1]
+    b = g.ravel()[core.dof_index]
+    eta = 1e-6
+    d = newton.direction(v, g, H, eta)
+    # one two-grid iteration, then one fresh LU; the cycle is gone
+    assert newton.pcg_iterations == 1 and newton.factorizations == 1
+    assert newton.two_grid is None and newton.factor is not None
+    assert np.linalg.norm(H @ d.ravel()[core.dof_index] - b) <= eta * np.linalg.norm(b)
+    # the next direction is preconditioned by that LU
+    newton.direction(v, g, H, 0.5)
+    assert newton.factorizations == 1 and newton.factor_pcg >= 1
+
+
+@pytest.mark.parametrize("problem, domain, n, p, rhs_columns", [
+    ("torsion", Domain.unit_square(), 128, 8.0, {1}),
+    ("torsion", Domain.interval(0.0, 1.0), 128, 32.0, {1}),
+    ("neumann", Domain.interval(0.0, 1.0), 128, 8.0, {1, 3}),
+    ("neumann", Domain.unit_square(), 64, 8.0, {1, 3}),
+    ("torsion", Domain.disc((0.0, 0.0), 1.0), 64, 8.0, set()),
+    ("torsion", Domain.unit_square(), 63, 8.0, set()),
+    ("torsion", Domain.unit_square(), 64, 2.0, set())],
+    ids=["square-torsion", "interval-torsion", "interval-neumann", "square-neumann",
+         "disc", "odd-n", "p2"])
+def test_only_the_finest_nested_lattice_runs_the_two_grid_cycle(problem, domain, n, p,
+                                                                 rhs_columns, monkeypatch):
+    # the finest lattice of a nested solve runs on the cycle and factors
+    # nothing (the projected PCG of the Neumann pair also solves with a
+    # 2-D right-hand side: the residual and both constraint normals);
+    # coarser lattices, lattices that do not nest and p = 2 run on LUs
+    sizes, columns = set(), set()
+    solve = dirichlet._TwoGrid.solve
+
+    def spy(self, b):
+        sizes.add(self.matrix.shape[0])
+        columns.add(1 if b.ndim == 1 else b.shape[1])
+        return solve(self, b)
+
+    monkeypatch.setattr(dirichlet._TwoGrid, "solve", spy)
+    grid = build_grid(domain, n)
+    res = solve_p_torsion(grid, p=p) if problem == "torsion" else neumann_eigen_first(grid, p=p)
+    assert columns == rhs_columns
+    fine = [s for s in res.stages if s.n == n]
+    if rhs_columns:
+        bc = "dirichlet" if problem == "torsion" else "neumann"
+        assert sizes == {len(make_core(grid, bc).dof_index)}
+        assert sum(s.factorizations for s in fine) == 0 and all(s.pcg_iterations for s in fine)
+        assert sum(s.factorizations for s in res.stages if s.n == n // 2) >= 1
+    else:
+        assert {s.n for s in res.stages} == {n}
 
 
 def test_forcing_term_is_eisenstat_walker_choice_2():

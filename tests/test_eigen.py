@@ -186,6 +186,8 @@ def test_nested_neumann_records_every_level():
     assert [(s.n, s.p) for s in res.stages] == [(32, 2.0), (32, 4.0), (32, 8.0), (64, 8.0)]
     fine, coarse = res.stages[-1], res.stages[-2]
     assert fine.start == "prolonged" and fine.delta == 1e-6
+    # the finest lattice runs on the two-grid cycle of the coarse LU
+    assert fine.factorizations == 0 and coarse.factorizations >= 1
     assert fine.stop == "converged" and fine.residual <= fine.target <= coarse.target
     assert sum(s.iterations for s in res.stages) == res.iterations
     assert sum(s.factorizations for s in res.stages) == res.factorizations

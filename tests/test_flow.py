@@ -65,6 +65,11 @@ def test_flow_config_validation(square32):
         FlowConfig(t_end=0.0)
     with pytest.raises(FlowError):
         FlowConfig(delta=-1.0)
+    # NaN and inf pass a sign test: each must be rejected as not finite
+    for bad in (math.nan, math.inf):
+        for option in ("dt", "delta", "t_end"):
+            with pytest.raises(FlowError):
+                FlowConfig(**{option: bad})
     cfg = FlowConfig(p=2.0)
     assert cfg.resolve_dt(square32) == pytest.approx(cfl_limit(square32, 2.0))
     with pytest.raises(FlowError):

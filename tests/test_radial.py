@@ -63,6 +63,9 @@ def test_radial_torsion_input_validation():
         normalized_torsion_radial(2.0, 1, 1.0)
     with pytest.raises(RadialError):
         normalized_torsion_radial(2.0, 2, 0.0)
+    for p, R in ((math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan), (2.0, math.inf)):
+        with pytest.raises(RadialError):
+            normalized_torsion_radial(p, 2, R)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +158,9 @@ def test_shoot_input_validation():
         radial_eigen_shoot(2.0, 2, 1.0, k=0)
     with pytest.raises(RadialError):
         radial_eigen_shoot(2.0, 1, 1.0)
+    for R in (math.nan, math.inf):
+        with pytest.raises(RadialError):
+            radial_eigen_shoot(2.0, 2, R)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +191,9 @@ def test_gaussian_input_validation():
         gaussian_limit_p1(0.0, 2, 1.0, (1.5,))
     with pytest.raises(RadialError):
         gaussian_limit_p1(2.0, 2, -1.0, (1.5,))
+    for lam, R in ((math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan), (2.0, math.inf)):
+        with pytest.raises(RadialError):
+            gaussian_limit_p1(lam, 2, R, (1.5,))
 
 
 # ---------------------------------------------------------------------------

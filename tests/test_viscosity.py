@@ -112,6 +112,14 @@ class TestEigenLimitResidual:
         rep2 = residual_limit_eigen(u, 2.0)
         assert rep2.sup_residual > 0.4
 
+    def test_rejects_a_rate_that_is_not_finite(self):
+        grid = build_grid(Domain.interval(-1.0, 1.0), 16)
+        (x,) = grid.coordinates()
+        u = ScalarField(grid, np.where(grid.nonexterior, 1.0 - np.abs(x), 0.0))
+        for lam in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                residual_limit_eigen(u, lam)
+
     def test_disc_cone_residual_refines(self):
         sups = {}
         for n in (64, 128):
@@ -156,6 +164,11 @@ class TestNeumannSystemResidual:
         assert off.diagnostics["minBranchFloorPositive"] == pytest.approx(
             1.0 - (1.0 - h) / math.sqrt(2.0), abs=1e-12)
         assert off.diagnostics["minBranchFloorPositive"] > 0.25
+
+    def test_rejects_a_rate_that_is_not_finite(self, linear_profile):
+        for lam in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                residual_neumann_system(linear_profile, lam)
 
     def test_band_is_twice_h_times_gradient_sup(self, linear_profile):
         rep = residual_neumann_system(linear_profile, 1.0)
@@ -232,10 +245,9 @@ class TestKinkCheck:
         np.testing.assert_allclose(recomputed, vals, rtol=0, atol=1e-15)
 
     def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            check_1d_kink(0.0)
-        with pytest.raises(ValueError):
-            check_1d_kink(-1.0)
+        for lam in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                check_1d_kink(lam)
 
     def test_serialization_and_determinism(self):
         rep = check_1d_kink(0.5)
@@ -286,5 +298,6 @@ class TestNeumannBoundaryCheck:
         np.testing.assert_allclose(recomputed, vals, rtol=0, atol=1e-15)
 
     def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            check_1d_neumann_bc(0.0)
+        for lam in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                check_1d_neumann_bc(lam)
