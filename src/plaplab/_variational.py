@@ -26,12 +26,21 @@ exactly to the classical 5-point scheme.  The Newton matrix is the exact
 Hessian of the regularized energy (:meth:`VariationalCore.hessian`), whose
 element tensor ``w (I + (p-2) g g^T/(|g|^2 + delta^2))`` couples the two ends
 of each cell's diagonal (a 7-point pattern); at p = 2 it is the 5-point
-stiffness.  :meth:`VariationalCore.weighted_factor` factors it, for Neumann
-problems shifted by a multiple of the weight-lumped mass (each element gives
-its Hessian weight times its measure over its corner count to each corner),
-which follows the Hessian's local scale where the gradient vanishes.  The
-pattern, and the map from element stamps to CSC data slots, are computed
-once per core.  :meth:`VariationalCore.sweep` minimizes the energy less a
+stiffness.  It is assembled as a lattice stencil (:meth:`VariationalCore._stencil`):
+one node coefficient array per coupling offset (the diagonal and the three
+positive offsets of a cell's corners in 2-D, two arrays in 1-D), into which
+each family's element stamps are added with shifted windows of the cells,
+inadmissible cells adding 0; one gather map, computed once per core with
+the CSC pattern, then fills the matrix data.  Stamps are added in family,
+then corner-pair order, so every entry is the sum an element-by-element
+scatter in that order gives, bit for bit up to the sign of zero.  For
+Neumann problems the preconditioning metric adds a multiple of the
+weight-lumped mass to the diagonal (each element gives its Hessian weight
+times its measure over its corner count to each corner), which follows the
+Hessian's local scale where the gradient vanishes; :meth:`VariationalCore.assemble`
+returns that diagonal with the Hessian of the same assembly, and
+:meth:`VariationalCore.weighted_factor` factors their sum.
+:meth:`VariationalCore.sweep` minimizes the energy less a
 load node by node, one colour at a time: colouring nodes by their lattice
 index sum mod dim + 1 gives every element one corner of each colour, so the
 nodes of a colour are independent; its tables are also built once per core.
@@ -139,13 +148,28 @@ class VariationalCore:
         ok = grid.nonexterior
         # per family: the flat node index of each corner of every admissible
         # element and the unit gradient matrix B (grad v = B v_corners / h);
-        # for _slopes, each corner's window over the cells, the (plus, minus)
-        # corners, the admissibility mask (None when every cell is
-        # admissible) and the element count; per gradient component and
+        # for _slopes and _stencil, each corner's window over the cells, the
+        # (plus, minus) corners, the admissibility mask (None when every cell
+        # is admissible) and the element count; per gradient component and
         # family: the (plus, minus) node pairs
         self._families, self._windows = [], []
         pairs = [[] for _ in range(grid.dim)]
+        # the Hessian stencil: flat offsets between coupled nodes (0, the
+        # diagonal, first), and per family one stamp per corner pair a <= b
+        # in _corner_pairs order, as (a, b, coupling index, corner at the
+        # lower node); the stamp of (b, a) is the same number
+        strides = [int(np.prod(ok.shape[k + 1:])) for k in range(grid.dim)]
+        self._couplings, self._stamps = [0], []
         for corners, grads in _FAMILIES[grid.dim]:
+            stamps = []
+            for a, b in _corner_pairs(len(corners)):
+                if a > b:
+                    continue
+                offset = sum((cb - ca) * st for ca, cb, st in zip(corners[a], corners[b], strides))
+                if abs(offset) not in self._couplings:
+                    self._couplings.append(abs(offset))
+                stamps.append((a, b, self._couplings.index(abs(offset)), a if offset >= 0 else b))
+            self._stamps.append(stamps)
             # element origins run over the cells: shape - 1 nodes per axis
             windows = [tuple(slice(o, s - 1 + o) for o, s in zip(c, ok.shape)) for c in corners]
             mask = np.logical_and.reduce([ok[w] for w in windows])
@@ -176,6 +200,7 @@ class VariationalCore:
             self.dof_mask = ok & (self.mass > 0.0)
         order = _dissection_order(ok.shape) if grid.dim > 1 else np.arange(ok.size)
         self.dof_index = order[self.dof_mask.ravel()[order]]
+        self._cell_shape = tuple(n - 1 for n in ok.shape)
         self._csc_pattern = None
         self._colour_tables = None
 
@@ -243,15 +268,17 @@ class VariationalCore:
         A node's colour is its lattice index sum mod ``dim + 1``: (i + j)
         mod 3 in 2-D, i mod 2 in 1-D.  Each family's corner offsets sum to
         0, 1, ..., dim, so every element has one corner of each colour.
-        Returns one ``(dofs, elements, column, owner)`` per colour, int32:
-        the colour's dofs (flat indices); every admissible element with a
-        corner among them (its column in ``_slopes``); that corner's column
-        of ``_columns``; and the corner's position in ``dofs``."""
+        Returns one ``(dofs, elements, b, bb, owner)`` per colour: the
+        colour's dofs (flat indices); every admissible element with a corner
+        among them (its column in ``_slopes``); that corner's hat-function
+        gradient ``b`` (its column of ``_columns`` over h) and ``b.b``; and
+        the corner's position in ``dofs``.  The indices are int32."""
         if self._colour_tables is not None:
             return self._colour_tables
         grid = self.grid
         colour = (np.indices(grid.shape).sum(axis=0) % (grid.dim + 1)).ravel()
         dof = self.dof_mask.ravel()
+        columns = self._columns / self.h
         tables = []
         for c in range(grid.dim + 1):
             elements, column, node = [], [], []
@@ -265,8 +292,9 @@ class VariationalCore:
                 start += len(nodes[0])
                 first_column += len(nodes)
             dofs, owner = np.unique(np.concatenate(node), return_inverse=True)
-            tables.append(tuple(a.astype(np.int32) for a in (
-                dofs, np.concatenate(elements), np.concatenate(column), owner)))
+            b = columns[:, np.concatenate(column)]
+            tables.append((dofs.astype(np.int32), np.concatenate(elements).astype(np.int32),
+                           b, np.einsum("ij,ij->j", b, b), owner.astype(np.int32)))
         self._colour_tables = tables
         return tables
 
@@ -290,14 +318,11 @@ class VariationalCore:
         v = v.copy()
         flat = v.reshape(-1)
         rhs = rhs.ravel()
-        columns = self._columns / self.h
         root = 1.0 / (p - 1.0)
         floor = delta * delta
-        for dofs, elements, column, owner in self._colouring():
+        for dofs, elements, b, bb, owner in self._colouring():
             g, s = self._slopes(v, delta)
-            b = columns[:, column]
             gb = np.einsum("ij,ij->j", g[:, elements], b)
-            bb = np.einsum("ij,ij->j", b, b)
             s = s[elements]
             k = len(dofs)
             goal = rhs[dofs]
@@ -362,57 +387,100 @@ class VariationalCore:
     def _pattern(self):
         """CSC pattern on the dofs of the energy Hessian (every corner pair
         of every element, which adds each cell's diagonal to the 5-point
-        stencil: 7 points) and the data slot of each element stamp; computed
-        once per core.  Rows and columns are dofs in ``dof_index`` order, and
-        the rows of each column are sorted (canonical format), so that no
-        sparse operation sorts the shared read-only arrays.
+        stencil: 7 points) and its gather map from :meth:`_stencil`'s
+        coefficients; computed once per core.  Rows and columns are dofs in
+        ``dof_index`` order, and the rows of each column are sorted
+        (canonical format), so that no sparse operation sorts the shared
+        read-only arrays.
 
-        Stamps run over families, then corner pairs (``_corner_pairs``),
-        then elements.  Returns ``(slot, diag, indices, indptr)``: stamp k
-        adds to ``data[slot[k]]``, slot ``len(indices)`` collects the stamps
-        that touch a non-dof, and ``diag`` holds the slots of the diagonal.
-        """
+        Returns ``(gather, diag, indices, indptr)``: a Hessian's data is
+        ``coef.ravel()[gather]``, and ``diag`` holds the slots of the
+        diagonal."""
         if self._csc_pattern is not None:
             return self._csc_pattern
-        # stamp groups (nodes, a, b): one stamp per element of a family,
-        # coupling corners a fixed flat-index offset apart, so the pattern is
-        # a (column, offset) table
-        groups = [(nodes, a, b) for nodes, _ in self._families
-                  for a, b in _corner_pairs(len(nodes))]
-        shift = [int(nodes[a][0] - nodes[b][0]) if len(nodes[0]) else 0
-                 for nodes, a, b in groups]
-        offsets = sorted(set(shift) | {0})
+        size = int(np.prod(self.grid.shape))
+        # couples[k, i]: an admissible element holds nodes i and i + couplings[k]
+        couples = np.zeros((len(self._couplings), *self.grid.shape), dtype=bool)
+        couples[0] = True
+        for (windows, _, mask, _), stamps in zip(self._windows, self._stamps):
+            for _, _, k, low in stamps:
+                couples[k][windows[low]] |= True if mask is None else mask
+        couples = couples.reshape(len(self._couplings), size)
         m = len(self.dof_index)
-        pos = np.full(int(np.prod(self.grid.shape)), -1, dtype=np.int32)
+        pos = np.full(size, m)  # non-dofs sort after every row
         pos[self.dof_index] = np.arange(m)
-        # the diagonal is always in the pattern (Neumann adds its mass shift there)
-        present = np.zeros((m, len(offsets)), dtype=bool)
-        present[:, offsets.index(0)] = True
-        cols = []
-        for (nodes, a, b), d in zip(groups, shift):
-            col = pos[nodes[b]]
-            col[pos[nodes[a]] < 0] = -1
-            present[col[col >= 0], offsets.index(d)] = True
-            cols.append(col)
-        # the row of each table entry; absent entries sort after every row
-        rows = np.full(present.shape, m, dtype=np.int32)
-        col_idx, k_idx = np.nonzero(present)
-        rows[col_idx, k_idx] = pos[self.dof_index[col_idx] + np.asarray(offsets)[k_idx]]
-        rank = rows.argsort(axis=1).argsort(axis=1)  # of each row within its column
-        indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
-        nnz = int(indptr[-1])
-        # slot nnz collects stamps off the dofs
-        table = np.where(present, indptr[:-1, None] + rank, nnz)
-        slot = np.concatenate([np.where(col >= 0, table[col, offsets.index(d)], nnz)
-                               for col, d in zip(cols, shift)])
-        indices = np.sort(rows, axis=1)
-        indices = indices[indices < m]
-        indices, indptr = indices.astype(np.int32), indptr.astype(np.int32)
+        column = self.dof_index
+        rows, sources = [], []
+        for k, offset in enumerate(self._couplings):
+            for other in (column,) if offset == 0 else (column + offset, column - offset):
+                inside = (other >= 0) & (other < size)
+                other = np.where(inside, other, column)
+                low = np.minimum(column, other)
+                rows.append(np.where(inside & couples[k, low], pos[other], m))
+                sources.append(k * size + low)
+        rows, sources = np.stack(rows, axis=1), np.stack(sources, axis=1)
+        order = rows.argsort(axis=1)
+        rows = np.take_along_axis(rows, order, axis=1)
+        keep = rows < m
+        indices = rows[keep].astype(np.int32)
+        gather = np.take_along_axis(sources, order, axis=1)[keep]
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int32)
+        diag = np.flatnonzero(indices == np.repeat(np.arange(m), np.diff(indptr)))
         # every Hessian shares them: an in-place edit of one (eliminate_zeros,
         # prune) raises instead of rewriting the pattern of the next
         indices.flags.writeable = indptr.flags.writeable = False
-        self._csc_pattern = (slot, table[:, offsets.index(0)], indices, indptr)
+        self._csc_pattern = (gather, diag, indices, indptr)
         return self._csc_pattern
+
+    def _on_cells(self, x: np.ndarray, mask) -> np.ndarray:
+        """Per-element values ``x`` (last axis: one family's admissible
+        elements in ``np.nonzero`` order of its ``mask``) on the lattice
+        cells, 0 on the inadmissible ones."""
+        if mask is None:
+            return x.reshape(*x.shape[:-1], *self._cell_shape)
+        out = np.zeros((*x.shape[:-1], *self._cell_shape))
+        out[..., mask] = x
+        return out
+
+    def _stencil(self, v: np.ndarray, p: float, delta: float):
+        """The energy Hessian at ``v`` as a lattice stencil, and the floored
+        element weights ``w`` (:meth:`_element_weights`).
+
+        ``coef[k, i]`` couples node ``i`` to node ``i + _couplings[k]`` (the
+        diagonal for k = 0), over all lattice nodes.  Each family's stamps
+        are computed on the cells, 0 on inadmissible ones, and added with
+        the window of the stamp's lower corner; stamps go in family, then
+        ``_corner_pairs`` order, so each coefficient is the sum that a
+        scatter of the element stamps in that order would give."""
+        g, s, w = self._element_weights(v, p, delta)
+        r = np.divide(p - 2.0, s, out=np.zeros_like(s), where=s > 0.0) * w
+        coef = np.zeros((len(self._couplings), *self.grid.shape))
+        stamp, term = np.empty(self._cell_shape), np.empty(self._cell_shape)
+        start = 0
+        # an element with coefficient tensor A adds volume/h^2 B^T A B
+        measure = self._volume / self.h ** 2
+        for (_, B), (windows, _, mask, count), stamps in zip(self._families, self._windows,
+                                                             self._stamps):
+            sl = slice(start, start + count)
+            start = sl.stop
+            # B^T A B = w B^T B + r (B^T g)(B^T g)^T, each stamp as
+            # cw btb[a, b] + (cr bg[a]) bg[b]
+            cw = self._on_cells(measure * w[sl], mask)
+            bg = B.T @ g[:, sl]
+            crbg = self._on_cells(measure * r[sl] * bg, mask)
+            bg = self._on_cells(bg, mask)
+            btb = B.T @ B
+            for a, b, k, low in stamps:
+                np.multiply(cw, btb[a, b], out=stamp)
+                stamp += np.multiply(crbg[a], bg[b], out=term)
+                coef[k][windows[low]] += stamp
+        return coef, w
+
+    def _dof_matrix(self, coef: np.ndarray) -> sp.csc_matrix:
+        """The dof matrix of the stencil ``coef`` on the shared pattern."""
+        gather, _, indices, indptr = self._pattern()
+        m = len(self.dof_index)
+        return sp.csc_matrix((coef.ravel()[gather], indices, indptr), shape=(m, m))
 
     @staticmethod
     def factor(matrix: sp.csc_matrix):
@@ -436,40 +504,6 @@ class VariationalCore:
         return 1.0 / max(self.grid.domain.bounding_box[2]
                          - self.grid.domain.bounding_box[0], 1.0) ** 2
 
-    def _metric(self, v: np.ndarray, p: float, delta: float, shifted: bool) -> sp.csc_matrix:
-        """The energy Hessian at ``v`` on the dofs; with ``shifted``, plus
-        ``_neumann_sigma()`` times the weight-lumped mass (:meth:`_lumped` of
-        the floored element weights ``w``) for Neumann."""
-        g, s, w = self._element_weights(v, p, delta)
-        r = np.divide(p - 2.0, s, out=np.zeros_like(s), where=s > 0.0) * w
-        slot, diag, indices, indptr = self._pattern()
-        vals = np.empty(len(slot))
-        start = stop = 0
-        # an element with coefficient tensor A adds volume/h^2 B^T A B
-        measure = self._volume / self.h ** 2
-        for nodes, B in self._families:
-            sl = slice(start, start + len(nodes[0]))
-            start = sl.stop
-            # B^T A B = w B^T B + r (B^T g)(B^T g)^T, in _pattern's stamp order
-            cw, cr = measure * w[sl], measure * r[sl]
-            bg = B.T @ g[:, sl]
-            btb = B.T @ B
-            done = {}
-            for a, b in _corner_pairs(len(nodes)):
-                out = vals[stop:stop + len(nodes[0])]
-                stop += len(nodes[0])
-                if (b, a) in done:
-                    out[:] = done[b, a]
-                else:
-                    np.multiply(cw, btb[a, b], out=out)
-                    out += cr * bg[a] * bg[b]
-                    done[a, b] = out
-        data = np.bincount(slot, weights=vals, minlength=len(indices) + 1)[:-1]
-        if shifted and self.bc == "neumann":
-            data[diag] += self._neumann_sigma() * self._lumped(w)[self.dof_index]
-        m = len(self.dof_index)
-        return sp.csc_matrix((data, indices, indptr), shape=(m, m))
-
     def hessian(self, v: np.ndarray, p: float, delta: float) -> sp.csc_matrix:
         """Hessian of :meth:`energy` on the dofs (no Neumann mass shift).
 
@@ -481,7 +515,27 @@ class VariationalCore:
         the gradient vanishes.  At p = 2 (``w_T = 1``) it is the P1
         stiffness.
         """
-        return self._metric(v, p, delta, shifted=False)
+        return self._dof_matrix(self._stencil(v, p, delta)[0])
+
+    def assemble(self, v: np.ndarray, p: float, delta: float):
+        """``(hessian, shift)`` from one stencil assembly: :meth:`hessian`
+        at ``v`` and the diagonal on the dofs that :meth:`weighted_metric`
+        adds to it, None for Dirichlet, which adds nothing."""
+        coef, w = self._stencil(v, p, delta)
+        shift = None
+        if self.bc == "neumann":
+            shift = self._neumann_sigma() * self._lumped(w)[self.dof_index]
+        return self._dof_matrix(coef), shift
+
+    def plus_diagonal(self, matrix: sp.csc_matrix, diagonal) -> sp.csc_matrix:
+        """``matrix + diag(diagonal)`` for a matrix on this core's pattern
+        (a :meth:`hessian`), on a copy of its data that shares the pattern;
+        ``matrix`` itself when ``diagonal`` is None."""
+        if diagonal is None:
+            return matrix
+        data = matrix.data.copy()
+        data[self._pattern()[1]] += diagonal
+        return sp.csc_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
 
     def weighted_metric(self, v: np.ndarray, p: float, delta: float) -> sp.csc_matrix:
         """:meth:`hessian` at ``v`` plus, for Neumann, ``_neumann_sigma()``
@@ -491,7 +545,7 @@ class VariationalCore:
         local scale of the Hessian, where one global weight would swamp it at
         the degenerate corners of a high-p iterate; at p = 2 (``w_T = 1``) it
         is ``_neumann_sigma() * M``, ``M`` the lumped mass."""
-        return self._metric(v, p, delta, shifted=True)
+        return self.plus_diagonal(*self.assemble(v, p, delta))
 
     def weighted_factor(self, v: np.ndarray, p: float, delta: float):
         """LU of :meth:`weighted_metric`; :meth:`precond_solve` applies it."""

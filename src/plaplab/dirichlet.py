@@ -381,7 +381,7 @@ class _Newton:
     Subclasses override :meth:`objective`, :meth:`hessian`,
     :meth:`constraints` (normals of linear constraints on the direction),
     :meth:`retract` (onto the constraint set, after each trial step),
-    :meth:`metric`, :meth:`factorize`, :meth:`predict`,
+    :meth:`metric`, :meth:`predict`,
     :meth:`prolonged_start` and ``error``.  For a constrained direction the
     LU is a preconditioner only: a fresh one reruns PCG.  ``max_iterations``
     caps the Newton steps of each continuation stage.  ``prior``: the stage
@@ -413,7 +413,9 @@ class _Newton:
             g = g + self.core.load_grad(self.load)
         return e, g
 
-    def hessian(self, v, p, delta):
+    def hessian(self, v, p, delta, e):
+        """The Hessian at ``(v, p, delta)``, where the objective is ``e``
+        (which the energy Hessian does not need)."""
         return self.core.hessian(v, p, delta)
 
     def constraints(self, v):
@@ -423,12 +425,9 @@ class _Newton:
         return v
 
     def metric(self, v, H):
-        """The positive definite matrix that preconditions ``H`` at ``v``."""
+        """The positive definite matrix that preconditions ``H`` at ``v``;
+        the LU path factors it."""
         return H
-
-    def factorize(self, v, H):
-        """The LU of :meth:`metric`."""
-        return self.core.factor(H)
 
     def direction(self, v, g, H, eta=NEWTON_RTOL) -> np.ndarray:
         core = self.core
@@ -449,7 +448,7 @@ class _Newton:
             self.pcg_iterations += its
         if x is None:
             self.factor = None  # free the old LU before the new one is built
-            self.factor = self.factorize(v, H)
+            self.factor = self.core.factor(self.metric(v, H))
             self.factor_pcg = 0
             self.factorizations += 1
             if A is None:
@@ -475,7 +474,7 @@ class _Newton:
         core = self.core
         e, g = self.objective(v, p, delta) if evaluated is None else evaluated
         residual = _strong_residual(core, g)
-        H = self.hessian(v, p, delta)
+        H = self.hessian(v, p, delta, e)
         tau = 1.0
         eta = NEWTON_RTOL
         stall = 0
@@ -514,7 +513,7 @@ class _Newton:
             self.history.append(e)
             r_old, residual = residual, _strong_residual(core, g)
             eta = _forcing(residual, r_old, eta)
-            H = self.hessian(v, p, delta)
+            H = self.hessian(v, p, delta, e)
             tau = min(t * 2.0, 1.0)
             stall = stall + 1 if rel_drop < STALL_RTOL and residual >= r_old else 0
         self._record(e, H, p, delta, start, its, target, residual, floor, stop, strict)
@@ -534,7 +533,7 @@ class _Newton:
         core = self.core
         e, g = self.objective(v, p, 0.0)
         residual = _strong_residual(core, g)
-        H = self.hessian(v, p, 0.0)
+        H = self.hessian(v, p, 0.0, e)
         eta = NEWTON_RTOL
         its = 0
         stop = "stalled"
@@ -548,7 +547,7 @@ class _Newton:
             v, e, g = v_try, e_try, g_try
             self.history.append(e)
             r_old, residual = residual, r_try
-            H = self.hessian(v, p, 0.0)
+            H = self.hessian(v, p, 0.0, e)
             eta = _forcing(residual, r_old, eta)
         else:
             stop = "max-iterations"

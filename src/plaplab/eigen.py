@@ -47,7 +47,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import geometry
 from ._variational import VariationalCore, make_core
@@ -90,8 +89,9 @@ PERTURBATION = 1e-3
 class EigenResult:
     """First eigenpair in a fixed normalization.
 
-    ``field`` has sup-norm 1 with positive maximum (Dirichlet fields are
-    nonnegative, Neumann fields have zero p-mean).  ``history`` holds the
+    ``field`` has sup-norm 1.  Dirichlet fields are nonnegative, with a
+    positive maximum; Neumann fields have zero p-mean and a positive inner
+    product ``sum m v r`` with the diameter ramp ``r``.  ``history`` holds the
     (regularized) quotient after each accepted step of the last stage, and
     ``residual`` the relative quotient-gradient norm ``||grad N - R grad D||
     / ||grad N||`` over the dofs at the returned field; the counts and
@@ -218,14 +218,16 @@ class _QuotientNewton(_Newton):
     """Projected Newton on ``R = p E_delta / D`` (``p E_delta`` on ``D =
     1``): the gradient is ``g = grad E_delta - R m |v|^(p-2) v`` and the
     Hessian is the Lagrangian's, the energy Hessian less the diagonal ``R
-    (p-1) m |v|^(p-2)``.  Directions keep the linearized constraints
-    (normals ``m |v|^(p-2) v``, for Neumann also ``m |v|^(p-2)``),
-    preconditioned with the LU of ``weighted_factor``, or on the finest
-    lattice of a nested solve with the two-grid cycle smoothing on
-    ``weighted_metric``: the energy Hessian, for Neumann plus a multiple of
-    the weight-lumped mass, which keeps to the Hessian's scale at the
-    corners where a high-p eigenfunction's gradient vanishes; trial points are shifted to zero p-mean (Neumann) and
-    normalized to ``D = 1``."""
+    (p-1) m |v|^(p-2)``, with ``R`` the objective the step has evaluated.
+    Directions keep the linearized constraints (normals ``m |v|^(p-2) v``,
+    for Neumann also ``m |v|^(p-2)``).  They are preconditioned with the LU
+    of the metric, or on the finest lattice of a nested solve with the
+    two-grid cycle smoothing on it.  The metric is the energy Hessian of
+    the same assembly (``VariationalCore.assemble``), for Neumann plus a
+    multiple of the weight-lumped mass on the diagonal, which keeps to the
+    Hessian's scale at the corners where a high-p eigenfunction's gradient
+    vanishes: each Newton step assembles the stamps once.  Trial points
+    are shifted to zero p-mean (Neumann) and normalized to ``D = 1``."""
 
     error = EigenError
     max_iterations = 4000
@@ -233,16 +235,17 @@ class _QuotientNewton(_Newton):
     def __init__(self, core: VariationalCore, p: float, prior=(), two_grid=None):
         super().__init__(core, None, prior, two_grid)
         self.at = (p, DELTA)  # (p, delta) of the last Hessian
+        self.assembled = None  # its energy Hessian and the metric's diagonal shift
 
     def objective(self, v, p, delta):
         q, grad_e, flux = _quotient_grad(self.core, v, p, delta)
         return q, grad_e - q * flux
 
-    def hessian(self, v, p, delta):
+    def hessian(self, v, p, delta, e):
         core, self.at = self.core, (p, delta)
-        q = p * core.energy(v, p, delta) / core.pnorm_term(v, p)
+        self.assembled = core.assemble(v, p, delta)
         weights = _pmean_weights(v, core.mass, p).ravel()[core.dof_index]
-        return core.hessian(v, p, delta) - sp.diags(q * (p - 1.0) * weights, format="csc")
+        return core.plus_diagonal(self.assembled[0], -(e * (p - 1.0) * weights))
 
     def constraints(self, v):
         core = self.core
@@ -260,10 +263,8 @@ class _QuotientNewton(_Newton):
         return v / den ** (1.0 / p)
 
     def metric(self, v, H):
-        return self.core.weighted_metric(v, *self.at)
-
-    def factorize(self, v, H):
-        return self.core.weighted_factor(v, *self.at)
+        """The metric of the last Hessian ``H``, at ``v``."""
+        return self.core.plus_diagonal(*self.assembled)
 
     def prolonged_start(self, v, p, delta, evaluated):
         """The prolonged eigenfunction itself, with its objective
@@ -324,8 +325,15 @@ def _result(newton: _QuotientNewton, v: np.ndarray) -> EigenResult:
     residual = (float(np.linalg.norm((grad_e - q * flux)[dofs]))
                 / max(float(np.linalg.norm(grad_e[dofs])), 1e-300))
     raw = _quotient(core, v, last.p)
-    # sign convention: positive maximum (zero p-mean survives negation)
-    if abs(float(v.min())) > float(v.max()):
+    # sign convention: a Dirichlet field has a positive maximum; a Neumann
+    # field rises along the diameter ramp, whose inner product with it does
+    # not tie on symmetric domains as its max and -min do (zero p-mean
+    # survives negation)
+    if core.bc == "neumann":
+        flip = float(np.sum(core.mass * v * _diameter_ramp(core.grid))) < 0.0
+    else:
+        flip = abs(float(v.min())) > float(v.max())
+    if flip:
         v = -v
     ok = core.grid.nonexterior
     out = ScalarField(core.grid, np.where(ok, v / float(np.max(np.abs(v[ok]))), 0.0))

@@ -432,3 +432,69 @@ def normalized_stencil_two_part(v, h: float, p: float, delta: float, scale: floa
     np.multiply(lap, scale / (p * h * h), out=out)
     num *= scale * (1.0 - 2.0 / p) / (h * h)
     out += num
+
+
+def bincount_metric(core, v, p: float, delta: float, shifted: bool):
+    """A core's energy Hessian at ``v`` (with ``shifted``, for Neumann plus
+    ``_neumann_sigma()`` times the weight-lumped mass) as the package
+    assembled it before its lattice stencil: every element stamp
+    ``cw btb[a, b] + (cr bg[a]) bg[b]`` gets a CSC data slot from a per-stamp
+    table, and ``np.bincount`` sums the stamps in family, then corner pair,
+    then element order.  Returns ``(data, indices, indptr)``; the stencil
+    must give the same bits, up to the sign of zero."""
+    families = core._families
+    nc = [len(nodes) for nodes, _ in families]
+    pairs = [[(a, a) for a in range(k)] + [q for a in range(k) for b in range(a + 1, k)
+                                           for q in ((a, b), (b, a))] for k in nc]
+    # the pattern: a (column, flat offset) table over the dofs
+    groups = [(nodes, a, b) for (nodes, _), ab in zip(families, pairs) for a, b in ab]
+    shift = [int(nodes[a][0] - nodes[b][0]) if len(nodes[0]) else 0 for nodes, a, b in groups]
+    offsets = sorted(set(shift) | {0})
+    m = len(core.dof_index)
+    pos = np.full(int(np.prod(core.grid.shape)), -1, dtype=np.int32)
+    pos[core.dof_index] = np.arange(m)
+    present = np.zeros((m, len(offsets)), dtype=bool)
+    present[:, offsets.index(0)] = True
+    cols = []
+    for (nodes, a, b), d in zip(groups, shift):
+        col = pos[nodes[b]]
+        col[pos[nodes[a]] < 0] = -1
+        present[col[col >= 0], offsets.index(d)] = True
+        cols.append(col)
+    rows = np.full(present.shape, m, dtype=np.int32)
+    col_idx, k_idx = np.nonzero(present)
+    rows[col_idx, k_idx] = pos[core.dof_index[col_idx] + np.asarray(offsets)[k_idx]]
+    rank = rows.argsort(axis=1).argsort(axis=1)
+    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
+    nnz = int(indptr[-1])
+    table = np.where(present, indptr[:-1, None] + rank, nnz)  # slot nnz: off the dofs
+    slot = np.concatenate([np.where(col >= 0, table[col, offsets.index(d)], nnz)
+                           for col, d in zip(cols, shift)])
+    indices = np.sort(rows, axis=1)
+    indices = indices[indices < m]
+    # the stamps
+    g, s, w = core._element_weights(v, p, delta)
+    r = np.divide(p - 2.0, s, out=np.zeros_like(s), where=s > 0.0) * w
+    vals = np.empty(len(slot))
+    start = stop = 0
+    measure = core._volume / core.h ** 2
+    for (nodes, B), ab in zip(families, pairs):
+        sl = slice(start, start + len(nodes[0]))
+        start = sl.stop
+        cw, cr = measure * w[sl], measure * r[sl]
+        bg = B.T @ g[:, sl]
+        btb = B.T @ B
+        done = {}
+        for a, b in ab:
+            out = vals[stop:stop + len(nodes[0])]
+            stop += len(nodes[0])
+            if (b, a) in done:
+                out[:] = done[b, a]
+            else:
+                np.multiply(cw, btb[a, b], out=out)
+                out += cr * bg[a] * bg[b]
+                done[a, b] = out
+    data = np.bincount(slot, weights=vals, minlength=nnz + 1)[:-1]
+    if shifted and core.bc == "neumann":
+        data[table[:, offsets.index(0)]] += core._neumann_sigma() * core._lumped(w)[core.dof_index]
+    return data, indices, indptr

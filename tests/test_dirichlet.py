@@ -375,11 +375,12 @@ def test_colouring_gives_each_element_one_corner_of_each_colour(name):
     named = [frozenset(int(corner[i]) for corner in nodes)
              for nodes, _ in core._families for i in range(len(nodes[0]))]
     found = {}
-    for dofs, elements, columns, owner in core._colouring():
+    for dofs, elements, b, bb, owner in core._colouring():
         # one corner of an element per colour: its nodes are independent
         assert len(np.unique(elements)) == len(elements)
-        for e, column, node in zip(elements, columns, dofs[owner]):
-            found[named[e], int(node)] = core._columns[:, column] / grid.h
+        assert np.array_equal(bb, (b * b).sum(axis=0))
+        for e, gradient, node in zip(elements, b.T, dofs[owner]):
+            found[named[e], int(node)] = gradient
     # together the colours hold every (element, dof corner) pair once, with
     # that corner's hat-function gradient
     dof = core.dof_mask.ravel()
@@ -912,12 +913,32 @@ def test_weighted_factor_is_the_shifted_hessian(name, bc, p):
         if p == 2.0:
             # w = 1: the shift is the plain mass shift, bit for bit
             mass = core._neumann_sigma() * sp.diags(core.mass.ravel()[core.dof_index])
-            assert np.array_equal(core._metric(v, p, delta, shifted=True).toarray(),
+            assert np.array_equal(core.weighted_metric(v, p, delta).toarray(),
                                   (matrix + mass).toarray())
         matrix = matrix + shift
     expected = spla.spsolve(matrix.tocsc(), s.ravel()[core.dof_index])
     got = core.precond_solve(s, core.weighted_factor(v, p, delta)).ravel()[core.dof_index]
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("name", list(HESSIAN_DOMAINS))
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0, 32.0])
+@pytest.mark.parametrize("delta", [0.0, dirichlet.DELTA])
+def test_stencil_assembly_is_the_bincount_assembly_bit_for_bit(name, bc, p, delta):
+    grid, core, v, _ = _hessian_case(name, seed=int(p * 10) + 5, bc=bc)
+    if delta == 0.0 and p >= 2.0:
+        # a constant patch: flat elements, which keep only w I
+        v[(slice(0, 8),) * grid.dim] = 0.25
+    for got, shifted in ((core.hessian(v, p, delta), False),
+                         (core.weighted_metric(v, p, delta), True)):
+        data, indices, indptr = oracles.bincount_metric(core, v, p, delta, shifted)
+        assert np.array_equal(got.indices, indices)
+        assert np.array_equal(got.indptr, indptr)
+        assert np.array_equal(got.data, data)  # == does not see the sign of zero
+    hessian, shift = core.assemble(v, p, delta)
+    assert np.array_equal(hessian.data, core.hessian(v, p, delta).data)
+    assert (shift is None) == (bc == "dirichlet")
 
 
 def _loop_gradient(grid, flat, p, delta):
@@ -998,7 +1019,7 @@ def test_rough_iterate_lu_keeps_the_fill_of_the_order():
     factor = core.weighted_factor(v, p, delta)
     assert _lu_nnz(factor) <= 1.3 * _lu_nnz(core.weighted_factor(v, 2.0, delta))
     s = rng.standard_normal(grid.shape)
-    expected = spla.spsolve(core._metric(v, p, delta, shifted=True), s.ravel()[core.dof_index])
+    expected = spla.spsolve(core.weighted_metric(v, p, delta), s.ravel()[core.dof_index])
     got = core.precond_solve(s, factor).ravel()[core.dof_index]
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 

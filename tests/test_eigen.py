@@ -11,14 +11,16 @@ discrete Rayleigh quotient's quadrature conventions.
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
 from plaplab import dirichlet, eigen
-from plaplab._variational import make_core
+from plaplab._variational import VariationalCore, make_core
 from plaplab.eigen import (
     EigenError,
     diagonal_profile,
@@ -194,6 +196,75 @@ def test_nested_neumann_records_every_level():
     assert sum(s.pcg_iterations for s in res.stages) == res.pcg_iterations
     assert len(res.history) == fine.iterations
     assert res.field.grid.n == 64 and res.residual < 1e-6
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("name, n", [("square", 24), ("disc", 24), ("interval", 64)])
+@pytest.mark.parametrize("p", [1.5, 8.0])
+def test_quotient_hessian_and_metric_are_diagonal_updates_of_one_assembly(name, n, bc, p):
+    domain = {"square": Domain.unit_square(), "disc": Domain.disc((0.0, 0.0), 1.0),
+              "interval": Domain.interval(0.0, 1.0)}[name]
+    grid = build_grid(domain, n)
+    core = make_core(grid, bc)
+    rng = np.random.default_rng(int(p) + n)
+    if bc == "neumann":
+        v = eigen._diameter_ramp(grid) + 0.01 * rng.standard_normal(grid.shape)
+    else:
+        v = np.where(grid.interior, 1.0 + 0.01 * rng.standard_normal(grid.shape), 0.0)
+    newton = eigen._QuotientNewton(core, p)
+    delta = dirichlet.DELTA
+    v = newton.retract(np.where(grid.nonexterior, v, 0.0), p)
+    q, _ = newton.objective(v, p, delta)
+    assert q == p * core.energy(v, p, delta) / core.pnorm_term(v, p)  # the quotient it reuses
+    H = newton.hessian(v, p, delta, q)
+    weights = eigen._pmean_weights(v, core.mass, p).ravel()[core.dof_index]
+    lagrangian = core.hessian(v, p, delta) - sp.diags(q * (p - 1.0) * weights)
+    assert np.array_equal(H.toarray(), lagrangian.toarray())
+    metric, expected = newton.metric(v, H), core.weighted_metric(v, p, delta)
+    assert np.array_equal(metric.indices, expected.indices)
+    assert np.array_equal(metric.indptr, expected.indptr)
+    assert np.array_equal(metric.data, expected.data)
+
+
+def test_nested_neumann_assembles_stamps_once_per_hessian(monkeypatch):
+    calls = collections.Counter()
+
+    def spy(owner, name, lattice):
+        original = getattr(owner, name)
+
+        def wrapper(self, *args):
+            calls[name, lattice(self)] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(VariationalCore, "_stencil", lambda core: core.grid.n)
+    for name in ("hessian", "metric"):
+        spy(eigen._QuotientNewton, name, lambda newton: newton.core.grid.n)
+    res = neumann_eigen_first(build_grid(Domain.unit_square(), 64), p=8.0)
+    for n in (32, 64):
+        # the metric of every direction and LU comes from its Hessian's assembly
+        assert calls["metric", n] >= 1
+        assert calls["_stencil", n] == calls["hessian", n]
+    # the finest stage smooths on the metric once per direction
+    assert calls["metric", 64] >= res.stages[-1].iterations >= 1
+    assert res.stages[-1].factorizations == 0
+
+
+@pytest.mark.parametrize("domain, n, p, seeds, atol", [
+    (Domain.rectangle(0.0, 0.0, 2.0, 1.0), 128, 32.0, (0, 1, 2, 3), 1e-5),
+    (Domain.unit_square(), 128, 15.0, (0, 1), 1e-12),
+])
+def test_neumann_orientation_does_not_depend_on_the_seed(domain, n, p, seeds, atol):
+    # on these centrally symmetric domains max and -min of the eigenfunction
+    # tie to rounding, so a positive-maximum rule flipped the field between
+    # seeds; the sign of its inner product with the diameter ramp does not tie
+    grid = build_grid(domain, n)
+    core = make_core(grid, "neumann")
+    fields = [neumann_eigen_first(grid, p, seed=seed).field.values for seed in seeds]
+    for field in fields:
+        assert np.max(np.abs(field - fields[0])) <= atol
+        assert np.sum(core.mass * field * eigen._diameter_ramp(grid)) > 0.0
 
 
 # ---------------------------------------------------------------------------
