@@ -19,23 +19,25 @@ strong residual (``SolveResult.optimality_residual``) falls to
 end point) at its own exponent, or to the level that rounding the iterate
 leaves (``ROUNDING_EPSILONS`` machine epsilons of ``|H||v|`` per unit mass),
 and makes at most ``_Newton.max_iterations`` Newton steps.  A final polish at
-the target exponent removes the regularization.  For p > 2 it takes full
-delta = 0 Newton steps, the first even below the rounding level, for as long
-as each lowers the strong residual, at most ``POLISH_ITERATIONS``
-(``_Newton.polish``); for p < 2, where the unregularized weight is singular,
-delta is lowered by factors of 100 to 1e-12, each a stage of at most
-``POLISH_ITERATIONS`` steps.  A target stage or polish that ends above both
-raises ``SolverError``.  Torsion stages after the first start from a
-predictor (Allgower & Georg's predictor-corrector continuation): the
-lowest-energy of the plain start, its minimizer along its own ray (the
-torsion energy with zero boundary data is homogeneous along rays), and that
-rescaling of the Euler tangent step.
+the target exponent (``_Newton.finish``) removes the regularization.  For
+p > 2 it takes full delta = 0 Newton steps, the first even below the
+rounding level, for as long as each lowers the strong residual, at most
+``POLISH_ITERATIONS`` (``_Newton.polish``); for p < 2, where the
+unregularized weight is singular, delta is lowered by factors of 100 to
+1e-12, each a stage of at most ``POLISH_ITERATIONS`` steps.  A target stage
+or polish that ends above both raises ``SolverError``.  Torsion stages after
+the first start from a predictor (Allgower & Georg's predictor-corrector
+continuation): the lowest-energy of the plain start, its minimizer along its
+own ray (the torsion energy with zero boundary data is homogeneous along
+rays), and that rescaling of the Euler tangent step.  p-harmonic stages,
+whose boundary data break that homogeneity, start plain.
 
 For p != 2, p-torsion is solved by nested iteration (Hackbusch, 1985;
-``_nested``, which the Neumann eigenpair shares): on a lattice that nests in
-the half-resolution one (``fields.coarse_grid``) the problem is first solved
-at n/2 up to its target stage, recursively down to ``NESTED_MIN_CELLS``
-cells, and the finer lattice runs only the target stage from the exact P1
+``_nested``, the one driver that the Neumann eigenpair shares): on a lattice
+that nests in the half-resolution one (``fields.coarse_grid``) the problem
+is first solved at n/2 up to its target stage, recursively down to
+``NESTED_MIN_CELLS`` cells, and the finer lattice runs only the target stage
+from the exact P1
 prolongation of that end point or its rescaling along its ray, and the
 polish only on the finest, so that the ladder's LUs are paid on the coarse
 lattices.  On a 2-D lattice at p >= ``SMOOTHING_MIN_P`` that start is first
@@ -50,10 +52,13 @@ Jacobi sweeps on its own matrix around a coarse-grid correction (Brandt,
 ibid.) that solves with the last LU of the lattice below, handed on by
 ``_nested`` with the P1 prolongation as a matrix (``_prolongation``).
 Dirichlet p-harmonic solves, lattices that do not nest (the disc, odd n)
-and p = 2 (one exact step) run on their own lattice.  ``SolveResult.stages``
-records each stage's start, steps, LUs, PCG iterations, target, residual,
-stop reason and lattice ``n``.
-The eigensolver runs on the same engine (``eigen._QuotientNewton``).
+and p = 2 (one exact step) run the continuation on their own lattice.
+Every solve then ends in ``_Newton.finish`` and ``_Newton.result``.
+``SolveResult.stages`` records each stage's start, steps, LUs, PCG
+iterations, target, residual, stop reason and lattice ``n``; the result's
+``iterations``, ``factorizations`` and ``pcg_iterations`` are sums over
+them, and they are the engine's only count.  The eigensolver runs on the
+same engine and driver (``eigen._QuotientNewton``).
 
 As p grows the torsion solution approaches the boundary distance function;
 ``torsion_infinity_gap`` measures that gap.  ``infinity_torsion_ball``
@@ -136,15 +141,14 @@ def continuation_ladder(p: float) -> tuple[float, ...]:
 class StageRecord:
     """One continuation stage or polish: its exponent and regularization,
     its start's kind (``plain``: the previous end point; ``prolonged``: a
-    coarser lattice's end point, P1-prolonged by the nested solves of
-    :func:`solve_p_torsion` and ``eigen.neumann_eigen_first``; ``rescaled``:
-    either of these rescaled along its ray, which a high-p torsion stage
-    smooths first, see :meth:`_Newton.refine`; ``tangent`` and
-    ``half-tangent``: see ``predict``), Newton steps, the LUs and PCG
-    iterations since the previous stage ended (a tangent solve's included),
-    stop target, final strong residual, ``stop`` (``converged``,
-    ``rounding``, ``stalled``, ``no-descent`` or ``max-iterations``) and the
-    ``n`` of its grid."""
+    coarser lattice's end point, P1-prolonged by :func:`_nested`;
+    ``rescaled``: either of these rescaled along its ray, which a high-p
+    torsion stage smooths first, see :meth:`_Newton.refine`; ``tangent``
+    and ``half-tangent``: see :meth:`_Newton.predict`), Newton steps, the
+    LUs and PCG iterations since the previous stage ended (a tangent
+    solve's included), stop target, final strong residual, ``stop``
+    (``converged``, ``rounding``, ``stalled``, ``no-descent`` or
+    ``max-iterations``) and the ``n`` of its grid."""
 
     p: float
     delta: float
@@ -158,24 +162,40 @@ class StageRecord:
     n: int
 
 
+class _StageTotals:
+    """The totals of a result's ``stages``: its Newton steps
+    (``iterations``), sparse LUs (``factorizations``) and PCG iterations
+    (``pcg_iterations``), each the sum over the stage records."""
+
+    stages: list[StageRecord]
+
+    @property
+    def iterations(self) -> int:
+        return sum(s.iterations for s in self.stages)
+
+    @property
+    def factorizations(self) -> int:
+        return sum(s.factorizations for s in self.stages)
+
+    @property
+    def pcg_iterations(self) -> int:
+        return sum(s.pcg_iterations for s in self.stages)
+
+
 @dataclass
-class SolveResult:
+class SolveResult(_StageTotals):
     """Solution field plus convergence diagnostics.
 
     ``optimality_residual`` is the sup over degrees of freedom of the energy
     gradient divided by the lumped mass — a nodal strong-form residual in
-    the units of the load.  ``iterations`` counts Newton steps over all
-    stages, ``factorizations`` the sparse LUs they made and
-    ``pcg_iterations`` the PCG iterations they ran; ``stages`` holds
+    the units of the load — at the end of the last stage.  ``stages`` holds
     one :class:`StageRecord` per stage and polish, in order, over every
-    lattice of a nested solve (:func:`solve_p_torsion`).
+    lattice of a nested solve (:func:`solve_p_torsion`); ``iterations``,
+    ``factorizations`` and ``pcg_iterations`` are their sums.
     """
 
     field: ScalarField
     p: float
-    iterations: int
-    factorizations: int
-    pcg_iterations: int
     final_energy: float
     optimality_residual: float
     energy_history: np.ndarray
@@ -381,12 +401,14 @@ class _Newton:
     Subclasses override :meth:`objective`, :meth:`hessian`,
     :meth:`constraints` (normals of linear constraints on the direction),
     :meth:`retract` (onto the constraint set, after each trial step),
-    :meth:`metric`, :meth:`predict`,
-    :meth:`prolonged_start` and ``error``.  For a constrained direction the
-    LU is a preconditioner only: a fresh one reruns PCG.  ``max_iterations``
-    caps the Newton steps of each continuation stage.  ``prior``: the stage
+    :meth:`metric`, :meth:`predict`, :meth:`prolonged_start`,
+    :meth:`result` and ``error``.  For a constrained direction the LU is a
+    preconditioner only: a fresh one reruns PCG.  ``max_iterations`` caps
+    the Newton steps of each continuation stage.  ``prior``: the stage
     records of a nested solve's coarser lattices, which this engine's
-    records and counts continue."""
+    records continue.  The records are the engine's only count: it keeps
+    just the LUs and PCG iterations since the last one (``lus``,
+    ``pcg_its``)."""
 
     error = SolverError
     max_iterations = 2000
@@ -400,11 +422,9 @@ class _Newton:
         self.energy = math.nan
         self.end_hessian = None  # at the end point of the last stage
         self.history: list[float] = []  # energy after each accepted step
-        # a nested solve's records and counts start with its coarser lattices'
+        # a nested solve's records start with its coarser lattices'
         self.stages: list[StageRecord] = list(prior)
-        self.iterations = sum(s.iterations for s in prior)
-        self.factorizations = sum(s.factorizations for s in prior)
-        self.pcg_iterations = sum(s.pcg_iterations for s in prior)
+        self.lus = self.pcg_its = 0  # since the last record
 
     def objective(self, v, p, delta):
         e, g = self.core.energy_grad(v, p, delta)
@@ -439,24 +459,24 @@ class _Newton:
         if self.two_grid is not None:
             x, its = _pcg(H, b, self.two_grid.on(self.metric(v, H)), eta,
                           TWO_GRID_MAX_ITERATIONS, *constrained, accept=eta)
-            self.pcg_iterations += its
+            self.pcg_its += its
             if x is None:  # the first miss: LUs for the rest of this engine's solve
                 self.two_grid = None
         elif self.factor is not None and budget > 0:
             x, its = _pcg(H, b, self.factor, eta, min(PCG_MAX_ITERATIONS, budget), *constrained)
             self.factor_pcg += its
-            self.pcg_iterations += its
+            self.pcg_its += its
         if x is None:
             self.factor = None  # free the old LU before the new one is built
             self.factor = self.core.factor(self.metric(v, H))
             self.factor_pcg = 0
-            self.factorizations += 1
+            self.lus += 1
             if A is None:
                 x = self.factor.solve(b)
             else:  # the LU only preconditions it: rerun PCG, keep what it reaches
                 x, its = _pcg(H, b, self.factor, eta, PCG_MAX_ITERATIONS, A, math.inf)
                 self.factor_pcg += its
-                self.pcg_iterations += its
+                self.pcg_its += its
         d = np.zeros(v.size)
         d[core.dof_index] = x
         return d.reshape(v.shape)
@@ -558,44 +578,42 @@ class _Newton:
 
     def _record(self, e, H, p, delta, start, its, target, residual, floor, stop, strict):
         """Close a stage that ended at objective ``e`` and Hessian ``H``:
-        count its steps, append its :class:`StageRecord` and, if ``strict``,
-        raise ``error`` when it ended above ``target`` and the rounding
-        level ``floor``."""
-        self.iterations += its
+        append its :class:`StageRecord`, with the LUs and PCG iterations
+        since the last one (the start's tangent solve included), and, if
+        ``strict``, raise ``error`` when it ended above ``target`` and the
+        rounding level ``floor``."""
         self.energy = e
         self.end_hessian = H
-        # LUs and PCG iterations since the last stage ended, the start's
-        # tangent solve included
-        lus = self.factorizations - sum(s.factorizations for s in self.stages)
-        pcg = self.pcg_iterations - sum(s.pcg_iterations for s in self.stages)
         self.stages.append(StageRecord(p=p, delta=delta, start=start, iterations=its,
-                                       factorizations=lus, pcg_iterations=pcg,
+                                       factorizations=self.lus, pcg_iterations=self.pcg_its,
                                        target=target, residual=residual, stop=stop,
                                        n=self.core.grid.n))
+        self.lus = self.pcg_its = 0
         if strict and residual > max(target, floor):
             raise self.error(f"p = {p:g} descent stopped ({stop}) at strong residual "
                              f"{residual:.3e} above the tolerance {target:.3e} and the "
-                             f"rounding level {floor:.3e}", iterations=self.iterations,
+                             f"rounding level {floor:.3e}",
+                             iterations=sum(s.iterations for s in self.stages),
                              residual=residual, stage=self.stages[-1])
 
-    def continuation(self, v, ladder, predict=True):
+    def continuation(self, v, ladder):
         """A stage at each exponent of ``ladder`` (delta = 0 at p = 2, else
         ``DELTA``; the last strict), each stopping at ``RESIDUAL_RTOL`` of
         the strong residual of its plain start (the previous end point,
-        retracted), and after the first starting from :meth:`predict` if
-        ``predict``.  Returns the last stage's ``(v, residual, target)``."""
+        retracted), and each after the engine's first stage starting from
+        :meth:`predict`.  Returns the last stage's ``(v, target)``."""
         for p in ladder:
             delta = 0.0 if p == 2.0 else DELTA
             plain = self.retract(v, p)
             evaluated = self.objective(plain, p, delta)
             target = RESIDUAL_RTOL * _strong_residual(self.core, evaluated[1])
-            if predict and self.stages:
+            if self.stages:
                 v, start, evaluated = self.predict(v, p, delta, evaluated)
             else:
                 v, start = plain, "plain"
-            v, residual = self.stage(v, p, delta, self.max_iterations, target, start,
-                                     strict=p == ladder[-1], evaluated=evaluated)
-        return v, residual, target
+            v, _ = self.stage(v, p, delta, self.max_iterations, target, start,
+                              strict=p == ladder[-1], evaluated=evaluated)
+        return v, target
 
     def refine(self, v, p):
         """The target stage at ``p`` (delta = 0 at p = 2, else ``DELTA``)
@@ -612,7 +630,7 @@ class _Newton:
         below and removes only slowly from above.  On an interval the coarse
         solution is nodally exact, so its prolongation's residual is at most
         the load and the stage is short without them.  Returns ``(v,
-        residual, target)``."""
+        target)``."""
         delta = 0.0 if p == 2.0 else DELTA
         v = self.retract(v, p)
         evaluated = self.objective(v, p, delta)
@@ -624,9 +642,31 @@ class _Newton:
             for _ in range(SMOOTHING_SWEEPS):
                 v = self.core.sweep(v, p, delta, rhs)
             evaluated = None
-        v, residual = self.stage(v, p, delta, self.max_iterations, target, start, strict=True,
-                                 evaluated=evaluated)
-        return v, residual, target
+        v, _ = self.stage(v, p, delta, self.max_iterations, target, start, strict=True,
+                          evaluated=evaluated)
+        return v, target
+
+    def finish(self, v, p, target):
+        """Polish ``v``, the end point of the target stage at ``p``, to its
+        stop ``target``, and return the :meth:`result` there: for p > 2 by
+        :meth:`polish`; for p < 2, where the unregularized weight is
+        singular, by stages at delta = 1e-8, 1e-10 and 1e-12 (factors of 100
+        below ``DELTA``) of at most ``POLISH_ITERATIONS`` steps, the last
+        strict."""
+        if p > 2.0:
+            v, _ = self.polish(v, p, target)
+        elif p < 2.0:
+            for delta in (1e-8, 1e-10, 1e-12):
+                v, _ = self.stage(v, p, delta, POLISH_ITERATIONS, target, strict=delta == 1e-12)
+        return self.result(v)
+
+    def result(self, v):
+        """The :class:`SolveResult` at ``v``, the end point of the last
+        stage: its residual, exponent and energy, and every stage record."""
+        grid, last = self.core.grid, self.stages[-1]
+        return SolveResult(field=ScalarField(grid, np.where(grid.nonexterior, v, 0.0)),
+                           p=last.p, final_energy=self.energy, optimality_residual=last.residual,
+                           energy_history=np.asarray(self.history), stages=self.stages)
 
     def prolonged_start(self, v, p, delta, evaluated):
         """Start of :meth:`refine`'s stage from the prolonged ``v`` of a
@@ -639,14 +679,18 @@ class _Newton:
 
     def predict(self, v, p, delta, evaluated):
         """Start of the stage at ``(p, delta)`` from ``v``, the end point of
-        the last stage (at ``(p0, delta0)``) of a zero-boundary torsion
-        solve, whose objective at ``(p, delta)`` is ``evaluated``: whichever
-        of ``v``, ``v`` rescaled along its ray (:meth:`rescale`) and the
-        rescaled Euler tangent prediction ``v - (p - p0) w`` has the lowest
-        objective, with its kind (``plain``, ``rescaled`` or ``tangent``)
-        and its objective.  ``-w`` is the tangent ``dv/dp``: ``H w = d/dp
-        grad E(v; p0, delta0)`` with the end point's Hessian, solved by
+        the last stage (at ``(p0, delta0)``), whose objective at ``(p,
+        delta)`` is ``evaluated``, with its kind and its objective.  Without
+        a load (p-harmonic) it is ``v`` itself (``plain``): boundary data
+        break the homogeneity along rays.  With one (torsion, whose boundary
+        data are zero) it is whichever of ``v``, ``v`` rescaled along its
+        ray (:meth:`rescale`) and the rescaled Euler tangent prediction ``v
+        - (p - p0) w`` has the lowest objective (``plain``, ``rescaled`` or
+        ``tangent``).  ``-w`` is the tangent ``dv/dp``: ``H w = d/dp grad
+        E(v; p0, delta0)`` with the end point's Hessian, solved by
         :meth:`direction`."""
+        if self.load is None:
+            return v, "plain", evaluated
         p0, delta0 = self.stages[-1].p, self.stages[-1].delta
         w = self.direction(v, self.core.energy_grad_dp(v, p0, delta0), self.end_hessian)
         starts = [(v, "plain", evaluated), (self.rescale(v, p), "rescaled", None),
@@ -700,92 +744,40 @@ def _strong_residual(core: VariationalCore, g: np.ndarray) -> float:
     return float(np.max(gd / safe, initial=0.0))
 
 
-def _polish_deltas(p: float) -> tuple[float, ...]:
-    """Regularizations of the final polish for p < 2, where the
-    unregularized weight is singular: factors of 100 below ``DELTA`` down to
-    1e-12, so that each Newton solve starts near its solution."""
-    steps = [1e-12]
-    while steps[-1] * 100.0 < DELTA:
-        steps.append(steps[-1] * 100.0)
-    return tuple(reversed(steps))
-
-
-def _solve(core: VariationalCore, p: float, boundary_values: np.ndarray,
-           load: np.ndarray | None, start=None, polish=True):
-    """Continuation over the stages p = 2 (delta = 0), then the exponents of
-    ``continuation_ladder(p)`` (``DELTA``), then the polish at ``p`` if
-    ``polish``; with ``start``, a coarser lattice's ``(v, stages, two_grid)``
-    from :func:`_nested`, only the target stage (:meth:`_Newton.refine`) and
-    the polish, preconditioned by ``two_grid`` if it is not None.  Returns
-    the :class:`SolveResult` and its engine.
-
-    Every stage stops at ``RESIDUAL_RTOL`` times the strong residual of its
-    plain start, the end point of the previous stage, at its own ``(p,
-    delta)``, or at its rounding level, and makes at most
-    ``_Newton.max_iterations`` Newton steps.  The polish keeps the last
-    stage's target and removes the regularization.  For p > 2 it is
-    :meth:`_Newton.polish`; for p < 2, where the unregularized weight is
-    singular, it lowers delta by factors of 100 to 1e-12
-    (:func:`_polish_deltas`), each a stage of at most ``POLISH_ITERATIONS``
-    steps.  For torsion (a load and zero boundary data, where the energy is
-    homogeneous along rays) each stage after the first starts from
-    :meth:`_Newton.predict` instead.
-    """
-    grid = core.grid
-    if start is None:
-        newton = _Newton(core, load)
-        v = boundary_values.copy()
-        v[core.dof_mask] = 0.0
-        # p = 2 first: the energy is quadratic, so one Newton step is exact
-        v, residual, target = newton.continuation(
-            v, continuation_ladder(p), predict=load is not None and not np.any(boundary_values))
-    else:
-        v, prior, two_grid = start
-        newton = _Newton(core, load, prior, two_grid)
-        v, residual, target = newton.refine(v, p)
-    if polish and p > 2.0:
-        v, residual = newton.polish(v, p, target)
-    elif polish and p < 2.0:
-        deltas = _polish_deltas(p)
-        for delta in deltas:
-            v, residual = newton.stage(v, p, delta, POLISH_ITERATIONS, target,
-                                       strict=delta == deltas[-1])
-    out = ScalarField(grid, np.where(grid.nonexterior, v, 0.0))
-    return SolveResult(field=out, p=p, iterations=newton.iterations,
-                       factorizations=newton.factorizations,
-                       pcg_iterations=newton.pcg_iterations,
-                       final_energy=newton.energy,
-                       optimality_residual=residual,
-                       energy_history=np.asarray(newton.history),
-                       stages=newton.stages), newton
-
-
-def _nested(grid: Grid, solve, finest=True):
+def _nested(grid: Grid, engine, start, p: float):
     """Nested iteration (Hackbusch, *Multi-Grid Methods and Applications*,
-    1985): ``solve(grid, None)`` when ``grid``'s lattice does not nest in the
-    half-resolution one (:func:`coarse_grid`) or that one has fewer than
-    ``NESTED_MIN_CELLS`` cells; otherwise ``solve(grid, (v, stages,
-    two_grid))``, where ``v`` is the P1 prolongation (:func:`prolong`,
-    exact: the coarse P1 space lies in the fine one) of the field of
-    ``_nested(coarse, solve, False)`` and ``stages`` are that result's stage
-    records.  ``solve`` returns ``(result, engine)``, and so does this.
-
-    On the ``finest`` lattice ``two_grid`` is the :class:`_TwoGrid` of the
-    coarse engine's last live LU and the :func:`_prolongation` between the
-    two (None when the coarse engine ended without an LU), elsewhere None.
-    Only that LU and the prolongation outlive the coarse level: its grid,
-    cores and engine die before the fine solve."""
-    coarse = coarse_grid(grid) if grid.n // 2 >= NESTED_MIN_CELLS else None
-    if coarse is None:
-        return solve(grid, None)
-    prior, below = _nested(coarse, solve, False)
-    two_grid = None
-    if finest and below.factor is not None:
-        fine = make_core(grid, below.core.bc)
-        two_grid = _TwoGrid(_prolongation(below.core, fine), below.factor)
-    start = prolong(prior.field, grid).values, prior.stages, two_grid
-    del coarse, prior, below
-    return solve(grid, start)
+    1985) to the target stage at ``p``, the one driver of every nested
+    solve; ``engine(lattice, prior, two_grid)`` makes a lattice's engine.
+    ``grid`` and its half-resolution lattices (:func:`coarse_grid`, while
+    they nest and keep ``NESTED_MIN_CELLS`` cells) are solved coarsest
+    first: the coarsest by :meth:`_Newton.continuation` over
+    ``continuation_ladder(p)`` from ``start(core)``, each finer one by
+    :meth:`_Newton.refine` from the exact P1 prolongation (:func:`prolong`)
+    of the field of the coarser :meth:`_Newton.result`, its ``prior`` the
+    coarser stage records.  On ``grid`` itself ``two_grid`` is the
+    :class:`_TwoGrid` of the coarser engine's last live LU and the
+    :func:`_prolongation` between the two (None when it ended without an
+    LU), elsewhere None.  Only that LU and the prolongation outlive a
+    level: its grid, core and engine die before the finer stage.  Returns
+    ``grid``'s engine, end point and stop target."""
+    lattices = [grid]  # finest first; the last is the one being solved
+    while (lattices[-1].n // 2 >= NESTED_MIN_CELLS
+           and (coarse := coarse_grid(lattices[-1])) is not None):
+        lattices.append(coarse)
+    coarse = None  # each grid lives only in ``lattices`` until its level is done
+    newton = engine(lattices[-1], (), None)
+    v, target = newton.continuation(start(newton.core), continuation_ladder(p))
+    while len(lattices) > 1:
+        fine = lattices[-2]
+        two_grid = None
+        if fine is grid and newton.factor is not None:
+            two_grid = _TwoGrid(_prolongation(newton.core, make_core(fine, newton.core.bc)),
+                                newton.factor)
+        v = prolong(newton.result(v).field, fine).values
+        newton = engine(fine, newton.stages, two_grid)
+        lattices.pop()  # the coarser grid dies with its engine
+        v, target = newton.refine(v, p)
+    return newton, v, target
 
 
 # ---------------------------------------------------------------------------
@@ -818,40 +810,35 @@ def solve_p_harmonic(grid: Grid, g, p: float = 2.0) -> SolveResult:
     attached).
     """
     p = check_exponent(p)
-    core = make_core(grid, "dirichlet")
-    return _solve(core, p, _boundary_array(grid, g), load=None)[0]
+    newton = _Newton(make_core(grid, "dirichlet"), None)
+    v, target = newton.continuation(_boundary_array(grid, g), continuation_ladder(p))
+    return newton.finish(v, p, target)
 
 
 def solve_p_torsion(grid: Grid, p: float = 2.0) -> SolveResult:
     """Solve the p-torsion problem (unit load, zero boundary values).
 
-    For p != 2, when the lattice nests in the half-resolution one
-    (:func:`coarse_grid`: n even and every shared node classified alike, as
-    on squares, rectangles and intervals, not on the disc) and that one
-    keeps at least ``NESTED_MIN_CELLS`` cells, the problem is first solved
-    at n/2, likewise recursively and without the polish, and the fine
-    lattice runs only the target stage from the P1 prolongation of that end
-    point or its rescaling along its ray, in 2-D at p >= ``SMOOTHING_MIN_P``
-    smoothed by ``SMOOTHING_SWEEPS`` nodal minimization sweeps
-    (:meth:`_Newton.refine`), then the polish; the grid's own Newton systems
-    are preconditioned by the two-grid cycle on the n/2 lattice's last LU
-    (:class:`_TwoGrid`), and it factors only after a PCG on it misses its
-    forcing term.  ``stages`` then spans every level, coarsest first (each
-    record's ``n`` names its lattice), and ``iterations``,
-    ``factorizations`` and ``pcg_iterations`` count over all levels.  At
-    p = 2 one exact step on the grid itself solves it.  Raises as
-    :func:`solve_p_harmonic`.
+    At p = 2 one exact step on ``grid`` itself solves it.  Otherwise
+    :func:`_nested` first solves it, unpolished, on the half-resolution
+    lattices where the lattice nests (:func:`coarse_grid`: n even and every
+    shared node classified alike, as on squares, rectangles and intervals,
+    not on the disc) and ``grid`` runs only the target stage
+    (:meth:`_Newton.refine`) on the two-grid cycle (:class:`_TwoGrid`),
+    before the polish (:meth:`_Newton.finish`).  ``stages`` spans every
+    level, coarsest first (each record's ``n`` names its lattice).  Raises
+    as :func:`solve_p_harmonic`.
     """
     p = check_exponent(p)
 
-    def solve(lattice, start):
-        # a coarser lattice hands on its end point at (p, DELTA), the
-        # regularization of the finer target stage, which would undo a polish
-        core = make_core(lattice, "dirichlet")
-        return _solve(core, p, np.zeros(lattice.shape), np.ones(lattice.shape), start,
-                      polish=lattice is grid)
+    def engine(lattice, *nested):
+        return _Newton(make_core(lattice, "dirichlet"), np.ones(lattice.shape), *nested)
 
-    return (solve(grid, None) if p == 2.0 else _nested(grid, solve))[0]
+    if p == 2.0:
+        newton = engine(grid)
+        v, target = newton.continuation(np.zeros(grid.shape), (p,))
+    else:
+        newton, v, target = _nested(grid, engine, lambda core: np.zeros(core.grid.shape), p)
+    return newton.finish(v, p, target)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ renormalized in L^p.  Dirichlet problems fix v = 0 on the boundary collar
 and keep the first eigenfunction nonnegative.
 
 The Neumann pair is solved by nested iteration (Hackbusch, 1985), on the
-recursion that p-torsion shares (``dirichlet._nested``): on a lattice that
+driver that p-torsion shares (``dirichlet._nested``): on a lattice that
 nests in the half-resolution one (``fields.coarse_grid``) the continuation
 runs at n/2, recursively down to ``dirichlet.NESTED_MIN_CELLS`` cells, and
 the finer lattice starts from the exact P1 prolongation of that
@@ -25,9 +25,11 @@ eigenfunction with one stage at the target exponent, so that the ladder's
 LUs are paid on the coarse lattices, where they are cheap.  The finest
 lattice factors nothing unless a PCG misses: it preconditions with the
 two-grid cycle (``dirichlet._TwoGrid``) on the last LU of the lattice
-below.  Its ``stages``
-span every level, each record naming its lattice's ``n``.  The Dirichlet
-pairs and ``p_sweep`` run the continuation on their own lattice.
+below.  Its ``stages`` span every level, each record naming its lattice's
+``n``.  The Dirichlet pairs and ``p_sweep`` run the continuation on their
+own lattice.  Every pair is built by ``_QuotientNewton.result``, and its
+``iterations``, ``factorizations`` and ``pcg_iterations`` are sums over its
+``stages``.
 
 Reported eigenvalues come in two scalings: ``raw`` is the quotient minimum
 (the eigenvalue of ``-lap_p u = raw |u|^(p-2) u``) and ``root = raw^(1/p)``,
@@ -50,8 +52,8 @@ import numpy as np
 
 from . import geometry
 from ._variational import VariationalCore, make_core
-from .dirichlet import (DELTA, SolverError, StageRecord, _nested, _Newton, check_exponent,
-                        continuation_ladder)
+from .dirichlet import (DELTA, SolverError, StageRecord, _nested, _Newton, _StageTotals,
+                        check_exponent, continuation_ladder)
 from .fields import Grid, ScalarField, build_grid, sample_at
 
 __all__ = [
@@ -86,7 +88,7 @@ PERTURBATION = 1e-3
 
 
 @dataclass
-class EigenResult:
+class EigenResult(_StageTotals):
     """First eigenpair in a fixed normalization.
 
     ``field`` has sup-norm 1.  Dirichlet fields are nonnegative, with a
@@ -94,9 +96,10 @@ class EigenResult:
     product ``sum m v r`` with the diameter ramp ``r``.  ``history`` holds the
     (regularized) quotient after each accepted step of the last stage, and
     ``residual`` the relative quotient-gradient norm ``||grad N - R grad D||
-    / ||grad N||`` over the dofs at the returned field; the counts and
-    ``stages`` are as in ``SolveResult``, over every lattice of a nested
-    Neumann solve (:func:`neumann_eigen_first`)."""
+    / ||grad N||`` over the dofs at the returned field.  ``stages`` holds
+    the stage records, as in ``SolveResult``, over every lattice of a nested
+    Neumann solve (:func:`neumann_eigen_first`); ``iterations``,
+    ``factorizations`` and ``pcg_iterations`` are their sums."""
 
     p: float
     bc: str
@@ -104,10 +107,7 @@ class EigenResult:
     root: float
     field: ScalarField
     history: np.ndarray
-    iterations: int
     residual: float
-    factorizations: int
-    pcg_iterations: int
     stages: list[StageRecord]
 
 
@@ -119,9 +119,13 @@ def rayleigh_quotient(v: ScalarField, p: float, bc: str = "dirichlet") -> float:
     """Discrete Rayleigh quotient ``N(v)/D(v)`` (element-midpoint gradients,
     lumped masses).
 
-    Dirichlet inputs must vanish on the boundary collar and Neumann inputs
-    must have (approximately) zero p-mean; others raise ``EigenError``.
+    The exponent must satisfy 1 <= p < inf (p = 1: the total-variation
+    quotient).  Dirichlet inputs must vanish on the boundary collar and
+    Neumann inputs must have (approximately) zero p-mean.  Others raise
+    ``EigenError``.
     """
+    if not 1.0 <= p < math.inf:
+        raise EigenError("Rayleigh quotient requires 1 <= p < inf")
     core = make_core(v.grid, bc)
     vals = v.values
     if bc == "dirichlet":
@@ -187,9 +191,9 @@ def _pmean_shift(vals: np.ndarray, mass: np.ndarray, p: float) -> float:
 
 def project_zero_pmean(v: ScalarField, p: float) -> ScalarField:
     """Subtract the constant that zeroes the weighted p-mean
-    ``sum m_i |v_i - c|^(p-2) (v_i - c)``."""
-    if not p > 1.0:
-        raise EigenError("p-mean projection requires p > 1")
+    ``sum m_i |v_i - c|^(p-2) (v_i - c)``; raises ``EigenError`` unless
+    1 < p < inf."""
+    p = check_exponent(p, EigenError)
     core = make_core(v.grid, "neumann")
     c = _pmean_shift(v.values, core.mass, p)
     out = np.where(v.grid.nonexterior, v.values - c, 0.0)
@@ -290,6 +294,32 @@ class _QuotientNewton(_Newton):
                   for kind, s in (("plain", 0.0), ("half-tangent", 0.5), ("tangent", 1.0))]
         return self._lowest(starts, p, delta)
 
+    def result(self, v):
+        """The :class:`EigenResult` at ``v``, the end point of the last
+        stage, with a snapshot of the stage records."""
+        core, last = self.core, self.stages[-1]
+        q, grad_e, flux = _quotient_grad(core, v, last.p, last.delta)
+        dofs = core.dof_mask
+        residual = (float(np.linalg.norm((grad_e - q * flux)[dofs]))
+                    / max(float(np.linalg.norm(grad_e[dofs])), 1e-300))
+        raw = _quotient(core, v, last.p)
+        # sign convention: a Dirichlet field has a positive maximum; a Neumann
+        # field rises along the diameter ramp, whose inner product with it does
+        # not tie on symmetric domains as its max and -min do (zero p-mean
+        # survives negation)
+        if core.bc == "neumann":
+            flip = float(np.sum(core.mass * v * _diameter_ramp(core.grid))) < 0.0
+        else:
+            flip = abs(float(v.min())) > float(v.max())
+        if flip:
+            v = -v
+        ok = core.grid.nonexterior
+        out = ScalarField(core.grid, np.where(ok, v / float(np.max(np.abs(v[ok]))), 0.0))
+        return EigenResult(p=last.p, bc=core.bc, raw=float(raw),
+                           root=float(raw ** (1.0 / last.p)), field=out,
+                           history=np.asarray(self.history[len(self.history) - last.iterations:]),
+                           residual=residual, stages=list(self.stages))
+
 
 def _start(core: VariationalCore, seed: int = 0) -> np.ndarray:
     """The p = 2 torsion function (Dirichlet), or a ramp along the diameter
@@ -312,37 +342,9 @@ def _continue(core: VariationalCore, v: np.ndarray, p: float, more=()) -> list[E
     newton = _QuotientNewton(core, p)
     results = []
     for ladder in [continuation_ladder(p), *((q,) for q in more)]:
-        v, _, _ = newton.continuation(v, ladder)
-        results.append(_result(newton, v))
+        v, _ = newton.continuation(v, ladder)
+        results.append(newton.result(v))
     return results
-
-
-def _result(newton: _QuotientNewton, v: np.ndarray) -> EigenResult:
-    """The eigenpair at ``v``, the end point of the engine's last stage."""
-    core, last = newton.core, newton.stages[-1]
-    q, grad_e, flux = _quotient_grad(core, v, last.p, last.delta)
-    dofs = core.dof_mask
-    residual = (float(np.linalg.norm((grad_e - q * flux)[dofs]))
-                / max(float(np.linalg.norm(grad_e[dofs])), 1e-300))
-    raw = _quotient(core, v, last.p)
-    # sign convention: a Dirichlet field has a positive maximum; a Neumann
-    # field rises along the diameter ramp, whose inner product with it does
-    # not tie on symmetric domains as its max and -min do (zero p-mean
-    # survives negation)
-    if core.bc == "neumann":
-        flip = float(np.sum(core.mass * v * _diameter_ramp(core.grid))) < 0.0
-    else:
-        flip = abs(float(v.min())) > float(v.max())
-    if flip:
-        v = -v
-    ok = core.grid.nonexterior
-    out = ScalarField(core.grid, np.where(ok, v / float(np.max(np.abs(v[ok]))), 0.0))
-    return EigenResult(p=last.p, bc=core.bc, raw=float(raw), root=float(raw ** (1.0 / last.p)),
-                       field=out,
-                       history=np.asarray(newton.history[len(newton.history) - last.iterations:]),
-                       iterations=newton.iterations, residual=residual,
-                       factorizations=newton.factorizations,
-                       pcg_iterations=newton.pcg_iterations, stages=list(newton.stages))
 
 
 def dirichlet_eigen_first(grid: Grid, p: float = 2.0) -> EigenResult:
@@ -367,44 +369,27 @@ def _diameter_ramp(grid: Grid) -> np.ndarray:
 
 
 def neumann_eigen_first(grid: Grid, p: float = 2.0, seed: int = 0) -> EigenResult:
-    """First nontrivial Neumann eigenpair by nested iteration.
-
-    When the lattice nests in the half-resolution one
-    (``fields.coarse_grid``: n even and every shared node classified alike,
-    as on squares, rectangles and intervals, not on the disc) and that one
-    keeps at least ``dirichlet.NESTED_MIN_CELLS`` cells, the pair is first
-    solved at n/2, likewise recursively (``dirichlet._nested``, which torsion
-    shares).  The fine lattice then starts from the P1 prolongation of the
-    coarse eigenfunction (``fields.prolong``, exact: the coarse P1 space lies
-    in the fine one) and runs only the target stage at ``p``
-    (``_Newton.refine``); its stop target is the engine's (``RESIDUAL_RTOL``
-    of its start's residual), but never looser than the coarse level's
-    final one.  The finest lattice preconditions its projected PCG with the
-    two-grid cycle (``dirichlet._TwoGrid``: damped Jacobi sweeps on its
-    shifted metric around a correction by the last LU of the lattice
-    below), so it makes no LU unless a PCG misses its forcing term within
-    ``dirichlet.TWO_GRID_MAX_ITERATIONS``, after which it goes on with LUs;
-    intermediate lattices run on LUs.  The coarsest lattice, and one that does not nest, runs the
-    continuation of :func:`dirichlet_eigen_first` from :func:`_start`, whose
-    kick ``seed`` seeds.  ``stages`` then spans every level, coarsest first
-    (each record's ``n`` names its lattice), and ``iterations``,
-    ``factorizations`` and ``pcg_iterations`` count over all levels;
-    ``history`` is the fine stage's.  Raises as
+    """First nontrivial Neumann eigenpair by nested iteration
+    (``dirichlet._nested``, as p-torsion).  Where the lattice nests in the
+    half-resolution one (``fields.coarse_grid``: n even and every shared
+    node classified alike, as on squares, rectangles and intervals, not on
+    the disc) the pair is first solved at n/2, likewise recursively, and
+    the finer lattice runs only the target stage at ``p``
+    (``_Newton.refine``) from the P1 prolongation of the coarse
+    eigenfunction, to a stop target never looser than the coarse one.  The
+    finest lattice preconditions its projected PCG with the two-grid cycle
+    (``dirichlet._TwoGrid``) around the last LU of the lattice below and
+    factors only after a PCG misses its forcing term.  The coarsest
+    lattice, and one that does not nest, runs the continuation of
+    :func:`dirichlet_eigen_first` from :func:`_start`, whose kick ``seed``
+    seeds.  ``stages`` spans every level, coarsest first (each record's
+    ``n`` names its lattice); ``history`` is the fine stage's.  Raises as
     :func:`dirichlet_eigen_first`."""
     p = check_exponent(p, EigenError)
-
-    def solve(grid, start):
-        core = make_core(grid, "neumann")
-        if start is None:
-            newton = _QuotientNewton(core, p)
-            v, _, _ = newton.continuation(_start(core, seed), continuation_ladder(p))
-        else:
-            v, prior, two_grid = start
-            newton = _QuotientNewton(core, p, prior, two_grid)
-            v, _, _ = newton.refine(v, p)
-        return _result(newton, v), newton
-
-    return _nested(grid, solve)[0]
+    newton, v, _ = _nested(
+        grid, lambda lattice, *nested: _QuotientNewton(make_core(lattice, "neumann"), p, *nested),
+        partial(_start, seed=seed), p)
+    return newton.result(v)
 
 
 # ---------------------------------------------------------------------------

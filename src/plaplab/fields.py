@@ -436,8 +436,10 @@ def _trilinear(d: dict[str, np.ndarray], dim: int) -> np.ndarray:
 
 def _flags(f: ScalarField, grad_sq: np.ndarray, grad_floor: float | None = None) -> np.ndarray:
     """Interior nodes with ``|grad u|`` below ``grad_floor`` (default
-    :func:`default_grad_floor`)."""
+    :func:`default_grad_floor`); a non-finite floor raises ``FieldError``."""
     floor = default_grad_floor(f) if grad_floor is None else float(grad_floor)
+    if not math.isfinite(floor):
+        raise FieldError("grad_floor must be finite")
     return f.grid.interior & (grad_sq < floor * floor)
 
 
@@ -509,8 +511,8 @@ def normalized_p_laplacian(f: ScalarField, p: float, grad_floor: float | None = 
     """
     if not (1.0 <= p):
         raise FieldError("normalized operator requires 1 <= p <= inf")
-    if delta < 0.0:
-        raise FieldError("delta must be nonnegative")
+    if not 0.0 <= delta < math.inf:
+        raise FieldError("delta must be nonnegative and finite")
     h = f.grid.h
     S = _span_start(f.values)
     span = np.s_[S:f.values.size - S]

@@ -146,6 +146,8 @@ class _Stepper:
         limit = cfl_limit(grid, p)
         if not 0.0 < dt <= limit * (1.0 + 1e-12):
             raise FlowError(f"dt={dt:.3e} outside (0, {limit:.3e}]")
+        if not 0.0 <= delta < math.inf:
+            raise FlowError("delta must be nonnegative and finite")
         if bc == "dirichlet":
             self.state = u.values.copy()
             self.nodes = self.state

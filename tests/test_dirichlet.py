@@ -636,12 +636,12 @@ def test_two_grid_miss_falls_back_to_one_lu_that_meets_the_forcing_term(monkeypa
     eta = 1e-6
     d = newton.direction(v, g, H, eta)
     # one two-grid iteration, then one fresh LU; the cycle is gone
-    assert newton.pcg_iterations == 1 and newton.factorizations == 1
+    assert newton.pcg_its == 1 and newton.lus == 1
     assert newton.two_grid is None and newton.factor is not None
     assert np.linalg.norm(H @ d.ravel()[core.dof_index] - b) <= eta * np.linalg.norm(b)
     # the next direction is preconditioned by that LU
     newton.direction(v, g, H, 0.5)
-    assert newton.factorizations == 1 and newton.factor_pcg >= 1
+    assert newton.lus == 1 and newton.factor_pcg >= 1
 
 
 @pytest.mark.parametrize("problem, domain, n, p, rhs_columns", [
@@ -705,15 +705,43 @@ def test_direction_short_of_its_forcing_keeps_the_lu_within_newton_rtol():
         return np.linalg.norm(H @ d.ravel()[core.dof_index] - b) / np.linalg.norm(b)
 
     d = newton.direction(v, g, H, eta=1e-30)
-    assert newton.factorizations == 0
-    assert newton.pcg_iterations == newton.factor_pcg == dirichlet.PCG_MAX_ITERATIONS
+    assert newton.lus == 0
+    assert newton.pcg_its == newton.factor_pcg == dirichlet.PCG_MAX_ITERATIONS
     assert 1e-30 < relative_residual(d) <= dirichlet.NEWTON_RTOL
     # the budget's last iteration ends above NEWTON_RTOL: a fresh LU solves
     newton.factor_pcg = dirichlet.LU_PCG_BUDGET - 1
     d = newton.direction(v, g, H, eta=1e-30)
-    assert newton.factorizations == 1 and newton.factor_pcg == 0
-    assert newton.pcg_iterations == dirichlet.PCG_MAX_ITERATIONS + 1
+    assert newton.lus == 1 and newton.factor_pcg == 0
+    assert newton.pcg_its == dirichlet.PCG_MAX_ITERATIONS + 1
     assert relative_residual(d) <= 1e-10
+
+
+@pytest.mark.parametrize("problem, p", [("torsion", 32.0), ("neumann", 8.0)])
+def test_nested_solve_frees_the_coarser_lattices_before_each_finer_stage(problem, p,
+                                                                         monkeypatch):
+    # only the last LU of a level and the prolongation outlive it: its grid,
+    # and the core and engine that hang on it, die before the finer stage
+    made, refined = [], []
+    coarse, refine = dirichlet.coarse_grid, dirichlet._Newton.refine
+
+    def coarse_spy(grid):
+        out = coarse(grid)
+        if out is not None:
+            made.append((out.n, weakref.ref(out)))
+        return out
+
+    def refine_spy(self, v, p_stage):
+        n = self.core.grid.n
+        gc.collect()
+        assert [m for m, grid in made if m < n and grid() is not None] == []
+        refined.append(n)
+        return refine(self, v, p_stage)
+
+    monkeypatch.setattr(dirichlet, "coarse_grid", coarse_spy)
+    monkeypatch.setattr(dirichlet._Newton, "refine", refine_spy)
+    grid = build_grid(Domain.unit_square(), 128)
+    (solve_p_torsion if problem == "torsion" else neumann_eigen_first)(grid, p=p)
+    assert [m for m, _ in made] == [64, 32] and refined == [64, 128]
 
 
 def test_core_is_freed_with_its_grid():
@@ -747,6 +775,29 @@ def test_p2_harmonic_single_preconditioned_step():
     xs, ys = grid.coordinates()
     err = np.max(np.abs(res.field.values - (xs * xs - ys * ys))[grid.nonexterior])
     assert err < 1e-10  # harmonic quadratic: exact for the 5-point stencil
+
+
+@pytest.mark.parametrize("name", list(RESIDUAL_DOMAINS))
+@pytest.mark.parametrize("p", [1.5, 4.0])
+def test_harmonic_stages_never_predict(name, p, monkeypatch):
+    # boundary data break the homogeneity along rays that the predictor
+    # rests on: every stage starts from the previous end point, and no
+    # tangent right-hand side is formed
+    calls = []
+    energy_grad_dp = VariationalCore.energy_grad_dp
+
+    def spy(self, *args):
+        calls.append(args)
+        return energy_grad_dp(self, *args)
+
+    monkeypatch.setattr(VariationalCore, "energy_grad_dp", spy)
+    grid = build_grid(RESIDUAL_DOMAINS[name], 32)
+    res = solve_p_harmonic(grid, lambda x, y: np.sin(3.0 * x) + y * y + 0.5, p=p)
+    assert np.any(res.field.values[grid.boundary] != 0.0)
+    ladder = continuation_ladder(p)
+    assert len(ladder) >= 2 and [s.p for s in res.stages[:len(ladder)]] == list(ladder)
+    assert [s.start for s in res.stages] == ["plain"] * len(res.stages)
+    assert calls == []
 
 
 def test_boundary_values_pinned():

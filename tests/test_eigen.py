@@ -58,6 +58,14 @@ def test_rayleigh_quotient_admissibility_checks():
     zero = ScalarField.from_function(grid, lambda x, y: np.zeros_like(x))
     with pytest.raises(EigenError):
         rayleigh_quotient(zero, 2.0, bc="dirichlet")
+    # the exponent: p = 1 (total variation) up to any finite p
+    bump = ScalarField.from_function(grid, lambda x, y: x * (1.0 - x) * y * (1.0 - y))
+    balanced = project_zero_pmean(ScalarField.from_function(grid, lambda x, y: x), 2.0)
+    for bc, field in (("dirichlet", bump), ("neumann", balanced)):
+        assert 0.0 < rayleigh_quotient(field, 1.0, bc=bc) < math.inf
+        for p in (0.5, -1.0, 0.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(EigenError):
+                rayleigh_quotient(field, p, bc=bc)
 
 
 def test_project_zero_pmean_properties():
@@ -68,8 +76,9 @@ def test_project_zero_pmean_properties():
     assert rayleigh_quotient(w, 3.0, bc="neumann") > 0.0
     again = project_zero_pmean(w, 3.0)
     assert np.allclose(again.values, w.values, atol=1e-12)
-    with pytest.raises(EigenError):
-        project_zero_pmean(u, 1.0)
+    for p in (1.0, 0.5, math.inf, math.nan):
+        with pytest.raises(EigenError):
+            project_zero_pmean(u, p)
 
 
 def test_config_validation():

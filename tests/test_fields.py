@@ -266,6 +266,25 @@ def test_normalized_p2_is_half_laplacian():
     assert np.allclose(out.values[g.interior], half[g.interior], atol=1e-13)
 
 
+def test_normalized_validation():
+    g = build_grid(Domain.unit_square(), 16)
+    u = ScalarField.from_function(g, lambda x, y: x**2 - y + 0.3 * x * y)
+    for p in (0.5, -1.0, np.nan):
+        with pytest.raises(FieldError):
+            normalized_p_laplacian(u, p)
+    for p in (1.0, 3.0, np.inf):
+        for delta in (-1e-6, np.inf, np.nan):
+            with pytest.raises(FieldError, match="delta"):
+                normalized_p_laplacian(u, p, delta=delta)
+        for grad_floor in (np.inf, -np.inf, np.nan):
+            with pytest.raises(FieldError, match="grad_floor"):
+                normalized_p_laplacian(u, p, grad_floor=grad_floor)
+    # the same floor check guards the infinity Laplacian
+    for grad_floor in (np.inf, np.nan):
+        with pytest.raises(FieldError, match="grad_floor"):
+            infinity_laplacian(u, grad_floor=grad_floor)
+
+
 def test_normalized_branches_on_saddle():
     # u = x^2 - y^2: lap = 0, u_nn = 2(x^2-y^2)/(x^2+y^2)
     g = build_grid(Domain.rectangle(1.0, 1.0, 2.0, 2.0), 16)

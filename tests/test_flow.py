@@ -79,6 +79,11 @@ def test_flow_config_validation(square32):
 def test_step_rejects_unstable_dt(square32, sine_mode):
     with pytest.raises(FlowError):
         step_flow(sine_mode, 2.0, 2.0 * cfl_limit(square32, 2.0))
+    # and a regularization outside [0, inf), at p = 2 and at p != 2
+    for p in (2.0, 4.0):
+        for delta in (-1e-6, math.inf, math.nan):
+            with pytest.raises(FlowError):
+                step_flow(sine_mode, p, cfl_limit(square32, p), delta=delta)
 
 
 def test_neumann_needs_lattice_filling_domain(monkeypatch):
